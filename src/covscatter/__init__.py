@@ -27,7 +27,6 @@ from .scattering import (
     feature_count,
 )
 from .spectral import (
-    JACOBI_BACKEND,
     DataMatrix,
     SampleCovariance,
     SpectralDecomposition,
@@ -62,7 +61,6 @@ __all__ = [
     "FeatureVector",
     "Filterbank",
     "Hann",
-    "JACOBI_BACKEND",
     "Monic",
     "PcaModel",
     "RidgeModel",

@@ -23,9 +23,6 @@ import numpy as np
 from .errors import ConfigError, InvalidK, ShapeError
 from .spectral import DataMatrix, SpectralDecomposition
 
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 10000
-
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -164,35 +161,13 @@ def pca_gap_scale(eigenvalues: np.ndarray, k: int) -> float:
     return 1.0 / min_gap
 
 
-def spectral_norm(matrix: np.ndarray, tol: float = _POWER_TOL, max_iter: int = _POWER_MAX_ITER) -> float:
-    """Largest singular value by power iteration on M^T M.
-
-    Deterministic start vector; converges when the squared estimate is
-    stable to ``tol`` relative.
-    """
-    m = np.asarray(matrix, dtype=np.float64)
-    gram = m.T @ m
-    v = np.random.default_rng(0x5EED).standard_normal(gram.shape[0])
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        new_estimate = float(v @ gram @ v)
-        v = w / norm
-        if abs(new_estimate - estimate) <= tol * max(abs(new_estimate), 1.0):
-            estimate = new_estimate
-            break
-        estimate = new_estimate
-    return math.sqrt(max(estimate, 0.0))
-
-
 def measured_wavelet_delta(mats_a: np.ndarray, mats_b: np.ndarray) -> float:
-    """Largest per-scale operator-norm difference between two wavelet matrix sets."""
+    """Largest per-scale operator-norm difference between two wavelet matrix sets.
+
+    Exact: the 2-norm of each difference is its largest singular value.
+    """
     a = np.asarray(mats_a, dtype=np.float64)
     b = np.asarray(mats_b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    return max(spectral_norm(a[j] - b[j]) for j in range(a.shape[0]))
+    return float(np.linalg.norm(a - b, ord=2, axis=(1, 2)).max())

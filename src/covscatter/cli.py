@@ -292,6 +292,7 @@ def _cmd_prune_sweep(args):
         harness.PRUNING_HEADER,
         [[r.tau, r.seed, r.mae, r.transform_time, r.feature_count] for r in rows],
     )
+    io.write_provenance(out / "pruning.provenance.txt", _run_provenance(args))
     print(f"wrote {out / 'pruning.csv'} ({len(rows)} rows)")
     return 0
 
@@ -331,6 +332,7 @@ def _cmd_labeled_sweep(args):
             for r in rows
         ],
     )
+    io.write_provenance(out / "labeled.provenance.txt", _run_provenance(args))
     print(f"wrote {out / 'labeled.csv'} ({len(rows)} rows)")
     return 0
 
@@ -394,6 +396,7 @@ def _cmd_bounds(args):
         rows.append(["pca_gap_scale", bounds_mod.pca_gap_scale(decomposition.eigenvalues, args.pca_k)])
     out = _out_dir(args)
     io.write_rows_csv(out / "bounds.csv", ["quantity", "value"], rows)
+    io.write_provenance(out / "bounds.provenance.txt", _run_provenance(args))
     print(f"wrote {out / 'bounds.csv'}")
     return 0
 
@@ -423,6 +426,7 @@ def _cmd_grid_search(args):
             for r in rows
         ],
     )
+    io.write_provenance(out / "grid.provenance.txt", _run_provenance(args))
     print(
         f"best: J={best.J} L={best.L} operator={best.operator} alpha={best.alpha} "
         f"valid_mae={best.valid_mae:.6g}"
@@ -531,13 +535,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser, argv):
-    """Inject config-file values as parser defaults; flags still win."""
-    if "--config" not in argv:
+    """Inject config-file values as parser defaults; flags still win.
+
+    The file is named by ``--config PATH`` or ``--config=PATH``; as with any
+    flag, the last one given counts.
+    """
+    path = None
+    for idx, token in enumerate(argv):
+        if token == "--config" and idx + 1 < len(argv):
+            path = argv[idx + 1]
+        elif token.startswith("--config="):
+            path = token[len("--config="):]
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv
-    path = argv[idx + 1]
     values = io.read_keyvalue(path)
     command = argv[0]
     sub_actions = next(

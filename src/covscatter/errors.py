@@ -38,7 +38,7 @@ class NotSymmetric(DataError):
 
 
 class NoConvergence(NumericalError):
-    """Iterative solver exhausted its sweep/iteration cap."""
+    """Eigensolver failed: non-finite input, or LAPACK did not converge."""
 
 
 class DegenerateCovariance(NumericalError):

@@ -1,13 +1,12 @@
 """Sample covariance estimation, symmetric eigendecomposition and wavelet operators.
 
-The eigensolver is a cyclic Jacobi iteration (compiled kernel when
-available, NumPy fallback otherwise) with a deterministic ordering and sign
-convention so that every downstream transform is reproducible bit-for-bit.
+Eigendecompositions use LAPACK via ``numpy.linalg.eigh``, followed by a
+deterministic ordering and sign convention so that every downstream
+transform is reproducible bit-for-bit on one machine.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,20 +20,6 @@ from .errors import (
     NotSymmetric,
     ShapeError,
 )
-
-if os.environ.get("COVSCATTER_DISABLE_EXTENSION"):
-    from . import _jacobi_py as _jacobi
-else:
-    try:
-        from . import _jacobi_cy as _jacobi
-    except ImportError:  # pragma: no cover - depends on the build environment
-        from . import _jacobi_py as _jacobi
-
-JACOBI_BACKEND = _jacobi.BACKEND
-
-# off-diagonal Frobenius tolerance relative to the input norm, and sweep cap
-JACOBI_TOL_SCALE = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 NORMALIZED = "normalized"
 INVERTED = "inverted"
@@ -158,27 +143,29 @@ def sample_covariance(data: DataMatrix | np.ndarray) -> SampleCovariance:
 
 
 def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix via cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix via LAPACK (``numpy.linalg.eigh``).
 
     Eigenvalues are returned in descending order (stable sort, so repeated
-    eigenvalues keep the rotation order) and each eigenvector is scaled so
-    its largest-magnitude entry is positive, first such entry winning ties.
+    eigenvalues keep the order LAPACK returns them in) and each eigenvector
+    is scaled so its largest-magnitude entry is positive, first such entry
+    winning ties. Non-finite input and a LAPACK failure raise
+    :class:`NoConvergence`.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        shown = ", ".join(f"({i}, {j})" for i, j in bad[:5])
+        more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
+        raise NoConvergence(f"matrix has non-finite entries at {shown}{more}")
     fro = float(np.linalg.norm(a))
     if float(np.linalg.norm(a - a.T)) > 1e-10 * max(1.0, fro):
         raise NotSymmetric("matrix is not symmetric to 1e-10 relative")
-    work = np.ascontiguousarray((a + a.T) / 2.0)
-    vectors = np.ascontiguousarray(np.eye(a.shape[0]))
-    tol = JACOBI_TOL_SCALE * fro
-    sweeps = _jacobi.jacobi_cycle(work, vectors, tol, JACOBI_MAX_SWEEPS)
-    if sweeps < 0:
-        raise NoConvergence(
-            f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
-    values = np.diagonal(work).copy()
+    try:
+        values, vectors = np.linalg.eigh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]

@@ -204,6 +204,53 @@ class TestExperimentCommands:
         assert sum(line.endswith("true") for line in lines[1:]) == 1
 
 
+    def _assert_provenance_seeds_config(self, tmp_path, command, stem, flags, timing_column=None):
+        _, data_path, targets_path = make_data_files(tmp_path)
+        first, second = tmp_path / "a", tmp_path / "b"
+        args = [command, "--data", str(data_path), "--targets", str(targets_path), *flags]
+        assert main(args + ["--out", str(first)]) == 0
+        provenance = first / f"{stem}.provenance.txt"
+        assert provenance.exists()
+        assert main([command, "--config", str(provenance), "--out", str(second)]) == 0
+        assert provenance.read_bytes() == (second / f"{stem}.provenance.txt").read_bytes()
+        csv1, csv2 = (out / f"{stem}.csv" for out in (first, second))
+        if timing_column is None:
+            assert csv1.read_bytes() == csv2.read_bytes()
+        else:
+            # a wall-clock column cannot repeat; every other cell must
+            def cells(path):
+                rows = [line.split(",") for line in path.read_text().splitlines()]
+                return [row[:timing_column] + row[timing_column + 1:] for row in rows]
+
+            assert cells(csv1) == cells(csv2)
+
+    def test_prune_sweep_provenance_seeds_config(self, tmp_path):
+        self._assert_provenance_seeds_config(
+            tmp_path, "prune-sweep", "pruning",
+            ["--seed", "1", "--taus", "0.0,0.2", "--runs", "2", "--j", "3", "--l", "2"],
+            timing_column=3,
+        )
+
+    def test_labeled_sweep_provenance_seeds_config(self, tmp_path):
+        self._assert_provenance_seeds_config(
+            tmp_path, "labeled-sweep", "labeled",
+            ["--seed", "1", "--train-fracs", "0.1,0.3", "--runs", "1",
+             "--j", "3", "--l", "2", "--pca-k", "4"],
+        )
+
+    def test_bounds_provenance_seeds_config(self, tmp_path):
+        self._assert_provenance_seeds_config(
+            tmp_path, "bounds", "bounds", ["--j", "3", "--l", "2", "--pca-k", "4"]
+        )
+
+    def test_grid_search_provenance_seeds_config(self, tmp_path):
+        self._assert_provenance_seeds_config(
+            tmp_path, "grid-search", "grid",
+            ["--seed", "1", "--grid-j", "2,3", "--grid-l", "2",
+             "--grid-operators", "normalized", "--grid-alpha", "1,10"],
+        )
+
+
 class TestConfigFile:
     def test_config_sets_defaults_flags_override(self, tmp_path):
         _, data_path, _ = make_data_files(tmp_path)
@@ -224,3 +271,15 @@ class TestConfigFile:
              "--out", str(tmp_path / "x")]
         )
         assert code == 2
+
+    def test_config_equals_form(self, tmp_path):
+        _, data_path, _ = make_data_files(tmp_path)
+        conf = tmp_path / "run.conf"
+        conf.write_text("j = 3\nl = 2\naggregation = mean\n")
+        base = ["transform", "--data", str(data_path)]
+        assert main(base + ["--out", str(tmp_path / "d")]) == 0
+        assert main(base + [f"--config={conf}", "--out", str(tmp_path / "c")]) == 0
+        header = (tmp_path / "c" / "features.csv").read_text().splitlines()[0].split(",")
+        default = (tmp_path / "d" / "features.csv").read_text().splitlines()[0].split(",")
+        assert len(header) == 4  # root plus J=3 first-layer means
+        assert header != default

@@ -2,13 +2,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from covscatter import _jacobi_py
+from covscatter.cli import main
 from covscatter.errors import (
     DegenerateCovariance,
     InsufficientSamples,
     InvalidData,
+    NoConvergence,
     NotSymmetric,
 )
+from covscatter.io import write_data_csv
 from covscatter.spectral import (
     INVERTED,
     NORMALIZED,
@@ -34,6 +36,10 @@ def two_pass_covariance(x):
         d = col - mean
         cov += np.outer(d, d)
     return cov / t
+
+
+def _eigh_fails(_):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 class TestSampleCovariance:
@@ -128,39 +134,27 @@ class TestEigSym:
         with pytest.raises(NotSymmetric):
             eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_extension_opt_out(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_no_convergence(self, bad):
+        m = random_spd(5, 1)
+        m[1, 3] = m[3, 1] = bad
+        with pytest.raises(NoConvergence, match=r"\(1, 3\), \(3, 1\)"):
+            eig_sym(m)
 
-        import covscatter
+    def test_lapack_failure_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", _eigh_fails)
+        with pytest.raises(NoConvergence, match="did not converge"):
+            eig_sym(random_spd(4, 2))
 
-        # the child must import the same package this suite is testing
-        package_root = str(Path(covscatter.__file__).resolve().parents[1])
-        env = dict(os.environ, COVSCATTER_DISABLE_EXTENSION="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", "import covscatter; print(covscatter.JACOBI_BACKEND)"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
+    def test_lapack_failure_exits_4_without_traceback(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "data.csv"
+        write_data_csv(path, DataMatrix(np.random.default_rng(4).standard_normal((4, 20))))
 
-    def test_backends_agree(self):
-        m = random_spd(20, 21)
-        work = np.ascontiguousarray(m.copy())
-        vectors = np.ascontiguousarray(np.eye(20))
-        sweeps = _jacobi_py.jacobi_cycle(work, vectors, 1e-12 * np.linalg.norm(m), 100)
-        assert sweeps >= 0
-        dec = eig_sym(m)
-        npt.assert_allclose(np.sort(np.diagonal(work)), np.sort(dec.eigenvalues), atol=1e-10)
-        recon = vectors @ np.diag(np.diagonal(work)) @ vectors.T
-        npt.assert_allclose(recon, m, atol=1e-10)
+        monkeypatch.setattr(np.linalg, "eigh", _eigh_fails)
+        code = main(["pca", "--data", str(path), "--out", str(tmp_path / "o"), "--k", "2"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestWaveletOperator:
