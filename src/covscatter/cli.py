@@ -110,7 +110,6 @@ def _config_provenance(config, gamma=None):
         "J": config.J,
         "L": config.L,
         "tau": config.tau,
-        "rho": config.rho,
         "aggregation": config.aggregation,
         "operator": config.operator_kind,
     }
@@ -445,6 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, help):
+        # exact flag names only: ``--conf`` must not pass for ``--config``, which
+        # _apply_config_file reads from argv before argparse sees it
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
     def common(p, data=True, targets=False, seed=False):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", default=None, help="key=value config file")
@@ -454,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p = command("synth", "generate a synthetic dataset")
     common(p, data=False, seed=True)
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--t", type=int, default=1000)
@@ -463,17 +467,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.1)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("transform", help="scatter a dataset into features")
+    p = command("transform", "scatter a dataset into features")
     common(p)
     _add_family_flags(p)
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("pca", help="PCA-project a dataset")
+    p = command("pca", "PCA-project a dataset")
     common(p)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_pca)
 
-    p = sub.add_parser("stability", help="covariance-perturbation stability experiment")
+    p = command("stability", "covariance-perturbation stability experiment")
     common(p, seed=True)
     _add_family_flags(p)
     _add_split_flags(p)
@@ -489,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plotdata", action="store_true")
     p.set_defaults(func=_cmd_stability)
 
-    p = sub.add_parser("prune-sweep", help="pruning-threshold sweep")
+    p = command("prune-sweep", "pruning-threshold sweep")
     common(p, seed=True)
     _add_family_flags(p)
     _add_split_flags(p)
@@ -498,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=10)
     p.set_defaults(func=_cmd_prune_sweep)
 
-    p = sub.add_parser("labeled-sweep", help="labeled-set-size sweep")
+    p = command("labeled-sweep", "labeled-set-size sweep")
     common(p, seed=True)
     _add_family_flags(p)
     _add_split_flags(p)
@@ -510,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=10)
     p.set_defaults(func=_cmd_labeled_sweep)
 
-    p = sub.add_parser("bounds", help="evaluate the stability-bound formulas")
+    p = command("bounds", "evaluate the stability-bound formulas")
     common(p)
     _add_family_flags(p)
     p.add_argument("--q", type=float, default=1.0)
@@ -521,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pca-k", type=int, default=None)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("grid-search", help="grid search over transform configurations")
+    p = command("grid-search", "grid search over transform configurations")
     common(p, seed=True)
     _add_family_flags(p)
     _add_split_flags(p)

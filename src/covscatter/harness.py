@@ -23,8 +23,8 @@ from .scattering import (
     CstConfig,
     CstModel,
     cst_fit,
+    cst_transform_batch,
     decide_layout,
-    transform_with_layout,
 )
 from .spectral import DataMatrix, sample_covariance
 from . import bounds as bounds_mod
@@ -133,8 +133,8 @@ class _FittedEmbedder:
             tau = method.config.tau if force_tau is None else force_tau
             self.model = cst_fit(sample_covariance(pool), method.config)
             if self.layout is None:
-                self.layout = decide_layout(self.model, pool, tau=tau)
-            self._embed = lambda x: transform_with_layout(self.model, x, self.layout).T
+                self.layout = decide_layout(self.model, pool, tau=tau).paths
+            self._embed = lambda x: cst_transform_batch(self.model, x, layout=self.layout).matrix.T
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """Features as columns: (D, n_samples)."""
@@ -264,7 +264,7 @@ def run_stability(
                         frame_upper,
                         clean.model.aggregation_norm_bound,
                         test_norm_max,
-                        _layer_counts(clean.layout.paths, method.config.L, include_root=False),
+                        _layer_counts(clean.layout, method.config.L, include_root=False),
                         method.config.L,
                     )
                 rows.append(
@@ -316,10 +316,10 @@ def run_pruning_sweep(
         pool = split.fit_pool
         model = cst_fit(sample_covariance(x[:, pool]), method.config)
         for tau in taus:
-            layout = decide_layout(model, x[:, pool], tau=tau)
+            layout = decide_layout(model, x[:, pool], tau=tau).paths
             start = time.perf_counter()
-            z_train = transform_with_layout(model, x[:, split.train], layout).T
-            z_test = transform_with_layout(model, x[:, split.test], layout).T
+            z_train = cst_transform_batch(model, x[:, split.train], layout=layout).matrix.T
+            z_test = cst_transform_batch(model, x[:, split.test], layout=layout).matrix.T
             elapsed = time.perf_counter() - start
             ridge = ridge_fit(z_train, y[split.train], method.alpha)
             rows.append(
@@ -328,7 +328,7 @@ def run_pruning_sweep(
                     seed=seed,
                     mae=mae(ridge.predict(z_test), y[split.test]),
                     transform_time=elapsed,
-                    feature_count=len(layout.paths) * model.feature_width,
+                    feature_count=len(layout) * model.feature_width,
                 )
             )
     rows.sort(key=lambda r: (r.tau, r.seed))
@@ -449,10 +449,10 @@ def grid_search(
                     base_config, J=int(j), L=int(layers), operator_kind=kind
                 )
                 model = cst_fit(sample_covariance(x[:, pool]), config)
-                layout = decide_layout(model, x[:, pool], tau=config.tau)
-                z_train = transform_with_layout(model, x[:, split.train], layout).T
-                z_valid = transform_with_layout(model, x[:, split.valid], layout).T
-                width = len(layout.paths) * model.feature_width
+                layout = decide_layout(model, x[:, pool], tau=config.tau).paths
+                z_train = cst_transform_batch(model, x[:, split.train], layout=layout).matrix.T
+                z_valid = cst_transform_batch(model, x[:, split.valid], layout=layout).matrix.T
+                width = len(layout) * model.feature_width
                 for alpha in alpha_grid:
                     ridge = ridge_fit(z_train, y[split.train], float(alpha))
                     rows.append(

@@ -7,6 +7,7 @@ written with ``repr`` so files round-trip bit-exactly.
 
 from __future__ import annotations
 
+import array
 import csv
 from pathlib import Path
 
@@ -34,7 +35,9 @@ def read_data_csv(path) -> DataMatrix:
         except StopIteration:
             raise InvalidData(f"{path}: empty file") from None
         names = [name.strip() for name in header]
-        rows = []
+        # one flat buffer of doubles, not a list per row: a tall file would
+        # otherwise leave the heap fragmented by as many row buffers as rows
+        cells = array.array("d")
         for row_idx, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -42,19 +45,17 @@ def read_data_csv(path) -> DataMatrix:
                 raise InvalidData(
                     f"{path}: row {row_idx} has {len(row)} cells, expected {len(names)}"
                 )
-            parsed = []
             for col_idx, cell in enumerate(row):
                 try:
-                    parsed.append(float(cell))
+                    cells.append(float(cell))
                 except ValueError:
                     raise InvalidData(
                         f"{path}: non-numeric cell {cell!r} at row {row_idx}, "
                         f"column {col_idx + 1} ({names[col_idx]})"
                     ) from None
-            rows.append(parsed)
-    if not rows:
+    if not cells:
         raise InvalidData(f"{path}: no observation rows")
-    values = np.array(rows, dtype=np.float64).T
+    values = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(names)).T
     return DataMatrix(values, feature_names=names)
 
 

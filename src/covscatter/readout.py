@@ -10,9 +10,6 @@ import scipy.linalg
 from .errors import ConfigError, InvalidData, InvalidK, ShapeError, SingularSystem
 from .spectral import SampleCovariance, SpectralDecomposition, eig_sym
 
-# above this feature dimension the ridge solve switches to the T x T dual
-DUAL_SOLVE_THRESHOLD = 2000
-
 
 @dataclass(frozen=True)
 class PcaModel:
@@ -88,9 +85,8 @@ def _spd_solve(matrix, rhs):
 def ridge_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> RidgeModel:
     """Closed-form ridge on centered features and targets.
 
-    Solves the D x D normal equations when the feature dimension is
-    moderate, and the equivalent T x T dual when D exceeds
-    ``DUAL_SOLVE_THRESHOLD``, keeping the solve cubic in min(D, T).
+    Solves the D x D normal equations when D <= T and the equivalent T x T
+    dual otherwise, keeping the solve cubic in min(D, T).
     """
     z = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -110,7 +106,7 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> RidgeM
     y_bar = float(y.mean())
     zc = z - z_bar[:, None]
     yc = y - y_bar
-    if d <= DUAL_SOLVE_THRESHOLD:
+    if d <= t:
         gram = zc @ zc.T + alpha * np.eye(d)
         weights = _spd_solve(gram, zc @ yc)
     else:

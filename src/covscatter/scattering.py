@@ -1,15 +1,17 @@
 """Pruned covariance scattering transforms.
 
 A model holds one wavelet operator with its filterbank and dense wavelet
-matrices; transforming a signal recursively applies every kernel followed
-by an absolute-value nonlinearity, discarding branches whose energy ratio
-to their parent does not exceed the pruning threshold. Coefficients are
-laid out breadth-first by layer, then lexicographically by scale indices,
-so serialized features are comparable across runs.
+matrices. One layer-wise pass over a batch of signals (:func:`_scatter`)
+applies every kernel followed by an absolute-value nonlinearity,
+discarding branches whose energy ratio to their parent does not exceed
+the pruning threshold; the public transforms are its consumers.
+Coefficients are laid out breadth-first by layer, then lexicographically
+by scale indices, so serialized features are comparable across runs.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +36,6 @@ AGG_IDENTITY = "identity"
 AGG_MEAN = "mean"
 AGGREGATIONS = (AGG_IDENTITY, AGG_MEAN)
 
-RHO_ABS = "abs"
-
 Path = tuple[int, ...]
 
 
@@ -45,7 +45,6 @@ class CstConfig:
     J: int
     L: int
     tau: float = 0.0
-    rho: str = RHO_ABS
     aggregation: str = AGG_IDENTITY
     operator_kind: str = NORMALIZED
     gamma_override: float | None = None
@@ -57,8 +56,6 @@ class CstConfig:
             raise ConfigError(f"need L >= 1, got {self.L}")
         if not 0.0 <= self.tau < 1.0:
             raise ConfigError(f"pruning threshold must be in [0, 1), got {self.tau}")
-        if self.rho != RHO_ABS:
-            raise ConfigError(f"unsupported nonlinearity {self.rho!r}")
         if self.aggregation not in AGGREGATIONS:
             raise ConfigError(f"unsupported aggregation {self.aggregation!r}")
         if self.operator_kind not in OPERATOR_KINDS:
@@ -113,8 +110,7 @@ class ScatterLayout:
     """Shared retention decision for a batch: retained paths in output order."""
 
     paths: tuple[Path, ...]
-    mean_ratio: dict
-    pruned: dict
+    pruned: dict  # path -> batch-mean energy ratio that removed it
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,6 @@ class BatchFeatures:
     matrix: np.ndarray  # (n_samples, n_paths * width)
     layout: tuple[Path, ...]
     width: int
-    mean_ratio: dict
     pruned: dict
 
 
@@ -158,10 +153,71 @@ def cst_fit(cov: SampleCovariance, config: CstConfig) -> CstModel:
     )
 
 
-def _aggregate(model: CstModel, signal: np.ndarray) -> np.ndarray:
+def _aggregate(model: CstModel, signals: np.ndarray) -> np.ndarray:
+    """Per-path feature block of a batch of signals: (n_samples, width)."""
     if model.config.aggregation == AGG_IDENTITY:
-        return signal
-    return np.atleast_1d(signal.mean(axis=0))
+        return signals.T
+    return signals.mean(axis=0)[:, None]
+
+
+def _scatter(
+    model: CstModel,
+    x: np.ndarray,
+    tau: float | None,
+    prune: bool,
+    layout: tuple[Path, ...] | None,
+    pruned: dict,
+):
+    """The scattering recursion, run layer by layer over a batch ``x`` of shape (N, n).
+
+    Yields ``(path, signals, norms)`` for the root and then every retained
+    child, in layout order (breadth-first, then lexicographic). Each child
+    is computed once. Without ``layout``, a child is retained iff the batch
+    mean of its per-sample energy ratio (child norm over parent norm, zero
+    where the parent has zero energy) strictly exceeds ``tau``, or always
+    when ``prune`` is false; every pruned path is recorded in ``pruned`` with
+    that ratio. With ``layout``, a child is retained iff its path is in the
+    layout, and no other child is computed. Only the signals of layers that
+    still have children to compute are kept, so a caller that drops the
+    yielded signals holds no more than two layers at a time.
+    """
+    if tau is None:
+        tau = model.config.tau
+    elif not 0.0 <= tau < 1.0:
+        raise ConfigError(f"pruning threshold must be in [0, 1), got {tau}")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != model.n_features:
+        raise ShapeError(f"expected {model.n_features} rows, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidData("signals contain non-finite entries")
+    follow = None if layout is None else frozenset(layout)
+
+    mats = model.matrices.matrices
+    norms = np.linalg.norm(x, axis=0)
+    yield (), x, norms
+    frontier = deque([((), x, norms)])
+    for layer in range(1, model.config.L):
+        keep = layer < model.config.L - 1
+        next_frontier = deque()
+        while frontier:
+            path, signals, parent_norms = frontier.popleft()
+            safe_parent = np.where(parent_norms > 0.0, parent_norms, 1.0)
+            for j in range(model.config.J):
+                child_path = path + (j,)
+                if follow is not None and child_path not in follow:
+                    continue
+                children = np.abs(mats[j] @ signals)
+                child_norms = np.linalg.norm(children, axis=0)
+                if follow is None and prune:
+                    ratios = np.where(parent_norms > 0.0, child_norms / safe_parent, 0.0)
+                    ratio = float(ratios.mean())
+                    if not ratio > tau:
+                        pruned[child_path] = ratio
+                        continue
+                yield child_path, children, child_norms
+                if keep:
+                    next_frontier.append((child_path, children, child_norms))
+        frontier = next_frontier
 
 
 def cst_transform(
@@ -170,7 +226,7 @@ def cst_transform(
     tau: float | None = None,
     prune: bool = True,
 ) -> tuple[ScatterTree, FeatureVector]:
-    """Scatter one signal.
+    """Scatter one signal: the batch-of-one case of :func:`cst_transform_batch`.
 
     A child is retained iff its energy exceeds ``tau`` times its parent's
     (strict inequality), so zero-energy children are always pruned; children
@@ -181,39 +237,15 @@ def cst_transform(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.n_features:
         raise ShapeError(f"expected a length-{model.n_features} signal, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidData("signal contains non-finite entries")
-    if tau is None:
-        tau = model.config.tau
-    elif not 0.0 <= tau < 1.0:
-        raise ConfigError(f"pruning threshold must be in [0, 1), got {tau}")
-
-    mats = model.matrices.matrices
-    nodes: dict[Path, tuple[np.ndarray, float]] = {(): (x, float(np.linalg.norm(x)))}
     pruned: dict[Path, float] = {}
-    order: list[Path] = [()]
-    frontier: list[Path] = [()]
-    for _ in range(1, model.config.L):
-        next_frontier: list[Path] = []
-        for path in frontier:
-            signal, parent_norm = nodes[path]
-            for j in range(model.config.J):
-                child = np.abs(mats[j] @ signal)
-                child_norm = float(np.linalg.norm(child))
-                ratio = child_norm / parent_norm if parent_norm > 0.0 else 0.0
-                child_path = path + (j,)
-                if prune and not ratio > tau:
-                    pruned[child_path] = ratio
-                    continue
-                nodes[child_path] = (child, child_norm)
-                order.append(child_path)
-                next_frontier.append(child_path)
-        frontier = next_frontier
-
-    blocks = [_aggregate(model, nodes[path][0]) for path in order]
+    nodes: dict[Path, tuple[np.ndarray, float]] = {}
+    blocks = []
+    for path, signals, norms in _scatter(model, x[:, None], tau, prune, None, pruned):
+        nodes[path] = (signals[:, 0], float(norms[0]))
+        blocks.append(_aggregate(model, signals)[0])
     features = FeatureVector(
         coefficients=np.concatenate(blocks),
-        layout=tuple(order),
+        layout=tuple(nodes),
         width=model.feature_width,
     )
     return ScatterTree(nodes=nodes, pruned_paths=pruned), features
@@ -225,73 +257,15 @@ def decide_layout(
     tau: float | None = None,
     prune: bool = True,
 ) -> ScatterLayout:
-    """Shared retention decision for a batch of signals.
+    """Shared retention decision for a batch of signals, without its features.
 
-    A path is retained iff the mean over the batch of its per-sample
-    normalized energy (child norm over parent norm, zero where the parent
-    has zero energy) strictly exceeds ``tau``. Every sample then yields an
-    identically shaped feature vector, which downstream regression needs.
+    Decides as :func:`cst_transform_batch` does, keeping no signal of the
+    last layer. Every sample then yields an identically shaped feature
+    vector, which downstream regression needs.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] != model.n_features:
-        raise ShapeError(f"expected {model.n_features} rows, got {x.shape[0]}")
-    if tau is None:
-        tau = model.config.tau
-    elif not 0.0 <= tau < 1.0:
-        raise ConfigError(f"pruning threshold must be in [0, 1), got {tau}")
-
-    mats = model.matrices.matrices
-    paths: list[Path] = [()]
-    mean_ratio: dict[Path, float] = {(): 1.0}
     pruned: dict[Path, float] = {}
-    frontier: list[tuple[Path, np.ndarray, np.ndarray]] = [
-        ((), x, np.linalg.norm(x, axis=0))
-    ]
-    for _ in range(1, model.config.L):
-        next_frontier = []
-        for path, signals, parent_norms in frontier:
-            safe_parent = np.where(parent_norms > 0.0, parent_norms, 1.0)
-            for j in range(model.config.J):
-                children = np.abs(mats[j] @ signals)
-                child_norms = np.linalg.norm(children, axis=0)
-                ratios = np.where(parent_norms > 0.0, child_norms / safe_parent, 0.0)
-                ratio = float(ratios.mean())
-                child_path = path + (j,)
-                if prune and not ratio > tau:
-                    pruned[child_path] = ratio
-                    continue
-                paths.append(child_path)
-                mean_ratio[child_path] = ratio
-                next_frontier.append((child_path, children, child_norms))
-        frontier = next_frontier
-    return ScatterLayout(paths=tuple(paths), mean_ratio=mean_ratio, pruned=pruned)
-
-
-def transform_with_layout(model: CstModel, x: np.ndarray, layout: ScatterLayout) -> np.ndarray:
-    """Scatter a batch along a fixed retained-path layout; returns (n_samples, D)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[0] != model.n_features:
-        raise ShapeError(f"expected {model.n_features} rows, got {x.shape[0]}")
-    mats = model.matrices.matrices
-    by_layer: dict[int, list[Path]] = {}
-    for path in layout.paths:
-        by_layer.setdefault(len(path), []).append(path)
-
-    def agg(block):
-        if model.config.aggregation == AGG_IDENTITY:
-            return block.T
-        return block.mean(axis=0)[:, None]
-
-    blocks = {(): agg(x)}
-    level = {(): x}
-    for layer in range(1, max(by_layer) + 1):
-        next_level = {}
-        for path in by_layer.get(layer, []):
-            signals = np.abs(mats[path[-1]] @ level[path[:-1]])
-            next_level[path] = signals
-            blocks[path] = agg(signals)
-        level = next_level
-    return np.concatenate([blocks[path] for path in layout.paths], axis=1)
+    paths = tuple(path for path, _, _ in _scatter(model, x, tau, prune, None, pruned))
+    return ScatterLayout(paths=paths, pruned=pruned)
 
 
 def cst_transform_batch(
@@ -299,15 +273,26 @@ def cst_transform_batch(
     data,
     tau: float | None = None,
     prune: bool = True,
+    layout: tuple[Path, ...] | None = None,
 ) -> BatchFeatures:
-    """Batch transform with the shared pruning decision of :func:`decide_layout`."""
-    x = data.values if hasattr(data, "values") else np.asarray(data, dtype=np.float64)
-    layout = decide_layout(model, x, tau=tau, prune=prune)
-    matrix = transform_with_layout(model, x, layout)
+    """Scatter a batch in one pass; rows of the matrix are samples.
+
+    Without ``layout`` the pass decides which paths to keep from the batch
+    itself (see :func:`_scatter`). With ``layout``, a tuple of paths in
+    layout order such as ``decide_layout(...).paths``, it follows that fixed
+    schema instead, so samples embedded apart share one feature layout.
+    """
+    x = data.values if hasattr(data, "values") else data
+    pruned: dict[Path, float] = {}
+    paths, blocks = [], []
+    for path, signals, _ in _scatter(model, x, tau, prune, layout, pruned):
+        paths.append(path)
+        blocks.append(_aggregate(model, signals))
+    if layout is not None and tuple(paths) != tuple(layout):
+        raise ConfigError("layout must list retained paths in breadth-first, lexicographic order")
     return BatchFeatures(
-        matrix=matrix,
-        layout=layout.paths,
+        matrix=np.concatenate(blocks, axis=1),
+        layout=tuple(paths),
         width=model.feature_width,
-        mean_ratio=layout.mean_ratio,
-        pruned=layout.pruned,
+        pruned=pruned,
     )

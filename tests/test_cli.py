@@ -272,6 +272,20 @@ class TestConfigFile:
         )
         assert code == 2
 
+    def test_abbreviated_flag_rejected(self, tmp_path, capsys):
+        # --conf is not --config: argparse must not expand it, or the file is dropped
+        _, data_path, _ = make_data_files(tmp_path)
+        conf = tmp_path / "run.conf"
+        conf.write_text("j = 3\nl = 2\naggregation = mean\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(["transform", "--data", str(data_path), "--conf", str(conf),
+                  "--out", str(tmp_path / "c")])
+        assert err.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--conf" in errors[0]
+        assert not (tmp_path / "c").exists()
+
     def test_config_equals_form(self, tmp_path):
         _, data_path, _ = make_data_files(tmp_path)
         conf = tmp_path / "run.conf"

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import covscatter.readout as readout
 from covscatter.errors import InvalidK, ShapeError, SingularSystem
 from covscatter.readout import (
     mae,
@@ -121,14 +120,15 @@ class TestRidge:
         with pytest.raises(SingularSystem):
             ridge_fit(z, np.arange(5.0), 0.0)
 
-    def test_dual_solve_matches_primal(self, rng, monkeypatch):
-        z = rng.standard_normal((8, 40))
-        y = rng.standard_normal(40)
-        primal = ridge_fit(z, y, 3.0)
-        monkeypatch.setattr(readout, "DUAL_SOLVE_THRESHOLD", 4)
+    def test_dual_solve_matches_primal(self, rng):
+        # d > t takes the dual path; check it against the primal normal equations
+        z = rng.standard_normal((40, 8))
+        y = rng.standard_normal(8)
         dual = ridge_fit(z, y, 3.0)
-        npt.assert_allclose(dual.weights, primal.weights, atol=1e-8)
-        assert dual.intercept == pytest.approx(primal.intercept, abs=1e-8)
+        zc = z - z.mean(axis=1)[:, None]
+        weights = np.linalg.solve(zc @ zc.T + 3.0 * np.eye(40), zc @ (y - y.mean()))
+        npt.assert_allclose(dual.weights, weights, atol=1e-8)
+        assert dual.intercept == pytest.approx(y.mean() - weights @ z.mean(axis=1), abs=1e-8)
 
     def test_predict_shape_check(self, rng):
         model = ridge_fit(rng.standard_normal((3, 20)), rng.standard_normal(20), 1.0)

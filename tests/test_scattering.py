@@ -15,7 +15,6 @@ from covscatter.scattering import (
     decide_layout,
     feature_count,
     path_name,
-    transform_with_layout,
 )
 from covscatter.spectral import INVERTED, SampleCovariance, sample_covariance
 from covscatter.synthdata import SynthSpec, synth_generate
@@ -232,10 +231,62 @@ class TestBatch:
     def test_fixed_layout_reembedding(self, rng):
         model = self._model()
         pool = rng.standard_normal((20, 30))
-        layout = decide_layout(model, pool, tau=0.2)
+        layout = decide_layout(model, pool, tau=0.2).paths
         fresh = rng.standard_normal((20, 4))
-        z = transform_with_layout(model, fresh, layout)
-        assert z.shape == (4, len(layout.paths) * 20)
+        z = cst_transform_batch(model, fresh, layout=layout)
+        assert z.matrix.shape == (4, len(layout) * 20)
+        assert z.layout == layout and z.pruned == {}
+        # each retained path's block is that path's recursion on the fresh signals
+        mats = model.matrices.matrices
+        for k, path in enumerate(layout):
+            signals = fresh
+            for j in path:
+                signals = np.abs(mats[j] @ signals)
+            npt.assert_array_equal(z.matrix[:, k * 20 : (k + 1) * 20], signals.T)
+
+    def test_decide_layout_matches_batch_decision(self, rng):
+        model = self._model()
+        x = rng.standard_normal((20, 30))
+        decided = decide_layout(model, x, tau=0.2)
+        batch = cst_transform_batch(model, x, tau=0.2)
+        assert decided.paths == batch.layout
+        assert decided.pruned == batch.pruned
+
+    def test_following_own_layout_is_bit_equal(self, rng):
+        model = self._model()
+        x = rng.standard_normal((20, 30))
+        b = cst_transform_batch(model, x, tau=0.2)
+        assert len(b.layout) < feature_count(3, 3)  # some paths were pruned
+        followed = cst_transform_batch(model, x, layout=b.layout)
+        npt.assert_array_equal(followed.matrix, b.matrix)
+        assert followed.layout == b.layout
+
+    def test_following_layout_on_subset_is_bit_equal(self, rng):
+        # train is a subset of the fit pool: its rows must not depend on the rest
+        model = self._model()
+        x = rng.standard_normal((20, 30))
+        b = cst_transform_batch(model, x, tau=0.2)
+        subset = np.array([1, 4, 5, 11, 17, 29])
+        followed = cst_transform_batch(model, x[:, subset], layout=b.layout)
+        npt.assert_array_equal(followed.matrix, b.matrix[subset])
+
+    def test_single_signal_is_batch_of_one(self, rng):
+        model = self._model()
+        x = rng.standard_normal((20, 30))
+        tree, fv = cst_transform(model, x[:, 0], tau=0.3)
+        batch = cst_transform_batch(model, x[:, :1], tau=0.3)
+        assert tree.pruned_paths  # the threshold prunes something
+        assert fv.layout == batch.layout
+        assert tree.pruned_paths == batch.pruned
+        npt.assert_array_equal(fv.coefficients, batch.matrix[0])
+
+    def test_layout_outside_the_tree_rejected(self, rng):
+        model = self._model()
+        x = rng.standard_normal((20, 5))
+        with pytest.raises(ConfigError):
+            cst_transform_batch(model, x, layout=((), (0, 1)))  # (0,) missing
+        with pytest.raises(ConfigError):
+            cst_transform_batch(model, x, layout=((), (1,), (0,)))  # out of order
 
 
 class TestFeatureCount:
