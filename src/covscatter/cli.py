@@ -212,11 +212,7 @@ def _cmd_pca(args):
     model = pca_fit(cov, args.k)
     embedded = pca_transform(model, data.values).T
     out = _out_dir(args)
-    io.write_rows_csv(
-        out / "pca.csv",
-        [f"pc{i + 1}" for i in range(args.k)],
-        [[float(v) for v in row] for row in embedded],
-    )
+    io.write_matrix_csv(out / "pca.csv", [f"pc{i + 1}" for i in range(args.k)], embedded)
     io.write_provenance(
         out / "pca.provenance.txt",
         {

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import array
 import csv
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,19 +28,80 @@ def format_value(value) -> str:
     return str(value)
 
 
+def write_matrix_csv(path, header: list[str], matrix) -> None:
+    """Write a header row, then one row of ``repr`` floats per matrix row.
+
+    The rows are the bytes ``csv.writer`` gives for ``repr`` cells: a float's
+    ``repr`` holds no delimiter, quote or line break, so no cell is quoted and
+    every row ends in ``\\r\\n``.
+    """
+    with Path(path).open("w", newline="") as handle:
+        csv.writer(handle).writerow(header)
+        # row by row: matrix.tolist() would hold every value as a Python float
+        for row in np.asarray(matrix, dtype=np.float64):
+            handle.write(",".join(map(repr, row.tolist())) + "\r\n")
+
+
+@contextmanager
+def _open_text(path: Path):
+    """Open ``path`` for ``csv.reader``; text that does not decode or split is ``InvalidData``."""
+    try:
+        with path.open(newline="") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise InvalidData(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+        raise InvalidData(f"{path}: {exc}") from None
+
+
+def _read_header(path: Path, handle) -> list[str]:
+    try:
+        header = next(csv.reader(handle))
+    except StopIteration:
+        raise InvalidData(f"{path}: empty file") from None
+    return [name.strip() for name in header]
+
+
+def _loadtxt_lines(handle):
+    """Yield the lines of ``handle``; raise on one loadtxt reads but the cell loop rejects."""
+    limit = csv.field_size_limit()
+    for line in handle:
+        if len(line) > limit:
+            raise ValueError("line may hold a cell over the csv field size limit")
+        # around a number loadtxt strips the separator controls \x1c-\x1f
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("separator control character")
+        yield line
+
+
 def read_data_csv(path) -> DataMatrix:
     path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
+    with _open_text(path) as handle:
+        names = _read_header(path, handle)
+        # csv.reader took the header record only, so loadtxt parses the body.
+        # It rejects quoted cells and ``1_0``, which float() accepts; on any
+        # doubt the per-cell loop reads the file again and has the last word.
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidData(f"{path}: empty file") from None
-        names = [name.strip() for name in header]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # "input contained no data"
+                body = np.loadtxt(
+                    _loadtxt_lines(handle), delimiter=",", comments=None, ndmin=2
+                )
+        except ValueError:
+            body = None
+    if body is None or body.size == 0 or body.shape[1] != len(names):
+        return _read_data_cells(path)
+    return DataMatrix(body.T, feature_names=names)
+
+
+def _read_data_cells(path: Path) -> DataMatrix:
+    """Parse a data CSV cell by cell; the source of every row/column message."""
+    with _open_text(path) as handle:
+        names = _read_header(path, handle)
         # one flat buffer of doubles, not a list per row: a tall file would
         # otherwise leave the heap fragmented by as many row buffers as rows
         cells = array.array("d")
-        for row_idx, row in enumerate(reader, start=2):
+        for row_idx, row in enumerate(csv.reader(handle), start=2):
             if not row:
                 continue
             if len(row) != len(names):
@@ -61,23 +124,15 @@ def read_data_csv(path) -> DataMatrix:
 
 def write_data_csv(path, data: DataMatrix) -> None:
     names = data.feature_names or [f"f{i}" for i in range(data.n_features)]
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        for column in data.values.T:
-            writer.writerow([repr(float(v)) for v in column])
+    write_matrix_csv(path, names, data.values.T)
 
 
 def read_targets_csv(path) -> np.ndarray:
     path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            next(reader)
-        except StopIteration:
-            raise InvalidData(f"{path}: empty file") from None
+    with _open_text(path) as handle:
+        _read_header(path, handle)
         values = []
-        for row_idx, row in enumerate(reader, start=2):
+        for row_idx, row in enumerate(csv.reader(handle), start=2):
             if not row:
                 continue
             try:
@@ -92,11 +147,7 @@ def read_targets_csv(path) -> np.ndarray:
 
 
 def write_targets_csv(path, targets: np.ndarray) -> None:
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["target"])
-        for value in np.asarray(targets, dtype=np.float64):
-            writer.writerow([repr(float(value))])
+    write_matrix_csv(path, ["target"], np.reshape(targets, (-1, 1)))
 
 
 def write_provenance(path, mapping: dict) -> None:
@@ -106,8 +157,10 @@ def write_provenance(path, mapping: dict) -> None:
 
 def read_keyvalue(path) -> dict[str, str]:
     """Parse the flat ``key = value`` format used for provenance and config files."""
+    with _open_text(Path(path)) as handle:
+        text = handle.read()
     out: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -130,11 +183,9 @@ def feature_column_names(layout, width: int) -> list[str]:
 
 
 def write_features_csv(path, features: BatchFeatures) -> None:
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(feature_column_names(features.layout, features.width))
-        for row in features.matrix:
-            writer.writerow([repr(float(v)) for v in row])
+    write_matrix_csv(
+        path, feature_column_names(features.layout, features.width), features.matrix
+    )
 
 
 def write_rows_csv(path, header: list[str], rows: list[list]) -> None:

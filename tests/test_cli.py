@@ -88,6 +88,30 @@ class TestTransform:
         assert main(["transform", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 3
 
 
+class TestUndecodableInput:
+    def _assert_one_error_line(self, capsys, argv, name):
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and name in lines[0]
+
+    def test_data_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe")
+        argv = ["pca", "--data", str(bad), "--out", str(tmp_path / "o"), "--k", "1"]
+        self._assert_one_error_line(capsys, argv, "bad.csv")
+
+    def test_config_file(self, tmp_path, capsys):
+        _, data_path, _ = make_data_files(tmp_path)
+        bad = tmp_path / "bad.conf"
+        bad.write_bytes(b"\xff\xfe")
+        argv = ["transform", "--config", str(bad), "--data", str(data_path),
+                "--out", str(tmp_path / "o")]
+        self._assert_one_error_line(capsys, argv, "bad.conf")
+
+
 class TestPcaCommand:
     def test_writes_embeddings(self, tmp_path):
         _, data_path, _ = make_data_files(tmp_path)

@@ -1,21 +1,43 @@
+import csv
+import io as stdio
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from covscatter.errors import InvalidData
+from covscatter.cli import main
+from covscatter.errors import DataError, InvalidData
 from covscatter.io import (
+    _read_data_cells,
     feature_column_names,
     read_data_csv,
     read_keyvalue,
     read_targets_csv,
     write_data_csv,
     write_features_csv,
+    write_matrix_csv,
     write_provenance,
     write_targets_csv,
 )
-from covscatter.scattering import CstConfig, cst_fit, cst_transform_batch
+from covscatter.readout import pca_fit, pca_transform
+from covscatter.scattering import BatchFeatures, CstConfig, cst_fit, cst_transform_batch
 from covscatter.spectral import DataMatrix, sample_covariance
 from covscatter.wavelets import Diffusion
+
+SPECIAL = [0.0, -0.0, 5e-324, 1e-05, 0.1, 1e16, 1e22, math.nan, math.inf, -math.inf]
+
+
+def reference_csv_bytes(header, rows) -> bytes:
+    """The CSV bytes of ``csv.writer`` over ``repr(float(v))`` cells."""
+    buffer = stdio.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) for v in row])
+    return buffer.getvalue().encode()
 
 
 class TestDataRoundTrip:
@@ -52,6 +74,127 @@ class TestDataRoundTrip:
         path.write_text("")
         with pytest.raises(InvalidData):
             read_data_csv(path)
+
+
+# Each file's outcome is the one the per-cell reader gave before loadtxt
+# parsed the body: the same values, or the same message.
+READER_CASES = [
+    ("quoted cells", 'a,b\n"1.5",2\n3,"4"\n', [[1.5, 3.0], [2.0, 4.0]]),
+    ("underscore digits", "a,b\n1_0,2\n3,4\n", [[10.0, 3.0], [2.0, 4.0]]),
+    ("nan and -Infinity", "a,b\nnan,1\n-Infinity,2\n", "data matrix contains non-finite entries"),
+    ("hash row", "a,b\n1,2\n#3,4\n5,6\n", "{path}: non-numeric cell '#3' at row 3, column 1 (a)"),
+    ("whitespace row", "a,b\n1,2\n   \n3,4\n", "{path}: row 3 has 1 cells, expected 2"),
+    ("trailing comma", "a,b\n1,2,\n3,4,\n", "{path}: row 2 has 3 cells, expected 2"),
+    ("header only", "a,b\r\n", "{path}: no observation rows"),
+    ("cr line ends", "a,b\r1,2\r3,4\r", [[1.0, 3.0], [2.0, 4.0]]),
+    ("crlf line ends", "a,b\r\n1,2\r\n3,4\r\n", [[1.0, 3.0], [2.0, 4.0]]),
+    ("blank middle line", "a,b\n1,2\n\n3,4\n", [[1.0, 3.0], [2.0, 4.0]]),
+    ("padded cells", " a , b \n 1 ,2\n3, 4 \n", [[1.0, 3.0], [2.0, 4.0]]),
+    # loadtxt strips \x1c around a number; float() does not
+    ("separator control", "a,b\n1,2\n\x1c3,4\n",
+     "{path}: non-numeric cell '\\x1c3' at row 3, column 1 (a)"),
+]
+
+
+class TestReaderEquivalence:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text, expected",
+        [case[1:] for case in READER_CASES],
+        ids=[case[0] for case in READER_CASES],
+    )
+    def test_same_values_or_message(self, tmp_path, text, expected):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        if isinstance(expected, str):
+            with pytest.raises(InvalidData) as err:
+                read_data_csv(path)
+            assert str(err.value) == expected.format(path=path)
+        else:
+            data = read_data_csv(path)
+            npt.assert_array_equal(data.values, np.array(expected))
+            assert data.feature_names == ["a", "b"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(["1", "-2.5", " 3 ", "-0.0", "5e-324", "+.5"])
+                | st.sampled_from(
+                    ['"4"', "1_0", "", "#5", " ", "1e999", "0x1p3", "\x1c6", "7\x1f",
+                     "\xa08", "\u0669"]
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            max_size=4,
+        ),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    def test_loadtxt_path_agrees_with_cell_loop(self, tmp_path_factory, rows, end):
+        path = tmp_path_factory.mktemp("eq") / "data.csv"
+        path.write_bytes(end.join(["a,b"] + [",".join(row) for row in rows]).encode())
+
+        def outcome(reader):
+            try:
+                data = reader(path)
+            except DataError as exc:
+                return type(exc), str(exc)
+            return data.values.tobytes(), data.feature_names
+
+        assert outcome(read_data_csv) == outcome(_read_data_cells)
+
+    @pytest.mark.parametrize("reader", [read_data_csv, read_targets_csv, read_keyvalue])
+    def test_undecodable_file_is_invalid_data(self, tmp_path, reader):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(InvalidData, match="bad.csv"):
+            reader(path)
+
+    def test_overlong_cell_is_invalid_data(self, tmp_path):
+        # loadtxt reads the cell; csv.reader refuses a cell over its field size limit
+        path = tmp_path / "long.csv"
+        path.write_text("a,b\n" + "0" * 200_000 + "1,2\n3,4\n")
+        with pytest.raises(InvalidData, match="field larger than field limit"):
+            read_data_csv(path)
+
+
+class TestWriterBytes:
+    def test_matrix_writer_matches_csv_writer(self, tmp_path):
+        matrix = np.array([SPECIAL, SPECIAL[::-1]])
+        header = ["plain", 'quoted "name"', "a,b"] + [f"c{i}" for i in range(7)]
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, header, matrix)
+        assert path.read_bytes() == reference_csv_bytes(header, matrix)
+
+    def test_targets(self, tmp_path):
+        path = tmp_path / "targets.csv"
+        write_targets_csv(path, np.array(SPECIAL))
+        assert path.read_bytes() == reference_csv_bytes(["target"], [[v] for v in SPECIAL])
+
+    def test_features(self, tmp_path):
+        matrix = np.array([SPECIAL, SPECIAL[::-1], SPECIAL[3:] + SPECIAL[:3]])
+        features = BatchFeatures(matrix=matrix, layout=((), (0,)), width=5, pruned={})
+        path = tmp_path / "features.csv"
+        write_features_csv(path, features)
+        header = feature_column_names(features.layout, features.width)
+        assert path.read_bytes() == reference_csv_bytes(header, matrix)
+
+    def test_data(self, tmp_path):
+        finite = [v for v in SPECIAL if math.isfinite(v)]
+        data = DataMatrix(np.array([finite, finite[::-1]]), feature_names=["x", "y,z"])
+        path = tmp_path / "data.csv"
+        write_data_csv(path, data)
+        assert path.read_bytes() == reference_csv_bytes(["x", "y,z"], data.values.T)
+
+    def test_pca_command(self, tmp_path, rng):
+        data = DataMatrix(rng.standard_normal((4, 30)) * np.array([[1e-5], [0.1], [1e16], [1.0]]))
+        data_path = tmp_path / "data.csv"
+        write_data_csv(data_path, data)
+        assert main(["pca", "--data", str(data_path), "--out", str(tmp_path), "--k", "2"]) == 0
+        embedded = pca_transform(pca_fit(sample_covariance(data), 2), data.values).T
+        expected = reference_csv_bytes(["pc1", "pc2"], embedded)
+        assert (tmp_path / "pca.csv").read_bytes() == expected
 
 
 class TestKeyValue:
