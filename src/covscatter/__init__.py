@@ -15,7 +15,17 @@ from .bounds import (
     signal_stability_bound,
     wavelet_delta,
 )
-from .readout import PcaModel, RidgeModel, mae, mse, pca_fit, pca_fit_transform, pca_transform, ridge_fit
+from .readout import (
+    PcaModel,
+    RidgeModel,
+    mae,
+    mse,
+    pca_fit,
+    pca_fit_transform,
+    pca_transform,
+    ridge_fit,
+    ridge_path,
+)
 from .scattering import (
     CstConfig,
     CstModel,
@@ -92,6 +102,7 @@ __all__ = [
     "pca_transform",
     "pruning_preserved",
     "ridge_fit",
+    "ridge_path",
     "sample_covariance",
     "signal_stability_bound",
     "synth_generate",

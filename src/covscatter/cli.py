@@ -22,7 +22,6 @@ from .scattering import (
     CstConfig,
     cst_fit,
     cst_transform_batch,
-    feature_count,
     path_name,
 )
 from .spectral import NORMALIZED, OPERATOR_KINDS, eig_sym, sample_covariance

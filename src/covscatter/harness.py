@@ -18,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .readout import RidgeModel, mae, mse, pca_fit, pca_transform, ridge_fit
+from .readout import mae, mse, pca_fit, pca_transform, ridge_fit, ridge_path
 from .scattering import (
     CstConfig,
     CstModel,
@@ -55,6 +55,8 @@ class SplitSpec:
             raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)}")
         if not self.test_frac > 0.0:
             raise ConfigError("test fraction must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -453,15 +455,14 @@ def grid_search(
                 z_train = cst_transform_batch(model, x[:, split.train], layout=layout).matrix.T
                 z_valid = cst_transform_batch(model, x[:, split.valid], layout=layout).matrix.T
                 width = len(layout) * model.feature_width
-                for alpha in alpha_grid:
-                    ridge = ridge_fit(z_train, y[split.train], float(alpha))
+                for ridge in ridge_path(z_train, y[split.train], alpha_grid):
                     rows.append(
                         GridRow(
                             family=family_name(config.family),
                             J=int(j),
                             L=int(layers),
                             operator=kind,
-                            alpha=float(alpha),
+                            alpha=ridge.alpha,
                             valid_mae=mae(ridge.predict(z_valid), y[split.valid]),
                             feature_count=width,
                         )

@@ -135,6 +135,10 @@ def read_targets_csv(path) -> np.ndarray:
         for row_idx, row in enumerate(csv.reader(handle), start=2):
             if not row:
                 continue
+            if len(row) != 1:
+                raise InvalidData(
+                    f"{path}: row {row_idx} has {len(row)} cells, expected one target"
+                )
             try:
                 values.append(float(row[0]))
             except ValueError:

@@ -33,13 +33,6 @@ class RidgeModel:
             )
         return self.weights @ z + self.intercept
 
-    def provenance(self) -> dict:
-        return {
-            "alpha_R": self.alpha,
-            "intercept": self.intercept,
-            "weights": ",".join(repr(float(w)) for w in self.weights),
-        }
-
 
 def pca_fit(
     cov: SampleCovariance, k: int, decomposition: SpectralDecomposition | None = None
@@ -82,11 +75,13 @@ def _spd_solve(matrix, rhs):
     return scipy.linalg.cho_solve(factor, rhs)
 
 
-def ridge_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> RidgeModel:
-    """Closed-form ridge on centered features and targets.
+def ridge_path(features: np.ndarray, targets: np.ndarray, alphas) -> list[RidgeModel]:
+    """Closed-form ridge on centered features and targets, one model per alpha.
 
-    Solves the D x D normal equations when D <= T and the equivalent T x T
-    dual otherwise, keeping the solve cubic in min(D, T).
+    Validates, centres and forms the Gram matrix once for the whole grid, then
+    factors ``gram + alpha * I`` once per alpha. Solves the D x D normal
+    equations when D <= T and the equivalent T x T dual otherwise, keeping
+    each solve cubic in min(D, T).
     """
     z = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -98,7 +93,8 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> RidgeM
         raise InvalidData("need at least one sample")
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
         raise InvalidData("features or targets contain non-finite entries")
-    if alpha < 0.0:
+    alphas = list(alphas)
+    if any(alpha < 0.0 for alpha in alphas):
         raise ConfigError("alpha_R must be non-negative")
 
     d, t = z.shape
@@ -106,15 +102,25 @@ def ridge_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> RidgeM
     y_bar = float(y.mean())
     zc = z - z_bar[:, None]
     yc = y - y_bar
-    if d <= t:
-        gram = zc @ zc.T + alpha * np.eye(d)
-        weights = _spd_solve(gram, zc @ yc)
-    else:
-        kernel = zc.T @ zc + alpha * np.eye(t)
-        weights = zc @ _spd_solve(kernel, yc)
-    return RidgeModel(
-        weights=weights, intercept=y_bar - float(weights @ z_bar), alpha=float(alpha)
-    )
+    primal = d <= t
+    gram = zc @ zc.T if primal else zc.T @ zc
+    rhs = zc @ yc if primal else yc
+    identity = np.eye(gram.shape[0])
+    models = []
+    for alpha in alphas:
+        solution = _spd_solve(gram + alpha * identity, rhs)
+        weights = solution if primal else zc @ solution
+        models.append(
+            RidgeModel(
+                weights=weights, intercept=y_bar - float(weights @ z_bar), alpha=float(alpha)
+            )
+        )
+    return models
+
+
+def ridge_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> RidgeModel:
+    """Closed-form ridge at one alpha: the one-point case of :func:`ridge_path`."""
+    return ridge_path(features, targets, [alpha])[0]
 
 
 def mae(predictions: np.ndarray, truth: np.ndarray) -> float:

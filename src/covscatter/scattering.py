@@ -280,19 +280,34 @@ def cst_transform_batch(
     Without ``layout`` the pass decides which paths to keep from the batch
     itself (see :func:`_scatter`). With ``layout``, a tuple of paths in
     layout order such as ``decide_layout(...).paths``, it follows that fixed
-    schema instead, so samples embedded apart share one feature layout.
+    schema instead, so samples embedded apart share one feature layout; the
+    output width is then known in advance, and each path's block is written
+    straight into one preallocated matrix.
     """
     x = data.values if hasattr(data, "values") else data
     pruned: dict[Path, float] = {}
-    paths, blocks = [], []
-    for path, signals, _ in _scatter(model, x, tau, prune, layout, pruned):
-        paths.append(path)
-        blocks.append(_aggregate(model, signals))
-    if layout is not None and tuple(paths) != tuple(layout):
-        raise ConfigError("layout must list retained paths in breadth-first, lexicographic order")
-    return BatchFeatures(
-        matrix=np.concatenate(blocks, axis=1),
-        layout=tuple(paths),
-        width=model.feature_width,
-        pruned=pruned,
-    )
+    width = model.feature_width
+    passes = _scatter(model, x, tau, prune, layout, pruned)
+    if layout is None:
+        paths, blocks = [], []
+        for path, signals, _ in passes:
+            paths.append(path)
+            blocks.append(_aggregate(model, signals))
+        matrix = np.concatenate(blocks, axis=1)
+    else:
+        paths = tuple(layout)
+        out_of_order = ConfigError(
+            "layout must list retained paths in breadth-first, lexicographic order"
+        )
+        matrix = None
+        filled = 0
+        for path, signals, _ in passes:
+            if filled == len(paths) or path != paths[filled]:
+                raise out_of_order
+            if matrix is None:  # the root: x has passed _scatter's checks
+                matrix = np.empty((signals.shape[1], len(paths) * width))
+            matrix[:, filled * width : (filled + 1) * width] = _aggregate(model, signals)
+            filled += 1
+        if filled != len(paths):
+            raise out_of_order
+    return BatchFeatures(matrix=matrix, layout=tuple(paths), width=width, pruned=pruned)

@@ -37,6 +37,8 @@ class SynthSpec:
             raise ConfigError("effective_rank must be positive")
         if self.noise_sigma < 0.0:
             raise ConfigError("noise_sigma must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def nu(self) -> float:

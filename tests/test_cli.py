@@ -37,6 +37,12 @@ class TestSynth:
     def test_tail_out_of_range_is_usage_error(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--seed", "1", "--tail", "1.5"]) == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_seed_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["synth", "--out", str(tmp_path)])
@@ -226,6 +232,17 @@ class TestExperimentCommands:
         lines = (out / "grid.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 4
         assert sum(line.endswith("true") for line in lines[1:]) == 1
+
+    def test_grid_search_negative_seed_is_usage_error(self, tmp_path, capsys):
+        _, data_path, targets_path = make_data_files(tmp_path)
+        code = main(
+            ["grid-search", "--data", str(data_path), "--targets", str(targets_path),
+             "--seed", "-1", "--grid-j", "2", "--grid-l", "2", "--out", str(tmp_path / "g")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
     def _assert_provenance_seeds_config(self, tmp_path, command, stem, flags, timing_column=None):

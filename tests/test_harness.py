@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from covscatter.errors import ConfigError
+from covscatter.readout import mae, ridge_fit
 from covscatter.harness import (
     CstMethod,
     PcaMethod,
@@ -15,7 +16,14 @@ from covscatter.harness import (
     run_pruning_sweep,
     run_stability,
 )
-from covscatter.scattering import CstConfig, feature_count
+from covscatter.scattering import (
+    CstConfig,
+    cst_fit,
+    cst_transform_batch,
+    decide_layout,
+    feature_count,
+)
+from covscatter.spectral import sample_covariance
 from covscatter.synthdata import SynthSpec, synth_generate
 from covscatter.wavelets import Diffusion
 
@@ -44,6 +52,10 @@ class TestSplit:
     def test_test_fraction_required(self):
         with pytest.raises(ConfigError):
             SplitSpec(0.6, 0.2, 0.2, 0.0, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            SplitSpec(0.5, 0.1, 0.2, 0.2, seed=-1)
 
     def test_derived_rng_stable(self):
         a = derived_rng(3, "subsample", 1).standard_normal(4)
@@ -219,3 +231,31 @@ class TestGridSearch:
         assert best.valid_mae == best_mae
         ties = [r for r in rows if r.valid_mae == best_mae]
         assert best.feature_count == min(r.feature_count for r in ties)
+
+    def test_rows_equal_per_alpha_ridge_fits(self, dataset):
+        config = CstConfig(family=Diffusion(), J=3, L=3, tau=0.1)
+        alphas = [1.0, 10.0]
+        rows, _ = grid_search(
+            dataset.data,
+            dataset.targets,
+            config,
+            j_grid=[3],
+            l_grid=[3],
+            operator_grid=["normalized"],
+            alpha_grid=alphas,
+            split_spec=DEFAULT_SPLIT,
+        )
+        # reference: the same pipeline with one ridge_fit per alpha
+        x, y = dataset.data.values, dataset.targets
+        split = make_split(DEFAULT_SPLIT, dataset.data.n_samples)
+        model = cst_fit(sample_covariance(x[:, split.fit_pool]), config)
+        layout = decide_layout(model, x[:, split.fit_pool], tau=config.tau).paths
+        z_train = cst_transform_batch(model, x[:, split.train], layout=layout).matrix.T
+        z_valid = cst_transform_batch(model, x[:, split.valid], layout=layout).matrix.T
+        expected = [
+            mae(ridge_fit(z_train, y[split.train], alpha).predict(z_valid), y[split.valid])
+            for alpha in alphas
+        ]
+        assert [r.alpha for r in rows] == alphas
+        assert [r.valid_mae for r in rows] == expected
+        assert all(r.feature_count == len(layout) * 12 for r in rows)

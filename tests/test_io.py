@@ -55,6 +55,14 @@ class TestDataRoundTrip:
         write_targets_csv(path, y)
         npt.assert_array_equal(read_targets_csv(path), y)
 
+    def test_targets_extra_cells_rejected(self, tmp_path):
+        path = tmp_path / "targets.csv"
+        path.write_text("target\n1.0,oops\n2.0,3.0,4.0\n")
+        with pytest.raises(InvalidData) as err:
+            read_targets_csv(path)
+        assert err.value.exit_code == 3
+        assert str(path) in str(err.value) and "row 2" in str(err.value)
+
     def test_non_numeric_cell_diagnostics(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1.0,2.0\n3.0,oops\n")

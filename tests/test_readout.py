@@ -1,10 +1,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covscatter.errors import InvalidK, ShapeError, SingularSystem
+from covscatter.errors import ConfigError, InvalidK, ShapeError, SingularSystem
 from covscatter.readout import (
     mae,
     mse,
@@ -12,6 +13,7 @@ from covscatter.readout import (
     pca_fit_transform,
     pca_transform,
     ridge_fit,
+    ridge_path,
 )
 from covscatter.spectral import SampleCovariance, eig_sym, sample_covariance
 
@@ -85,6 +87,23 @@ class TestPca:
         assert medians[0] < medians[1] < medians[2]
 
 
+def ridge_per_alpha(z, y, alpha):
+    """Reference: centre, form and factor the normal equations afresh for one alpha."""
+    d, t = z.shape
+    z_bar = z.mean(axis=1)
+    y_bar = float(y.mean())
+    zc = z - z_bar[:, None]
+    yc = y - y_bar
+    if d <= t:
+        weights = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(zc @ zc.T + alpha * np.eye(d)), zc @ yc
+        )
+    else:
+        kernel = zc.T @ zc + alpha * np.eye(t)
+        weights = zc @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(kernel), yc)
+    return weights, y_bar - float(weights @ z_bar)
+
+
 class TestRidge:
     def test_heavy_regularization_shrinks_weights(self, rng):
         z = rng.standard_normal((4, 60))
@@ -129,6 +148,25 @@ class TestRidge:
         weights = np.linalg.solve(zc @ zc.T + 3.0 * np.eye(40), zc @ (y - y.mean()))
         npt.assert_allclose(dual.weights, weights, atol=1e-8)
         assert dual.intercept == pytest.approx(y.mean() - weights @ z.mean(axis=1), abs=1e-8)
+
+    @pytest.mark.parametrize("shape", [(6, 40), (40, 8)], ids=["primal", "dual"])
+    def test_path_is_bit_equal_to_single_fits(self, rng, shape):
+        z = rng.standard_normal(shape)
+        y = rng.standard_normal(shape[1])
+        alphas = [0.5, 3.0, 100.0]
+        path = ridge_path(z, y, alphas)
+        assert [m.alpha for m in path] == alphas
+        for model, alpha in zip(path, alphas):
+            single = ridge_fit(z, y, alpha)
+            weights, intercept = ridge_per_alpha(z, y, alpha)
+            assert np.array_equal(model.weights, single.weights)
+            assert np.array_equal(model.weights, weights)
+            assert model.intercept == single.intercept == intercept
+
+    @pytest.mark.parametrize("alphas", [[-1.0], [1.0, -0.5], [1.0, 10.0, -1e-12]])
+    def test_path_rejects_any_negative_alpha(self, rng, alphas):
+        with pytest.raises(ConfigError):
+            ridge_path(rng.standard_normal((3, 20)), rng.standard_normal(20), alphas)
 
     def test_predict_shape_check(self, rng):
         model = ridge_fit(rng.standard_normal((3, 20)), rng.standard_normal(20), 1.0)

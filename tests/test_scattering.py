@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from covscatter.errors import ConfigError, ShapeError
 from covscatter.scattering import (
     CstConfig,
+    _aggregate,
+    _scatter,
     cst_fit,
     cst_transform,
     cst_transform_batch,
@@ -287,6 +289,24 @@ class TestBatch:
             cst_transform_batch(model, x, layout=((), (0, 1)))  # (0,) missing
         with pytest.raises(ConfigError):
             cst_transform_batch(model, x, layout=((), (1,), (0,)))  # out of order
+        with pytest.raises(ConfigError):
+            cst_transform_batch(model, x, layout=((0,),))  # root missing
+        with pytest.raises(ConfigError):
+            cst_transform_batch(model, x, layout=())
+
+    @pytest.mark.parametrize("aggregation", ["identity", "mean"])
+    def test_followed_matrix_equals_concatenated_blocks(self, rng, aggregation):
+        model = self._model(aggregation=aggregation)
+        pool = rng.standard_normal((20, 30))
+        layout = decide_layout(model, pool, tau=0.2).paths
+        x = rng.standard_normal((20, 7))
+        followed = cst_transform_batch(model, x, layout=layout)
+        # reference: one block per yielded path, joined by np.concatenate
+        blocks = [_aggregate(model, s) for _, s, _ in _scatter(model, x, None, True, layout, {})]
+        reference = np.concatenate(blocks, axis=1)
+        assert followed.matrix.shape == (7, len(layout) * model.feature_width)
+        assert followed.matrix.flags.c_contiguous
+        assert np.array_equal(followed.matrix, reference)
 
 
 class TestFeatureCount:
