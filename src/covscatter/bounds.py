@@ -35,9 +35,10 @@ class BoundConstants:
     u: float = 1.0
 
     def __post_init__(self):
-        if self.Q <= 0.0 or self.k_max < 0.0 or self.epsilon <= 0.0 or self.u <= 0.0:
+        # written so that NaN fails every check
+        if not (self.Q > 0.0 and self.k_max >= 0.0 and self.epsilon > 0.0 and self.u > 0.0):
             raise ConfigError("bound constants must be positive")
-        if self.G < 1.0:
+        if not self.G >= 1.0:
             raise ConfigError("G must be at least 1")
 
 

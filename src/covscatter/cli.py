@@ -9,13 +9,15 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__, harness, io
 from . import bounds as bounds_mod
-from . import harness, io
 from .errors import ConfigError, CovScatterError
 from .readout import pca_fit, pca_transform
 from .scattering import (
@@ -26,7 +28,7 @@ from .scattering import (
 )
 from .spectral import NORMALIZED, OPERATOR_KINDS, eig_sym, sample_covariance
 from .synthdata import SynthSpec, synth_generate
-from .wavelets import FAMILY_NAMES, Diffusion, Hann, Monic, family_name
+from .wavelets import FAMILY_NAMES, Diffusion, Hann, Monic
 
 
 def _comma_floats(text):
@@ -103,34 +105,34 @@ def _out_dir(args):
     return out
 
 
-def _config_provenance(config, gamma=None):
-    out = {
-        "family": family_name(config.family),
-        "J": config.J,
-        "L": config.L,
-        "tau": config.tau,
-        "aggregation": config.aggregation,
-        "operator": config.operator_kind,
-    }
-    if gamma is not None:
-        out["gamma"] = gamma
-    return out
+def _write_provenance(args, path, derived=None):
+    """Write the run's resolved flags, then ``[derived]`` and what the run computed.
 
-
-def _run_provenance(args):
-    """The run's resolved flags, keyed by flag name, in the form ``--config`` reads back.
-
+    The flags are keyed by flag name, in the form ``--config`` reads back.
     ``out`` is left out: where a run writes is not one of its settings, so two
-    identical runs write identical provenance. Unset optional flags are left out.
+    identical runs write identical provenance. Unset optional flags are left
+    out. The derived facts end with the library versions.
     """
-    provenance = {}
+    settings = {}
     for dest, value in vars(args).items():
         if dest in ("command", "func", "config", "out") or value is None:
             continue
         if isinstance(value, list):
             value = ",".join(io.format_value(v) for v in value)
-        provenance[dest.replace("_", "-")] = value
-    return provenance
+        settings[dest.replace("_", "-")] = value
+    versions = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "covscatter": __version__,
+    }
+    io.write_provenance(path, settings, {**(derived or {}), **versions})
+
+
+def _split_spec(args):
+    return harness.SplitSpec(
+        args.unlabeled_frac, args.train_frac, args.valid_frac, args.test_frac, args.seed
+    )
 
 
 def _methods_from_flags(args):
@@ -171,18 +173,7 @@ def _cmd_synth(args):
     out = _out_dir(args)
     io.write_data_csv(out / "data.csv", dataset.data)
     io.write_targets_csv(out / "targets.csv", dataset.targets)
-    io.write_provenance(
-        out / "provenance.txt",
-        {
-            "command": "synth",
-            "n_features": spec.n_features,
-            "n_samples": spec.n_samples,
-            "tail": spec.tail,
-            "effective_rank": spec.nu,
-            "noise_sigma": spec.noise_sigma,
-            "seed": spec.seed,
-        },
-    )
+    _write_provenance(args, out / "provenance.txt")
     print(f"wrote {out / 'data.csv'} and {out / 'targets.csv'}")
     return 0
 
@@ -194,13 +185,12 @@ def _cmd_transform(args):
     features = cst_transform_batch(model, data)
     out = _out_dir(args)
     io.write_features_csv(out / "features.csv", features)
-    provenance = _config_provenance(config, gamma=model.gamma)
-    provenance.update(model.filterbank.provenance())
-    provenance["retained_paths"] = ";".join(path_name(p) for p in features.layout)
-    provenance["pruned_paths"] = ";".join(
+    derived = model.filterbank.provenance()
+    derived["retained_paths"] = ";".join(path_name(p) for p in features.layout)
+    derived["pruned_paths"] = ";".join(
         f"{path_name(p)}:{ratio!r}" for p, ratio in sorted(features.pruned.items())
     )
-    io.write_provenance(out / "features.provenance.txt", provenance)
+    _write_provenance(args, out / "features.provenance.txt", derived)
     print(f"wrote {out / 'features.csv'} ({features.matrix.shape[1]} columns)")
     return 0
 
@@ -212,35 +202,26 @@ def _cmd_pca(args):
     embedded = pca_transform(model, data.values).T
     out = _out_dir(args)
     io.write_matrix_csv(out / "pca.csv", [f"pc{i + 1}" for i in range(args.k)], embedded)
-    io.write_provenance(
-        out / "pca.provenance.txt",
-        {
-            "command": "pca",
-            "k": args.k,
-            "eigenvalues": ",".join(repr(float(w)) for w in model.source_eigenvalues),
-        },
-    )
+    eigenvalues = ",".join(repr(float(w)) for w in model.source_eigenvalues)
+    _write_provenance(args, out / "pca.provenance.txt", {"eigenvalues": eigenvalues})
     print(f"wrote {out / 'pca.csv'}")
     return 0
 
 
 def _cmd_stability(args):
     data, targets = _load_dataset(args)
-    split = harness.SplitSpec(
-        args.unlabeled_frac, args.train_frac, args.valid_frac, args.test_frac, args.seed
-    )
     report = harness.run_stability(
         data,
         targets,
         _methods_from_flags(args),
-        split,
+        _split_spec(args),
         subsample_fracs=args.fractions,
         seeds=list(range(args.runs)),
         include_bounds=args.bounds,
     )
     out = _out_dir(args)
     io.write_rows_csv(out / "stability.csv", report.header(), report.table())
-    io.write_provenance(out / "stability.provenance.txt", _run_provenance(args))
+    _write_provenance(args, out / "stability.provenance.txt")
     if args.plotdata:
         _write_plotdata(out, report)
     print(f"wrote {out / 'stability.csv'} ({len(report.rows)} rows)")
@@ -273,12 +254,9 @@ def _write_plotdata(out, report):
 
 def _cmd_prune_sweep(args):
     data, targets = _load_dataset(args)
-    split = harness.SplitSpec(
-        args.unlabeled_frac, args.train_frac, args.valid_frac, args.test_frac, args.seed
-    )
     method = harness.CstMethod(name="cst", config=_build_config(args), alpha=args.alpha)
     rows = harness.run_pruning_sweep(
-        data, targets, method, args.taus, split, seeds=list(range(args.runs))
+        data, targets, method, args.taus, _split_spec(args), seeds=list(range(args.runs))
     )
     out = _out_dir(args)
     io.write_rows_csv(
@@ -286,16 +264,13 @@ def _cmd_prune_sweep(args):
         harness.PRUNING_HEADER,
         [[r.tau, r.seed, r.mae, r.transform_time, r.feature_count] for r in rows],
     )
-    io.write_provenance(out / "pruning.provenance.txt", _run_provenance(args))
+    _write_provenance(args, out / "pruning.provenance.txt")
     print(f"wrote {out / 'pruning.csv'} ({len(rows)} rows)")
     return 0
 
 
 def _cmd_labeled_sweep(args):
     data, targets = _load_dataset(args)
-    split = harness.SplitSpec(
-        args.unlabeled_frac, args.train_frac, args.valid_frac, args.test_frac, args.seed
-    )
     methods = [
         harness.CstMethod(
             name="cst-identity", config=_build_config(args, aggregation="identity"), alpha=args.alpha
@@ -308,7 +283,7 @@ def _cmd_labeled_sweep(args):
         methods.append(harness.PcaMethod(name="pca", k=args.pca_k, alpha=args.alpha))
     methods.append(harness.RawMethod(name="raw", alpha=args.alpha))
     rows = harness.run_labeled_sweep(
-        data, targets, methods, args.train_fracs, split, seeds=list(range(args.runs))
+        data, targets, methods, args.train_fracs, _split_spec(args), seeds=list(range(args.runs))
     )
     out = _out_dir(args)
     io.write_rows_csv(
@@ -326,7 +301,7 @@ def _cmd_labeled_sweep(args):
             for r in rows
         ],
     )
-    io.write_provenance(out / "labeled.provenance.txt", _run_provenance(args))
+    _write_provenance(args, out / "labeled.provenance.txt")
     print(f"wrote {out / 'labeled.csv'} ({len(rows)} rows)")
     return 0
 
@@ -390,16 +365,13 @@ def _cmd_bounds(args):
         rows.append(["pca_gap_scale", bounds_mod.pca_gap_scale(decomposition.eigenvalues, args.pca_k)])
     out = _out_dir(args)
     io.write_rows_csv(out / "bounds.csv", ["quantity", "value"], rows)
-    io.write_provenance(out / "bounds.provenance.txt", _run_provenance(args))
+    _write_provenance(args, out / "bounds.provenance.txt")
     print(f"wrote {out / 'bounds.csv'}")
     return 0
 
 
 def _cmd_grid_search(args):
     data, targets = _load_dataset(args)
-    split = harness.SplitSpec(
-        args.unlabeled_frac, args.train_frac, args.valid_frac, args.test_frac, args.seed
-    )
     base = _build_config(args)
     rows, best = harness.grid_search(
         data,
@@ -409,7 +381,7 @@ def _cmd_grid_search(args):
         args.grid_l,
         args.grid_operators,
         args.grid_alpha,
-        split,
+        _split_spec(args),
     )
     out = _out_dir(args)
     io.write_rows_csv(
@@ -420,7 +392,7 @@ def _cmd_grid_search(args):
             for r in rows
         ],
     )
-    io.write_provenance(out / "grid.provenance.txt", _run_provenance(args))
+    _write_provenance(args, out / "grid.provenance.txt")
     print(
         f"best: J={best.J} L={best.L} operator={best.operator} alpha={best.alpha} "
         f"valid_mae={best.valid_mae:.6g}"

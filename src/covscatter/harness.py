@@ -49,9 +49,9 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.unlabeled_frac, self.train_frac, self.valid_frac, self.test_frac)
-        if any(f < 0.0 for f in fracs):
+        if not all(f >= 0.0 for f in fracs):
             raise ConfigError("split fractions must be non-negative")
-        if abs(sum(fracs) - 1.0) > 1e-9:
+        if not abs(sum(fracs) - 1.0) <= 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)}")
         if not self.test_frac > 0.0:
             raise ConfigError("test fraction must be positive")
@@ -221,6 +221,8 @@ def run_stability(
     y = np.asarray(targets, dtype=np.float64)
     if y.shape[0] != data.n_samples:
         raise ShapeError("targets length does not match sample count")
+    if not all(0.0 <= f <= 1.0 for f in subsample_fracs):
+        raise ConfigError("subsample fractions must be in [0, 1]")
     split = make_split(split_spec, data.n_samples)
     pool = split.fit_pool
     fractions = sorted(set(float(f) for f in subsample_fracs) | {1.0})
@@ -439,6 +441,8 @@ def grid_search(
     """Validation-MAE grid search; ties go to the smaller feature count."""
     from .wavelets import family_name
 
+    if not all(len(grid) for grid in (j_grid, l_grid, operator_grid, alpha_grid)):
+        raise ConfigError("every grid needs at least one value")
     x = data.values
     y = np.asarray(targets, dtype=np.float64)
     split = make_split(split_spec, data.n_samples)

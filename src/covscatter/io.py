@@ -154,18 +154,31 @@ def write_targets_csv(path, targets: np.ndarray) -> None:
     write_matrix_csv(path, ["target"], np.reshape(targets, (-1, 1)))
 
 
-def write_provenance(path, mapping: dict) -> None:
-    lines = [f"{key} = {format_value(value)}" for key, value in mapping.items()]
+DERIVED = "[derived]"
+
+
+def write_provenance(path, settings: dict, derived: dict | None = None) -> None:
+    """Write ``key = value`` lines: the settings, then what the run computed after ``[derived]``."""
+    lines = [f"{key} = {format_value(value)}" for key, value in settings.items()]
+    if derived:
+        lines.append(DERIVED)
+        lines += [f"{key} = {format_value(value)}" for key, value in derived.items()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_keyvalue(path) -> dict[str, str]:
-    """Parse the flat ``key = value`` format used for provenance and config files."""
+    """Parse the flat ``key = value`` format used for provenance and config files.
+
+    Reading stops at a ``[derived]`` line, so a provenance file reads back as
+    the settings of its run.
+    """
     with _open_text(Path(path)) as handle:
         text = handle.read()
     out: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
+        if line == DERIVED:
+            break
         if not line or line.startswith("#"):
             continue
         if "=" not in line:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,8 @@ def ridge_path(features: np.ndarray, targets: np.ndarray, alphas) -> list[RidgeM
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
         raise InvalidData("features or targets contain non-finite entries")
     alphas = list(alphas)
-    if any(alpha < 0.0 for alpha in alphas):
-        raise ConfigError("alpha_R must be non-negative")
+    if not all(0.0 <= alpha < math.inf for alpha in alphas):
+        raise ConfigError("alpha_R must be finite and non-negative")
 
     d, t = z.shape
     z_bar = z.mean(axis=1)

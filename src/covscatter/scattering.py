@@ -24,6 +24,7 @@ from .spectral import (
     wavelet_operator,
 )
 from .wavelets import (
+    MAX_SCALE,
     Filterbank,
     KernelFamily,
     WaveletMatrixSet,
@@ -60,8 +61,8 @@ class CstConfig:
             raise ConfigError(f"unsupported aggregation {self.aggregation!r}")
         if self.operator_kind not in OPERATOR_KINDS:
             raise ConfigError(f"unknown operator kind {self.operator_kind!r}")
-        if self.gamma_override is not None and not self.gamma_override > 0.0:
-            raise ConfigError("gamma override must be positive")
+        if self.gamma_override is not None and not 0.0 < self.gamma_override <= MAX_SCALE:
+            raise ConfigError(f"gamma override must be in (0, {MAX_SCALE:g}]")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ deterministic given the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ class SynthSpec:
             raise ConfigError(f"tail must be in [0, 1], got {self.tail}")
         if self.effective_rank is not None and not self.effective_rank > 0.0:
             raise ConfigError("effective_rank must be positive")
-        if self.noise_sigma < 0.0:
-            raise ConfigError("noise_sigma must be non-negative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ConfigError("noise_sigma must be finite and non-negative")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -55,6 +56,9 @@ class SynthDataset:
 
 def eigenvalue_profile(n: int, tail: float, nu: float) -> np.ndarray:
     i = np.arange(n, dtype=np.float64)
+    # at nu = 1e-4 every term past i = 0 already underflows to 0.0, so a smaller
+    # nu gives the same profile; clamping keeps (i / nu) ** 2 from overflowing
+    nu = max(nu, 1e-4)
     return (1.0 - tail) * np.exp(-((i / nu) ** 2)) + tail * np.exp(-0.1 * i / nu)
 
 

@@ -39,6 +39,12 @@ DEFAULT_MONIC_GAMMA = 1.0
 # relative slack accepted at the edges of the kernel domain [0, gamma]
 _DOMAIN_SLACK = 1e-12
 
+# largest accepted gamma and monic resolution K. Both only set units and scale
+# spacing; capping them far inside the float64 range keeps the translations,
+# scales and Lipschitz constants that grow with them finite (the monic cubic is
+# solved in cubes of gamma-sized quartiles).
+MAX_SCALE = 1e100
+
 
 @dataclass(frozen=True)
 class Diffusion:
@@ -62,10 +68,10 @@ class Monic:
     K: float = 20.0
 
     def __post_init__(self):
-        if self.alpha < 1.0 or self.beta < 1.0:
+        if not (self.alpha >= 1.0 and self.beta >= 1.0):
             raise ConfigError("monic exponents alpha, beta must be >= 1")
-        if not self.K > 0.0:
-            raise ConfigError("monic resolution K must be positive")
+        if not 0.0 < self.K <= MAX_SCALE:
+            raise ConfigError(f"monic resolution K must be in (0, {MAX_SCALE:g}], got {self.K}")
 
 
 KernelFamily = Union[Diffusion, Hann, Monic]
@@ -118,23 +124,19 @@ class Filterbank:
         )
 
     def provenance(self) -> dict:
-        """Flat key-value description for experiment logs."""
+        """What building the bank computed, as flat key-value pairs for experiment logs.
+
+        The family and its parameters are the caller's settings and are left out.
+        """
         out = {
-            "family": family_name(self.family),
-            "J": self.J,
             "gamma": self.gamma,
             "frame_lower": self.frame_lower,
             "frame_upper": self.frame_upper,
             "lipschitz": ",".join(repr(float(p)) for p in self.lipschitz),
         }
         if isinstance(self.family, Hann):
-            out["hann.R"] = self.family.R
-            out["hann.warp"] = self.family.warp
             out["hann.translations"] = ",".join(repr(float(t)) for t in self.scales["translations"])
         elif isinstance(self.family, Monic):
-            out["monic.alpha"] = self.family.alpha
-            out["monic.beta"] = self.family.beta
-            out["monic.K"] = self.family.K
             out["monic.lambda_bar1"] = self.scales["lambda_bar1"]
             out["monic.lambda_bar2"] = self.scales["lambda_bar2"]
             out["monic.scales"] = ",".join(repr(float(t)) for t in self.scales["t"])

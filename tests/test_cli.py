@@ -1,6 +1,11 @@
+import platform
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy
+
+import covscatter
 
 from covscatter.cli import main
 from covscatter.io import read_data_csv, read_keyvalue, read_targets_csv, write_data_csv
@@ -8,6 +13,12 @@ from covscatter.scattering import CstConfig, cst_fit, cst_transform_batch
 from covscatter.spectral import DataMatrix, sample_covariance
 from covscatter.synthdata import SynthSpec, synth_generate
 from covscatter.wavelets import Diffusion
+
+
+def read_derived(path):
+    """The ``key = value`` lines after a provenance file's ``[derived]`` line."""
+    _, _, tail = path.read_text().partition("[derived]\n")
+    return dict(line.split(" = ", 1) for line in tail.splitlines())
 
 
 def make_data_files(tmp_path, n=10, t=120, seed=5):
@@ -63,9 +74,10 @@ class TestTransform:
         lines = (out / "features.csv").read_text().strip().splitlines()
         got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         npt.assert_array_equal(got, expected.matrix)
-        prov = read_keyvalue(out / "features.provenance.txt")
-        assert prov["family"] == "diffusion"
-        assert "frame_upper" in prov and "retained_paths" in prov
+        prov = out / "features.provenance.txt"
+        assert read_keyvalue(prov)["family"] == "diffusion"
+        derived = read_derived(prov)
+        assert "frame_upper" in derived and "retained_paths" in derived
 
     def test_width_matches_feature_count(self, tmp_path):
         _, data_path, _ = make_data_files(tmp_path)
@@ -144,26 +156,6 @@ class TestExperimentCommands:
         prov1, prov2 = out1 / "stability.provenance.txt", out2 / "stability.provenance.txt"
         assert prov1.exists() and prov2.exists()
         assert prov1.read_bytes() == prov2.read_bytes()
-
-    def test_stability_provenance_seeds_config(self, tmp_path):
-        _, data_path, targets_path = make_data_files(tmp_path)
-        first, second = tmp_path / "a", tmp_path / "b"
-        code = main(
-            ["stability", "--data", str(data_path), "--targets", str(targets_path),
-             "--seed", "1", "--families", "diffusion", "--pca-k", "4",
-             "--fractions", "0.3,1.0", "--runs", "2", "--j", "3", "--l", "2",
-             "--out", str(first)]
-        )
-        assert code == 0
-        provenance = first / "stability.provenance.txt"
-        values = read_keyvalue(provenance)
-        assert values["fractions"] == "0.3,1.0"
-        assert values["pca-k"] == "4"
-        assert values["no-warp"] == "false"
-        assert not {"out", "config", "gamma", "command", "func"} & set(values)
-        assert main(["stability", "--config", str(provenance), "--out", str(second)]) == 0
-        assert (first / "stability.csv").read_bytes() == (second / "stability.csv").read_bytes()
-        assert provenance.read_bytes() == (second / "stability.provenance.txt").read_bytes()
 
     def test_stability_plotdata(self, tmp_path):
         _, data_path, targets_path = make_data_files(tmp_path)
@@ -245,51 +237,107 @@ class TestExperimentCommands:
         assert "Traceback" not in err
 
 
-    def _assert_provenance_seeds_config(self, tmp_path, command, stem, flags, timing_column=None):
+    # command, provenance file, flags after --data/--targets, settings it must record
+    SEEDED_RUNS = [
+        ("synth", "provenance.txt", ["--seed", "3", "--n", "6", "--t", "30"],
+         {"n": "6", "t": "30"}),
+        ("transform", "features.provenance.txt",
+         ["--family", "hann", "--no-warp", "--j", "3", "--l", "2"],
+         {"family": "hann", "no-warp": "true"}),
+        ("pca", "pca.provenance.txt", ["--k", "3"], {"k": "3"}),
+        ("stability", "stability.provenance.txt",
+         ["--seed", "1", "--families", "diffusion", "--pca-k", "4", "--fractions", "0.3,1.0",
+          "--runs", "2", "--j", "3", "--l", "2", "--plotdata"],
+         {"fractions": "0.3,1.0", "pca-k": "4", "no-warp": "false", "plotdata": "true"}),
+        ("prune-sweep", "pruning.provenance.txt",
+         ["--seed", "1", "--taus", "0.0,0.2", "--runs", "2", "--j", "3", "--l", "2"],
+         {"taus": "0.0,0.2"}),
+        ("labeled-sweep", "labeled.provenance.txt",
+         ["--seed", "1", "--train-fracs", "0.1,0.3", "--runs", "1", "--j", "3", "--l", "2",
+          "--pca-k", "4"],
+         {"train-fracs": "0.1,0.3"}),
+        ("bounds", "bounds.provenance.txt", ["--j", "3", "--l", "2", "--pca-k", "4"],
+         {"pca-k": "4"}),
+        ("grid-search", "grid.provenance.txt",
+         ["--seed", "1", "--grid-j", "2,3", "--grid-l", "2", "--grid-operators", "normalized",
+          "--grid-alpha", "1,10"],
+         {"grid-j": "2,3", "grid-operators": "normalized"}),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, provenance_name, flags, settings",
+        SEEDED_RUNS,
+        ids=[run[0] for run in SEEDED_RUNS],
+    )
+    def test_provenance_seeds_config(self, tmp_path, command, provenance_name, flags, settings):
         _, data_path, targets_path = make_data_files(tmp_path)
         first, second = tmp_path / "a", tmp_path / "b"
-        args = [command, "--data", str(data_path), "--targets", str(targets_path), *flags]
-        assert main(args + ["--out", str(first)]) == 0
-        provenance = first / f"{stem}.provenance.txt"
-        assert provenance.exists()
+        inputs = ["--data", str(data_path), "--targets", str(targets_path)]
+        if command == "synth":
+            inputs = []
+        assert main([command, *inputs, *flags, "--out", str(first)]) == 0
+        provenance = first / provenance_name
+        values = read_keyvalue(provenance)
+        assert settings.items() <= values.items()
+        assert not {"out", "config", "gamma", "command", "func"} & set(values)
+        derived = read_derived(provenance)
+        assert not set(values) & set(derived)
+        assert derived["python"] == platform.python_version()
+        assert derived["numpy"] == np.__version__ and derived["scipy"] == scipy.__version__
+        assert derived["covscatter"] == covscatter.__version__
+
         assert main([command, "--config", str(provenance), "--out", str(second)]) == 0
-        assert provenance.read_bytes() == (second / f"{stem}.provenance.txt").read_bytes()
-        csv1, csv2 = (out / f"{stem}.csv" for out in (first, second))
-        if timing_column is None:
-            assert csv1.read_bytes() == csv2.read_bytes()
-        else:
-            # a wall-clock column cannot repeat; every other cell must
-            def cells(path):
-                rows = [line.split(",") for line in path.read_text().splitlines()]
-                return [row[:timing_column] + row[timing_column + 1:] for row in rows]
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        for name in names:
+            if name == "pruning.csv":
+                # transform_time is a wall-clock measurement; every other cell must repeat
+                def cells(path):
+                    rows = [line.split(",") for line in path.read_text().splitlines()]
+                    timing = rows[0].index("transform_time")
+                    return [row[:timing] + row[timing + 1:] for row in rows]
 
-            assert cells(csv1) == cells(csv2)
+                assert cells(first / name) == cells(second / name)
+            else:
+                assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
-    def test_prune_sweep_provenance_seeds_config(self, tmp_path):
-        self._assert_provenance_seeds_config(
-            tmp_path, "prune-sweep", "pruning",
-            ["--seed", "1", "--taus", "0.0,0.2", "--runs", "2", "--j", "3", "--l", "2"],
-            timing_column=3,
-        )
 
-    def test_labeled_sweep_provenance_seeds_config(self, tmp_path):
-        self._assert_provenance_seeds_config(
-            tmp_path, "labeled-sweep", "labeled",
-            ["--seed", "1", "--train-fracs", "0.1,0.3", "--runs", "1",
-             "--j", "3", "--l", "2", "--pca-k", "4"],
-        )
+class TestFlagValues:
+    SPLIT = ["--data", "{data}", "--targets", "{targets}", "--seed", "0"]
+    STABILITY = ["stability", *SPLIT, "--families", "diffusion", "--runs", "1", "--j", "3"]
+    REJECTED = {
+        "synth-noise-nan": ["synth", "--seed", "1", "--noise", "nan"],
+        "bounds-q-nan": ["bounds", "--data", "{data}", "--q", "nan"],
+        "stability-alpha-nan": [*STABILITY, "--alpha", "nan"],
+        "stability-fraction-above-one": [*STABILITY, "--fractions", "2.0"],
+        "stability-split-nan": [*STABILITY, "--unlabeled-frac", "nan"],
+        "grid-search-empty-j": ["grid-search", *SPLIT, "--grid-j", "", "--grid-l", "2"],
+        "grid-search-empty-alpha": ["grid-search", *SPLIT, "--grid-j", "2", "--grid-alpha", ""],
+        "transform-hann-gamma-huge": ["transform", "--data", "{data}", "--family", "hann",
+                                      "--gamma", "1e308"],
+        "transform-monic-k-huge": ["transform", "--data", "{data}", "--family", "monic",
+                                   "--monic-k", "1e308"],
+    }
 
-    def test_bounds_provenance_seeds_config(self, tmp_path):
-        self._assert_provenance_seeds_config(
-            tmp_path, "bounds", "bounds", ["--j", "3", "--l", "2", "--pca-k", "4"]
-        )
+    @pytest.mark.parametrize("argv", REJECTED.values(), ids=REJECTED.keys())
+    def test_out_of_range_is_usage_error(self, tmp_path, capsys, argv):
+        _, data_path, targets_path = make_data_files(tmp_path)
+        argv = [arg.format(data=data_path, targets=targets_path) for arg in argv]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Warning" not in err and "Traceback" not in err
 
-    def test_grid_search_provenance_seeds_config(self, tmp_path):
-        self._assert_provenance_seeds_config(
-            tmp_path, "grid-search", "grid",
-            ["--seed", "1", "--grid-j", "2,3", "--grid-l", "2",
-             "--grid-operators", "normalized", "--grid-alpha", "1,10"],
-        )
+    def test_tiny_effective_rank_writes_without_warning(self, tmp_path, capsys):
+        # below 1e-4 every eigenvalue past the first underflows to zero: the same data
+        base = ["synth", "--seed", "2", "--n", "8", "--t", "40"]
+        capsys.readouterr()
+        assert main([*base, "--effective-rank", "1e-300", "--out", str(tmp_path / "a")]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        assert main([*base, "--effective-rank", "1e-4", "--out", str(tmp_path / "b")]) == 0
+        for name in ("data.csv", "targets.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestConfigFile:

@@ -212,6 +212,12 @@ class TestKeyValue:
         parsed = read_keyvalue(path)
         assert parsed == {"family": "hann", "J": "4", "gamma": "10.0", "warp": "true"}
 
+    def test_derived_section_is_not_read(self, tmp_path):
+        path = tmp_path / "prov.txt"
+        write_provenance(path, {"j": 4, "warp": True}, {"gamma": 10.0, "j": 5})
+        assert path.read_text() == "j = 4\nwarp = true\n[derived]\ngamma = 10.0\nj = 5\n"
+        assert read_keyvalue(path) == {"j": "4", "warp": "true"}
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "conf.txt"
         path.write_text("# comment\n\nj = 4\n tau = 0.1 \n")

@@ -165,8 +165,9 @@ class TestBuildFilterbank:
         op = make_operator(12, 5, Monic(), 4)
         fb = build_filterbank(op, Monic(), 4)
         prov = fb.provenance()
-        assert prov["family"] == "monic"
-        assert "monic.lambda_bar1" in prov and "lipschitz" in prov
+        assert "monic.lambda_bar1" in prov and "lipschitz" in prov and "gamma" in prov
+        # the family and its parameters are settings, recorded by the caller
+        assert not {"family", "J", "monic.alpha", "monic.beta", "monic.K"} & set(prov)
 
 
 class TestFrameProperty:
