@@ -23,6 +23,10 @@ import numpy as np
 from .errors import ConfigError, InvalidK, ShapeError
 from .spectral import DataMatrix, SpectralDecomposition
 
+# largest accepted epsilon: exp(epsilon / 2) in the Delta formula overflows
+# float64 a little above 1419
+MAX_EPSILON = 1400.0
+
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -40,6 +44,8 @@ class BoundConstants:
             raise ConfigError("bound constants must be positive")
         if not self.G >= 1.0:
             raise ConfigError("G must be at least 1")
+        if not self.epsilon <= MAX_EPSILON:
+            raise ConfigError(f"epsilon must be at most {MAX_EPSILON:g}, got {self.epsilon}")
 
 
 def bound_probability(constants: BoundConstants) -> float:

@@ -147,13 +147,18 @@ def _methods_from_flags(args):
                 name=f"{name}-cst", config=_build_config(ns, tau=0.0), alpha=args.alpha
             )
         )
-    if args.pca_k:
+    if args.pca_k is not None:
         methods.append(harness.PcaMethod(name="pca", k=args.pca_k, alpha=args.alpha))
     if args.raw:
         methods.append(harness.RawMethod(name="raw", alpha=args.alpha))
     if not methods:
         raise ConfigError("no methods selected")
     return methods
+
+
+def _write_report(path, rows, columns):
+    """Write one CSV line per report row: the attributes named by ``columns``, in order."""
+    io.write_rows_csv(path, columns, [[getattr(row, c) for c in columns] for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +225,7 @@ def _cmd_stability(args):
         include_bounds=args.bounds,
     )
     out = _out_dir(args)
-    io.write_rows_csv(out / "stability.csv", report.header(), report.table())
+    _write_report(out / "stability.csv", report.rows, report.header())
     _write_provenance(args, out / "stability.provenance.txt")
     if args.plotdata:
         _write_plotdata(out, report)
@@ -259,11 +264,7 @@ def _cmd_prune_sweep(args):
         data, targets, method, args.taus, _split_spec(args), seeds=list(range(args.runs))
     )
     out = _out_dir(args)
-    io.write_rows_csv(
-        out / "pruning.csv",
-        harness.PRUNING_HEADER,
-        [[r.tau, r.seed, r.mae, r.transform_time, r.feature_count] for r in rows],
-    )
+    _write_report(out / "pruning.csv", rows, harness.columns(harness.PruningRow))
     _write_provenance(args, out / "pruning.provenance.txt")
     print(f"wrote {out / 'pruning.csv'} ({len(rows)} rows)")
     return 0
@@ -279,28 +280,14 @@ def _cmd_labeled_sweep(args):
             name="cst-mean", config=_build_config(args, aggregation="mean"), alpha=args.alpha
         ),
     ]
-    if args.pca_k:
+    if args.pca_k is not None:
         methods.append(harness.PcaMethod(name="pca", k=args.pca_k, alpha=args.alpha))
     methods.append(harness.RawMethod(name="raw", alpha=args.alpha))
     rows = harness.run_labeled_sweep(
         data, targets, methods, args.train_fracs, _split_spec(args), seeds=list(range(args.runs))
     )
     out = _out_dir(args)
-    io.write_rows_csv(
-        out / "labeled.csv",
-        harness.LABELED_HEADER,
-        [
-            [
-                r.method,
-                r.train_frac,
-                r.seed,
-                r.status,
-                "" if r.mae is None else r.mae,
-                "" if r.feature_width is None else r.feature_width,
-            ]
-            for r in rows
-        ],
-    )
+    _write_report(out / "labeled.csv", rows, harness.columns(harness.LabeledRow))
     _write_provenance(args, out / "labeled.provenance.txt")
     print(f"wrote {out / 'labeled.csv'} ({len(rows)} rows)")
     return 0
@@ -361,7 +348,7 @@ def _cmd_bounds(args):
             ),
         ]
     )
-    if args.pca_k:
+    if args.pca_k is not None:
         rows.append(["pca_gap_scale", bounds_mod.pca_gap_scale(decomposition.eigenvalues, args.pca_k)])
     out = _out_dir(args)
     io.write_rows_csv(out / "bounds.csv", ["quantity", "value"], rows)
@@ -384,14 +371,7 @@ def _cmd_grid_search(args):
         _split_spec(args),
     )
     out = _out_dir(args)
-    io.write_rows_csv(
-        out / "grid.csv",
-        harness.GRID_HEADER,
-        [
-            [r.family, r.J, r.L, r.operator, r.alpha, r.valid_mae, r.feature_count, r.selected]
-            for r in rows
-        ],
-    )
+    _write_report(out / "grid.csv", rows, harness.columns(harness.GridRow))
     _write_provenance(args, out / "grid.provenance.txt")
     print(
         f"best: J={best.J} L={best.L} operator={best.operator} alpha={best.alpha} "

@@ -5,12 +5,14 @@ All randomness flows from explicit seeds through :func:`derived_rng`, so a
 repeated run emits byte-identical reports. Subsample indices are sorted
 before fitting, which makes the full-pool refit bit-identical to the clean
 fit (embedding MSE exactly zero at fraction 1.0).
+
+Each protocol returns frozen row dataclasses; a report's columns are its row
+class's fields, in order (:func:`columns`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 import zlib
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -28,6 +30,11 @@ from .scattering import (
 )
 from .spectral import DataMatrix, sample_covariance
 from . import bounds as bounds_mod
+
+
+def columns(row_type) -> list[str]:
+    """The CSV header of a report: its row dataclass's field names, in order."""
+    return [field.name for field in dataclasses.fields(row_type)]
 
 
 def derived_rng(*labels) -> np.random.Generator:
@@ -143,16 +150,6 @@ class _FittedEmbedder:
         return self._embed(x)
 
 
-STABILITY_HEADER = [
-    "method",
-    "fraction",
-    "seed",
-    "status",
-    "mae",
-    "embedding_mse",
-]
-STABILITY_BOUND_COLUMNS = ["delta_measured", "stability_bound"]
-
 DEFAULT_SUBSAMPLE_FRACS = (0.05, 0.1, 0.2, 0.4, 0.7, 1.0)
 
 
@@ -174,24 +171,9 @@ class StabilityReport:
     include_bounds: bool
 
     def header(self) -> list[str]:
-        return STABILITY_HEADER + (STABILITY_BOUND_COLUMNS if self.include_bounds else [])
-
-    def table(self) -> list[list]:
-        out = []
-        for row in self.rows:
-            record = [
-                row.method,
-                row.fraction,
-                row.seed,
-                row.status,
-                "" if row.mae is None else row.mae,
-                "" if row.embedding_mse is None else row.embedding_mse,
-            ]
-            if self.include_bounds:
-                record.append("" if row.delta_measured is None else row.delta_measured)
-                record.append("" if row.stability_bound is None else row.stability_bound)
-            out.append(record)
-        return out
+        """The row fields, without the two bound columns unless they were computed."""
+        names = columns(StabilityRow)
+        return names if self.include_bounds else names[:-2]
 
 
 def _layer_counts(layout_paths, n_layers: int, include_root: bool) -> list[int]:
@@ -223,6 +205,8 @@ def run_stability(
         raise ShapeError("targets length does not match sample count")
     if not all(0.0 <= f <= 1.0 for f in subsample_fracs):
         raise ConfigError("subsample fractions must be in [0, 1]")
+    if not seeds:
+        raise ConfigError("at least one seed is needed")
     split = make_split(split_spec, data.n_samples)
     pool = split.fit_pool
     fractions = sorted(set(float(f) for f in subsample_fracs) | {1.0})
@@ -283,15 +267,11 @@ def run_stability(
 # ---------------------------------------------------------------------------
 # pruning sweep
 
-PRUNING_HEADER = ["tau", "seed", "mae", "transform_time", "feature_count"]
-
-
 @dataclass(frozen=True)
 class PruningRow:
     tau: float
     seed: int
     mae: float
-    transform_time: float
     feature_count: int
 
 
@@ -303,15 +283,15 @@ def run_pruning_sweep(
     split_spec: SplitSpec,
     seeds: Sequence[int] = tuple(range(10)),
 ) -> list[PruningRow]:
-    """Regression quality, transform time and feature count as tau increases.
+    """Regression quality and feature count as tau increases.
 
-    The retention decision is made on the fit pool at each tau; timing
-    covers the train+test transforms only (the per-row representation
-    work), not the model fit.
+    The retention decision is made on the fit pool at each tau.
     """
     taus = [float(t) for t in taus]
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ConfigError("taus must be ascending")
+    if not seeds:
+        raise ConfigError("at least one seed is needed")
     x = data.values
     y = np.asarray(targets, dtype=np.float64)
     rows = []
@@ -321,17 +301,14 @@ def run_pruning_sweep(
         model = cst_fit(sample_covariance(x[:, pool]), method.config)
         for tau in taus:
             layout = decide_layout(model, x[:, pool], tau=tau).paths
-            start = time.perf_counter()
             z_train = cst_transform_batch(model, x[:, split.train], layout=layout).matrix.T
             z_test = cst_transform_batch(model, x[:, split.test], layout=layout).matrix.T
-            elapsed = time.perf_counter() - start
             ridge = ridge_fit(z_train, y[split.train], method.alpha)
             rows.append(
                 PruningRow(
                     tau=tau,
                     seed=seed,
                     mae=mae(ridge.predict(z_test), y[split.test]),
-                    transform_time=elapsed,
                     feature_count=len(layout) * model.feature_width,
                 )
             )
@@ -341,9 +318,6 @@ def run_pruning_sweep(
 
 # ---------------------------------------------------------------------------
 # labeled-size sweep
-
-LABELED_HEADER = ["method", "train_frac", "seed", "status", "mae", "feature_width"]
-
 
 @dataclass(frozen=True)
 class LabeledRow:
@@ -368,6 +342,8 @@ def run_labeled_sweep(
     Validation and test fractions come from the template; the training
     fraction varies and the unlabeled fraction absorbs the remainder.
     """
+    if not seeds:
+        raise ConfigError("at least one seed is needed")
     x = data.values
     y = np.asarray(targets, dtype=np.float64)
     rows = []
@@ -412,9 +388,6 @@ def run_labeled_sweep(
 
 # ---------------------------------------------------------------------------
 # grid search
-
-GRID_HEADER = ["family", "J", "L", "operator", "alpha", "valid_mae", "feature_count", "selected"]
-
 
 @dataclass(frozen=True)
 class GridRow:

@@ -21,6 +21,9 @@ from .spectral import DataMatrix
 
 
 def format_value(value) -> str:
+    """One CSV or provenance cell: ``repr`` for floats, ``true``/``false``, blank for None."""
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -209,5 +212,4 @@ def write_rows_csv(path, header: list[str], rows: list[list]) -> None:
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) if not isinstance(v, str) else v for v in row])
+        writer.writerows([format_value(v) for v in row] for row in rows)

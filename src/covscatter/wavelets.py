@@ -347,7 +347,23 @@ def build_filterbank(operator: WaveletOperator, family: KernelFamily, J: int) ->
     summed squared kernel response over the actual operator spectrum. A
     spectrum with eigenvalues outside every kernel support yields a frame
     lower bound near zero, which is reported rather than rejected.
+
+    Parameters that push a kernel, a Lipschitz constant or the frame response
+    out of float64 on this spectrum (steep monic exponents: ``lambda_bar1 **
+    alpha`` underflows) raise ``ConfigError`` rather than a numpy warning.
     """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            filterbank = _build_filterbank(operator, family, J)
+            # an infinite cubic coefficient from the solve raises no flag
+            if not np.isfinite([filterbank.frame_upper, *filterbank.lipschitz]).all():
+                raise FloatingPointError
+    except (FloatingPointError, OverflowError):
+        raise ConfigError(f"{family} leaves the float64 range on this spectrum") from None
+    return filterbank
+
+
+def _build_filterbank(operator: WaveletOperator, family: KernelFamily, J: int) -> Filterbank:
     if J < 2:
         raise InvalidScaleCount(f"filterbank needs J >= 2, got {J}")
     gamma = operator.gamma

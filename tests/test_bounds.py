@@ -80,6 +80,8 @@ class TestWaveletDelta:
     def test_invalid_constants(self):
         with pytest.raises(ConfigError):
             BoundConstants(G=0.5)
+        with pytest.raises(ConfigError):
+            BoundConstants(epsilon=1e308)  # exp(epsilon / 2) overflows
 
 
 class TestPruningPreserved:
