@@ -26,7 +26,7 @@ from .scattering import (
     cst_transform_batch,
     path_name,
 )
-from .spectral import NORMALIZED, OPERATOR_KINDS, eig_sym, sample_covariance
+from .spectral import NORMALIZED, OPERATOR_KINDS, sample_covariance
 from .synthdata import SynthSpec, synth_generate
 from .wavelets import FAMILY_NAMES, Diffusion, Hann, Monic
 
@@ -297,17 +297,16 @@ def _cmd_bounds(args):
     data, _ = _load_dataset(args, need_targets=False)
     config = _build_config(args)
     cov = sample_covariance(data)
-    decomposition = eig_sym(cov.matrix)
     model = cst_fit(cov, config)
     k_max = (
         args.k_max
         if args.k_max is not None
-        else bounds_mod.estimate_kmax(data, decomposition)
+        else bounds_mod.estimate_kmax(data, cov.decomposition)
     )
     constants = bounds_mod.BoundConstants(
         Q=args.q, G=args.g, k_max=k_max, epsilon=args.epsilon, u=args.u
     )
-    w1 = float(decomposition.eigenvalues[0])
+    w1 = float(cov.decomposition.eigenvalues[0])
     deltas = [
         bounds_mod.wavelet_delta(
             float(p), data.n_features, data.n_samples, constants, model.gamma, w1, w1
@@ -349,7 +348,7 @@ def _cmd_bounds(args):
         ]
     )
     if args.pca_k is not None:
-        rows.append(["pca_gap_scale", bounds_mod.pca_gap_scale(decomposition.eigenvalues, args.pca_k)])
+        rows.append(["pca_gap_scale", bounds_mod.pca_gap_scale(cov.decomposition.eigenvalues, args.pca_k)])
     out = _out_dir(args)
     io.write_rows_csv(out / "bounds.csv", ["quantity", "value"], rows)
     _write_provenance(args, out / "bounds.provenance.txt")
@@ -485,6 +484,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIG_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _config_value(path, key, raw, action):
+    """Parse one config value as its flag's argument would be: type, then choices."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if raw not in _CONFIG_BOOLEANS:
+            raise ConfigError(
+                f"{path}: config key {key!r} takes true/false/1/0/yes/no, got {raw!r}"
+            )
+        return _CONFIG_BOOLEANS[raw]
+    try:
+        value = raw if action.type is None else action.type(raw)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise ConfigError(f"{path}: invalid value {raw!r} for config key {key!r}") from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise ConfigError(
+            f"{path}: config key {key!r} must be one of {choices}, got {raw!r}"
+        )
+    return value
+
+
 def _apply_config_file(parser, argv):
     """Inject config-file values as parser defaults; flags still win.
 
@@ -513,13 +535,7 @@ def _apply_config_file(parser, argv):
         dest = key.replace("-", "_")
         if dest not in known or dest in ("help", "config"):
             raise ConfigError(f"{path}: unknown config key {key!r} for command {command!r}")
-        action = known[dest]
-        if isinstance(action, argparse._StoreTrueAction):
-            defaults[dest] = raw.lower() in ("1", "true", "yes")
-        elif action.type is not None:
-            defaults[dest] = action.type(raw)
-        else:
-            defaults[dest] = raw
+        defaults[dest] = _config_value(path, key, raw, known[dest])
     sub.set_defaults(**defaults)
     # required flags satisfied by the config file must not be re-demanded
     for action in sub._actions:

@@ -6,6 +6,12 @@ repeated run emits byte-identical reports. Subsample indices are sorted
 before fitting, which makes the full-pool refit bit-identical to the clean
 fit (embedding MSE exactly zero at fraction 1.0).
 
+Each fit pool and each subsample is estimated once: one
+:class:`~covscatter.spectral.SampleCovariance`, and so one eigensolve,
+serves every method and configuration fitted on it. The full-pool refit
+is estimated apart from the clean fit, so its bit-identity is measured,
+not assumed.
+
 Each protocol returns frozen row dataclasses; a report's columns are its row
 class's fields, in order (:func:`columns`).
 """
@@ -20,15 +26,16 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .readout import mae, mse, pca_fit, pca_transform, ridge_fit, ridge_path
+from .readout import PcaModel, mae, mse, pca_fit, pca_transform, ridge_fit, ridge_path
 from .scattering import (
     CstConfig,
     CstModel,
+    Path,
     cst_fit,
     cst_transform_batch,
     decide_layout,
 )
-from .spectral import DataMatrix, sample_covariance
+from .spectral import DataMatrix, SampleCovariance, sample_covariance
 from . import bounds as bounds_mod
 
 
@@ -120,34 +127,32 @@ class RawMethod:
 Method = Union[CstMethod, PcaMethod, RawMethod]
 
 
-class _FittedEmbedder:
-    """Unsupervised embedding fitted on one sample pool."""
+@dataclass(frozen=True)
+class _Embedding:
+    """A method's unsupervised embedding, fitted on one covariance estimate."""
 
-    def __init__(
-        self,
-        method: Method,
-        pool: np.ndarray,
-        force_tau: float | None = None,
-        layout=None,
-    ):
-        self.method = method
-        self.model: CstModel | None = None
-        self.layout = layout
-        if isinstance(method, RawMethod):
-            self._embed = lambda x: x
-        elif isinstance(method, PcaMethod):
-            pca = pca_fit(sample_covariance(pool), method.k)
-            self._embed = lambda x: pca_transform(pca, x)
-        else:
-            tau = method.config.tau if force_tau is None else force_tau
-            self.model = cst_fit(sample_covariance(pool), method.config)
-            if self.layout is None:
-                self.layout = decide_layout(self.model, pool, tau=tau).paths
-            self._embed = lambda x: cst_transform_batch(self.model, x, layout=self.layout).matrix.T
+    model: CstModel | PcaModel | None  # None: the raw features
+    layout: tuple[Path, ...] | None = None  # a CST model's retained paths
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """Features as columns: (D, n_samples)."""
-        return self._embed(x)
+        if self.model is None:
+            return x
+        if isinstance(self.model, PcaModel):
+            return pca_transform(self.model, x)
+        return cst_transform_batch(self.model, x, layout=self.layout).matrix.T
+
+
+def _fit(method: Method, cov: SampleCovariance, pool_x=None, layout=None) -> _Embedding:
+    """Fit ``method`` on ``cov``; a CST method without ``layout`` decides it on ``pool_x``."""
+    if isinstance(method, RawMethod):
+        return _Embedding(None)
+    if isinstance(method, PcaMethod):
+        return _Embedding(pca_fit(cov, method.k))
+    model = cst_fit(cov, method.config)
+    if layout is None:
+        layout = decide_layout(model, pool_x).paths
+    return _Embedding(model, layout)
 
 
 DEFAULT_SUBSAMPLE_FRACS = (0.05, 0.1, 0.2, 0.4, 0.7, 1.0)
@@ -198,6 +203,8 @@ def run_stability(
     freezes the regressor and re-embeds the test set with models refitted on
     random subsamples of the pool, recording the regression MAE under the
     frozen regressor and the embedding MSE against the clean embeddings.
+    Every method's model is fitted on the pool before any refit, so a method
+    that cannot be fitted fails before the refits start.
     """
     x = data.values
     y = np.asarray(targets, dtype=np.float64)
@@ -210,56 +217,65 @@ def run_stability(
     split = make_split(split_spec, data.n_samples)
     pool = split.fit_pool
     fractions = sorted(set(float(f) for f in subsample_fracs) | {1.0})
+    # protocol: no thresholding during the stability runs
+    methods = [
+        dataclasses.replace(m, config=dataclasses.replace(m.config, tau=0.0))
+        if isinstance(m, CstMethod)
+        else m
+        for m in methods
+    ]
+    pool_cov = sample_covariance(x[:, pool])
+    clean_fits = [_fit(method, pool_cov, x[:, pool]) for method in methods]
+    # one estimate per subsample serves every method; the full-pool refit
+    # gets its own, so its bit-identity with the clean fit stays a check
+    subsample_covs = {}
+    for fraction in fractions:
+        size = int(round(fraction * pool.shape[0]))
+        for seed in seeds:
+            if size < 2:
+                subsample_covs[fraction, seed] = None
+                continue
+            subsample = np.sort(
+                derived_rng(seed, "subsample", fractions.index(fraction)).choice(
+                    pool, size=size, replace=False
+                )
+            )
+            subsample_covs[fraction, seed] = sample_covariance(x[:, subsample])
+    test_norm_max = float(np.linalg.norm(x[:, split.test], axis=0).max())
 
     rows = []
-    for method in methods:
-        # protocol: no thresholding during the stability runs
-        clean = _FittedEmbedder(method, x[:, pool], force_tau=0.0)
+    for method, clean in zip(methods, clean_fits):
         ridge = ridge_fit(clean.embed(x[:, split.train]), y[split.train], method.alpha)
         clean_test = clean.embed(x[:, split.test])
-        test_norm_max = float(np.linalg.norm(x[:, split.test], axis=0).max())
-        for fraction in fractions:
-            size = int(round(fraction * pool.shape[0]))
-            for seed in seeds:
-                if size < 2:
-                    rows.append(
-                        StabilityRow(method.name, fraction, seed, "skipped", None, None)
-                    )
-                    continue
-                subsample = np.sort(
-                    derived_rng(seed, "subsample", fractions.index(fraction)).choice(
-                        pool, size=size, replace=False
-                    )
+        for (fraction, seed), cov in subsample_covs.items():
+            if cov is None:
+                rows.append(StabilityRow(method.name, fraction, seed, "skipped", None, None))
+                continue
+            # the frozen regressor needs the clean feature schema
+            perturbed = _fit(method, cov, layout=clean.layout)
+            embedded = perturbed.embed(x[:, split.test])
+            row_mae = mae(ridge.predict(embedded), y[split.test])
+            row_mse = mse(embedded, clean_test)
+            delta = bound = None
+            if include_bounds and isinstance(method, CstMethod):
+                delta = bounds_mod.measured_wavelet_delta(
+                    clean.model.matrices.matrices, perturbed.model.matrices.matrices
                 )
-                # the frozen regressor needs the clean feature schema
-                perturbed = _FittedEmbedder(
-                    method, x[:, subsample], force_tau=0.0, layout=clean.layout
+                frame_upper = max(
+                    clean.model.filterbank.frame_upper,
+                    perturbed.model.filterbank.frame_upper,
                 )
-                embedded = perturbed.embed(x[:, split.test])
-                row_mae = mae(ridge.predict(embedded), y[split.test])
-                row_mse = mse(embedded, clean_test)
-                delta = bound = None
-                if include_bounds and isinstance(method, CstMethod):
-                    delta = bounds_mod.measured_wavelet_delta(
-                        clean.model.matrices.matrices, perturbed.model.matrices.matrices
-                    )
-                    frame_upper = max(
-                        clean.model.filterbank.frame_upper,
-                        perturbed.model.filterbank.frame_upper,
-                    )
-                    bound = bounds_mod.cst_stability_bound(
-                        delta,
-                        frame_upper,
-                        clean.model.aggregation_norm_bound,
-                        test_norm_max,
-                        _layer_counts(clean.layout, method.config.L, include_root=False),
-                        method.config.L,
-                    )
-                rows.append(
-                    StabilityRow(
-                        method.name, fraction, seed, "ok", row_mae, row_mse, delta, bound
-                    )
+                bound = bounds_mod.cst_stability_bound(
+                    delta,
+                    frame_upper,
+                    clean.model.aggregation_norm_bound,
+                    test_norm_max,
+                    _layer_counts(clean.layout, method.config.L, include_root=False),
+                    method.config.L,
                 )
+            rows.append(
+                StabilityRow(method.name, fraction, seed, "ok", row_mae, row_mse, delta, bound)
+            )
     rows.sort(key=lambda r: (r.method, r.fraction, r.seed))
     return StabilityReport(rows=tuple(rows), include_bounds=include_bounds)
 
@@ -366,12 +382,13 @@ def run_labeled_sweep(
                         LabeledRow(method.name, float(train_frac), seed, "skipped", None, None)
                     )
                 continue
-            pool = split.fit_pool
+            pool_x = x[:, split.fit_pool]
+            cov = sample_covariance(pool_x)
             for method in methods:
-                embedder = _FittedEmbedder(method, x[:, pool])
-                z_train = embedder.embed(x[:, split.train])
+                embedding = _fit(method, cov, pool_x)
+                z_train = embedding.embed(x[:, split.train])
                 ridge = ridge_fit(z_train, y[split.train], method.alpha)
-                z_test = embedder.embed(x[:, split.test])
+                z_test = embedding.embed(x[:, split.test])
                 rows.append(
                     LabeledRow(
                         method.name,
@@ -419,7 +436,8 @@ def grid_search(
     x = data.values
     y = np.asarray(targets, dtype=np.float64)
     split = make_split(split_spec, data.n_samples)
-    pool = split.fit_pool
+    pool_x = x[:, split.fit_pool]
+    cov = sample_covariance(pool_x)
     rows: list[GridRow] = []
     for j in j_grid:
         for layers in l_grid:
@@ -427,8 +445,8 @@ def grid_search(
                 config = dataclasses.replace(
                     base_config, J=int(j), L=int(layers), operator_kind=kind
                 )
-                model = cst_fit(sample_covariance(x[:, pool]), config)
-                layout = decide_layout(model, x[:, pool], tau=config.tau).paths
+                model = cst_fit(cov, config)
+                layout = decide_layout(model, pool_x).paths
                 z_train = cst_transform_batch(model, x[:, split.train], layout=layout).matrix.T
                 z_valid = cst_transform_batch(model, x[:, split.valid], layout=layout).matrix.T
                 width = len(layout) * model.feature_width

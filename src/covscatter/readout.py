@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError, InvalidData, InvalidK, ShapeError, SingularSystem
-from .spectral import SampleCovariance, SpectralDecomposition, eig_sym
+from .spectral import SampleCovariance
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,12 @@ class RidgeModel:
         return self.weights @ z + self.intercept
 
 
-def pca_fit(
-    cov: SampleCovariance, k: int, decomposition: SpectralDecomposition | None = None
-) -> PcaModel:
+def pca_fit(cov: SampleCovariance, k: int) -> PcaModel:
+    """Leading ``k`` eigenvectors of ``cov.decomposition``, with every eigenvalue."""
     n = cov.n_features
     if not 1 <= k <= n:
         raise InvalidK(f"k must be in [1, {n}], got {k}")
-    dec = decomposition if decomposition is not None else eig_sym(cov.matrix)
+    dec = cov.decomposition
     return PcaModel(
         components=dec.eigenvectors[:, :k].copy(),
         k=k,

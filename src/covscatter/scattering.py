@@ -136,7 +136,13 @@ def path_name(path: Path) -> str:
 
 
 def cst_fit(cov: SampleCovariance, config: CstConfig) -> CstModel:
-    """Build the operator, filterbank and wavelet matrices once for reuse."""
+    """Build the operator, filterbank and wavelet matrices once for reuse.
+
+    The operator comes from ``cov.decomposition``, so models fitted on one
+    estimate share its eigensolve. A filterbank whose frame upper bound
+    overflows float64 when raised to ``2 * (L - 1)``, the gain of the deepest
+    layer, is a :class:`ConfigError`.
+    """
     gamma = (
         config.gamma_override
         if config.gamma_override is not None
@@ -144,6 +150,13 @@ def cst_fit(cov: SampleCovariance, config: CstConfig) -> CstModel:
     )
     operator = wavelet_operator(cov, config.operator_kind, gamma)
     filterbank = build_filterbank(operator, config.family, config.J)
+    try:
+        filterbank.frame_upper ** (2 * (config.L - 1))
+    except OverflowError:
+        raise ConfigError(
+            f"frame upper bound {filterbank.frame_upper:g} overflows float64 over "
+            f"{config.L} layers; use a smaller kernel or fewer layers"
+        ) from None
     matrices = wavelet_matrices(filterbank, operator)
     return CstModel(
         config=config,

@@ -8,6 +8,7 @@ transform is reproducible bit-for-bit on one machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +69,11 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class SampleCovariance:
-    """Covariance estimate with the sample mean and count that produced it."""
+    """Covariance estimate with the sample mean and count that produced it.
+
+    Its eigendecomposition, :attr:`decomposition`, is computed on first use
+    and shared by every consumer of the estimate.
+    """
 
     matrix: np.ndarray
     mean: np.ndarray
@@ -92,6 +97,14 @@ class SampleCovariance:
     @property
     def n_features(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def decomposition(self) -> SpectralDecomposition:
+        """:func:`eig_sym` of :attr:`matrix`, computed on first use and then shared.
+
+        Its arrays are read-only, so no consumer can change it for the others.
+        """
+        return eig_sym(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -175,24 +188,19 @@ def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvectors=vectors, eigenvalues=values)
 
 
-def wavelet_operator(
-    cov: SampleCovariance,
-    kind: str,
-    gamma: float,
-    decomposition: SpectralDecomposition | None = None,
-) -> WaveletOperator:
+def wavelet_operator(cov: SampleCovariance, kind: str, gamma: float) -> WaveletOperator:
     """Build the normalized or inverted operator from a covariance estimate.
 
-    The operator decomposition is derived from the covariance decomposition
-    (computed here if not supplied); there is no second eigensolve. Operator
-    eigenvalues are clipped into [0, gamma] to absorb roundoff from nearly
-    singular covariances.
+    The operator decomposition is derived from ``cov.decomposition``, so
+    every operator built from one estimate shares its single eigensolve.
+    Operator eigenvalues are clipped into [0, gamma] to absorb roundoff from
+    nearly singular covariances.
     """
     if kind not in OPERATOR_KINDS:
         raise ConfigError(f"unknown operator kind {kind!r}")
     if not gamma > 0.0:
         raise ConfigError("gamma must be positive")
-    dec = decomposition if decomposition is not None else eig_sym(cov.matrix)
+    dec = cov.decomposition
     w1 = float(dec.eigenvalues[0])
     if w1 <= 0.0:
         raise DegenerateCovariance("largest covariance eigenvalue is not positive")

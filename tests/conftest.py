@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from covscatter import spectral
 from covscatter.spectral import SampleCovariance
 
 
@@ -21,3 +22,17 @@ def spd_covariance(n, seed, scale=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Every matrix handed to the eigensolver while the test runs."""
+    calls = []
+    eig_sym = spectral.eig_sym
+
+    def counting_eig_sym(matrix):
+        calls.append(matrix)
+        return eig_sym(matrix)
+
+    monkeypatch.setattr(spectral, "eig_sym", counting_eig_sym)
+    return calls

@@ -321,6 +321,11 @@ class TestFlagValues:
         "stability-pca-k-zero": [*STABILITY, "--pca-k", "0"],
         "labeled-sweep-pca-k-zero": [*LABELED_SWEEP, "--pca-k", "0"],
         "bounds-pca-k-zero": ["bounds", "--data", "{data}", "--pca-k", "0"],
+        # a finite filterbank whose deepest layer overflows float64
+        "transform-monic-beta-deep": ["transform", "--data", "{data}", "--family", "monic",
+                                      "--monic-beta", "1e150", "--l", "3"],
+        "bounds-monic-beta-deep": ["bounds", "--data", "{data}", "--family", "monic",
+                                   "--monic-beta", "1e150", "--l", "3"],
     }
 
     @pytest.mark.parametrize("argv", REJECTED.values(), ids=REJECTED.keys())
@@ -378,6 +383,32 @@ class TestConfigFile:
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "--conf" in errors[0]
         assert not (tmp_path / "c").exists()
+
+    BAD_VALUES = {
+        "int": ("transform", "j = abc"),
+        "list": ("stability", "fractions = x"),
+        "choice": ("transform", "family = bogus"),
+        "boolean": ("stability", "bounds = maybe"),
+    }
+
+    @pytest.mark.parametrize("command, line", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, command, line):
+        # parsed as the flag's own argument would be, so no traceback and no fallback
+        _, data_path, targets_path = make_data_files(tmp_path)
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        argv = [command, "--config", str(conf), "--data", str(data_path),
+                "--out", str(tmp_path / "o")]
+        if command == "stability":
+            argv += ["--targets", str(targets_path), "--seed", "0", "--runs", "1",
+                     "--families", "diffusion"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert str(conf) in err and repr(line.split(" = ")[0]) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_config_equals_form(self, tmp_path):
         _, data_path, _ = make_data_files(tmp_path)

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from covscatter.errors import ConfigError
+from covscatter.errors import ConfigError, InvalidK
 from covscatter.readout import mae, ridge_fit
 from covscatter.harness import (
     CstMethod,
@@ -25,7 +27,7 @@ from covscatter.scattering import (
 )
 from covscatter.spectral import sample_covariance
 from covscatter.synthdata import SynthSpec, synth_generate
-from covscatter.wavelets import Diffusion
+from covscatter.wavelets import Diffusion, Hann
 
 DEFAULT_SPLIT = SplitSpec(0.5, 0.1, 0.2, 0.2, seed=0)
 
@@ -35,6 +37,15 @@ def dataset():
     return synth_generate(
         SynthSpec(n_features=12, n_samples=300, tail=0.5, noise_sigma=0.1, seed=42)
     )
+
+
+def _four_methods():
+    return [
+        CstMethod("diffusion-cst", CstConfig(family=Diffusion(), J=3, L=2), alpha=1.0),
+        CstMethod("hann-cst", CstConfig(family=Hann(), J=3, L=2, tau=0.2), alpha=1.0),
+        PcaMethod("pca", k=4, alpha=1.0),
+        RawMethod("raw", alpha=1.0),
+    ]
 
 
 class TestSplit:
@@ -145,6 +156,51 @@ class TestStability:
         assert all(r.delta_measured is not None and r.stability_bound is not None for r in ok)
 
 
+    def test_subsample_estimates_shared_across_methods(self, dataset, eig_calls):
+        methods = [
+            CstMethod("diff-cst", CstConfig(family=Diffusion(), J=3, L=2), alpha=1.0),
+            CstMethod("hann-cst", CstConfig(family=Hann(), J=3, L=2), alpha=1.0),
+        ]
+        run_stability(
+            dataset.data,
+            dataset.targets,
+            methods,
+            DEFAULT_SPLIT,
+            subsample_fracs=[0.5, 1.0],
+            seeds=[0, 1],
+        )
+        # the pool, then each (fraction, seed) subsample once
+        assert len(eig_calls) == 1 + 2 * 2
+
+    def test_bad_method_rejected_before_any_refit(self, dataset, eig_calls):
+        with pytest.raises(InvalidK):
+            run_stability(
+                dataset.data,
+                dataset.targets,
+                [_methods()[0], PcaMethod("pca", k=0, alpha=1.0)],
+                DEFAULT_SPLIT,
+                subsample_fracs=[0.5],
+                seeds=[0, 1],
+            )
+        assert len(eig_calls) == 1
+
+    def test_rows_equal_one_method_runs(self, dataset):
+        kwargs = dict(
+            split_spec=DEFAULT_SPLIT,
+            subsample_fracs=[0.001, 0.3, 1.0],
+            seeds=[0, 1],
+            include_bounds=True,
+        )
+        together = run_stability(dataset.data, dataset.targets, _four_methods(), **kwargs)
+        apart = [
+            row
+            for method in _four_methods()
+            for row in run_stability(dataset.data, dataset.targets, [method], **kwargs).rows
+        ]
+        apart.sort(key=lambda r: (r.method, r.fraction, r.seed))
+        assert together.rows == tuple(apart)
+
+
 class TestPruningSweep:
     def test_counts_and_tau_zero_width(self, dataset):
         method = CstMethod("cst", CstConfig(family=Diffusion(), J=3, L=3), alpha=1.0)
@@ -213,6 +269,22 @@ class TestLabeledSweep:
         assert rows[0].status == "skipped"
 
 
+    def test_rows_equal_one_method_runs(self, dataset):
+        kwargs = dict(
+            train_fracs=[0.001, 0.2],
+            split_template=DEFAULT_SPLIT,
+            seeds=[0, 1],
+        )
+        together = run_labeled_sweep(dataset.data, dataset.targets, _four_methods(), **kwargs)
+        apart = [
+            row
+            for method in _four_methods()
+            for row in run_labeled_sweep(dataset.data, dataset.targets, [method], **kwargs)
+        ]
+        apart.sort(key=lambda r: (r.method, r.train_frac, r.seed))
+        assert together == apart
+
+
 class TestGridSearch:
     def test_selects_minimum_validation_mae(self, dataset):
         rows, best = grid_search(
@@ -258,3 +330,28 @@ class TestGridSearch:
         assert [r.alpha for r in rows] == alphas
         assert [r.valid_mae for r in rows] == expected
         assert all(r.feature_count == len(layout) * 12 for r in rows)
+
+    def test_rows_equal_one_point_grids(self, dataset):
+        base = CstConfig(family=Diffusion(), J=3, L=3, tau=0.1)
+        grid = dict(l_grid=[3], alpha_grid=[1.0, 10.0], split_spec=DEFAULT_SPLIT)
+        rows, _ = grid_search(
+            dataset.data,
+            dataset.targets,
+            base,
+            j_grid=[2, 3],
+            operator_grid=["normalized", "inverted"],
+            **grid,
+        )
+        apart = [
+            row
+            for j in (2, 3)
+            for kind in ("normalized", "inverted")
+            for row in grid_search(
+                dataset.data, dataset.targets, base, j_grid=[j], operator_grid=[kind], **grid
+            )[0]
+        ]
+
+        def unselected(rs):
+            return [dataclasses.replace(r, selected=False) for r in rs]
+
+        assert unselected(rows) == unselected(apart)

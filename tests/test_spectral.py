@@ -11,6 +11,7 @@ from covscatter.errors import (
     NotSymmetric,
 )
 from covscatter.io import write_data_csv
+from covscatter.readout import pca_fit
 from covscatter.spectral import (
     INVERTED,
     NORMALIZED,
@@ -184,11 +185,17 @@ class TestWaveletOperator:
         total = norm_op.decomposition.eigenvalues + inv_op.decomposition.eigenvalues[::-1]
         npt.assert_allclose(total, gamma, atol=1e-10)
 
-    def test_reuses_given_decomposition(self):
+    def test_covariance_decomposition_shared(self, eig_calls):
         cov = SampleCovariance(random_spd(6, 8), np.zeros(6), 10)
-        dec = eig_sym(cov.matrix)
-        op = wavelet_operator(cov, NORMALIZED, 0.7, decomposition=dec)
-        npt.assert_array_equal(op.decomposition.eigenvectors, dec.eigenvectors)
+        norm_op = wavelet_operator(cov, NORMALIZED, 0.7)
+        inv_op = wavelet_operator(cov, INVERTED, 0.7)
+        pca = pca_fit(cov, 3)
+        assert len(eig_calls) == 1
+        vectors = cov.decomposition.eigenvectors
+        npt.assert_array_equal(norm_op.decomposition.eigenvectors, vectors)
+        npt.assert_array_equal(inv_op.decomposition.eigenvectors, vectors[:, ::-1])
+        npt.assert_array_equal(pca.components, vectors[:, :3])
+        assert not vectors.flags.writeable
 
     def test_degenerate(self):
         cov = SampleCovariance(np.zeros((3, 3)), np.zeros(3), 10)
