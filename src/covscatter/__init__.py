@@ -21,7 +21,6 @@ from .readout import (
     mae,
     mse,
     pca_fit,
-    pca_fit_transform,
     pca_transform,
     ridge_fit,
     ridge_path,
@@ -51,7 +50,6 @@ from .wavelets import (
     Filterbank,
     Hann,
     Monic,
-    WaveletMatrixSet,
     build_filterbank,
     diffusion_apply,
     diffusion_gamma,
@@ -79,7 +77,6 @@ __all__ = [
     "SpectralDecomposition",
     "SynthDataset",
     "SynthSpec",
-    "WaveletMatrixSet",
     "WaveletOperator",
     "build_filterbank",
     "cst_fit",
@@ -97,7 +94,6 @@ __all__ = [
     "measured_wavelet_delta",
     "mse",
     "pca_fit",
-    "pca_fit_transform",
     "pca_gap_scale",
     "pca_transform",
     "pruning_preserved",

@@ -39,7 +39,8 @@ class BoundConstants:
     u: float = 1.0
 
     def __post_init__(self):
-        # written so that NaN fails every check
+        if not all(math.isfinite(c) for c in (self.Q, self.G, self.k_max, self.epsilon, self.u)):
+            raise ConfigError("bound constants must be finite")
         if not (self.Q > 0.0 and self.k_max >= 0.0 and self.epsilon > 0.0 and self.u > 0.0):
             raise ConfigError("bound constants must be positive")
         if not self.G >= 1.0:

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import platform
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from . import bounds as bounds_mod
 from .errors import ConfigError, CovScatterError
 from .readout import pca_fit, pca_transform
 from .scattering import (
+    AGGREGATIONS,
     CstConfig,
     cst_fit,
     cst_transform_batch,
@@ -43,21 +45,21 @@ def _comma_strings(text):
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _build_family(args):
-    if args.family == "diffusion":
+def _build_family(name, args):
+    if name == "diffusion":
         return Diffusion()
-    if args.family == "hann":
+    if name == "hann":
         return Hann(R=args.hann_r, warp=not args.no_warp)
     return Monic(alpha=args.monic_alpha, beta=args.monic_beta, K=args.monic_k)
 
 
-def _build_config(args, tau=None, aggregation=None):
+def _build_config(args):
     return CstConfig(
-        family=_build_family(args),
+        family=_build_family(args.family, args),
         J=args.j,
         L=args.l,
-        tau=args.tau if tau is None else tau,
-        aggregation=args.aggregation if aggregation is None else aggregation,
+        tau=args.tau,
+        aggregation=args.aggregation,
         operator_kind=args.operator,
         gamma_override=args.gamma,
     )
@@ -137,15 +139,13 @@ def _split_spec(args):
 
 def _methods_from_flags(args):
     methods = []
+    config = _build_config(args)
     for name in args.families:
         if name not in FAMILY_NAMES:
             raise ConfigError(f"unknown family {name!r}")
-        ns = argparse.Namespace(**vars(args))
-        ns.family = name
+        family = _build_family(name, args)
         methods.append(
-            harness.CstMethod(
-                name=f"{name}-cst", config=_build_config(ns, tau=0.0), alpha=args.alpha
-            )
+            harness.CstMethod(f"{name}-cst", dataclasses.replace(config, family=family), args.alpha)
         )
     if args.pca_k is not None:
         methods.append(harness.PcaMethod(name="pca", k=args.pca_k, alpha=args.alpha))
@@ -272,13 +272,12 @@ def _cmd_prune_sweep(args):
 
 def _cmd_labeled_sweep(args):
     data, targets = _load_dataset(args)
+    config = _build_config(args)
     methods = [
         harness.CstMethod(
-            name="cst-identity", config=_build_config(args, aggregation="identity"), alpha=args.alpha
-        ),
-        harness.CstMethod(
-            name="cst-mean", config=_build_config(args, aggregation="mean"), alpha=args.alpha
-        ),
+            f"cst-{aggregation}", dataclasses.replace(config, aggregation=aggregation), args.alpha
+        )
+        for aggregation in AGGREGATIONS
     ]
     if args.pca_k is not None:
         methods.append(harness.PcaMethod(name="pca", k=args.pca_k, alpha=args.alpha))
@@ -309,7 +308,7 @@ def _cmd_bounds(args):
     w1 = float(cov.decomposition.eigenvalues[0])
     deltas = [
         bounds_mod.wavelet_delta(
-            float(p), data.n_features, data.n_samples, constants, model.gamma, w1, w1
+            float(p), data.n_features, data.n_samples, constants, model.operator.gamma, w1, w1
         )
         for p in model.filterbank.lipschitz
     ]
@@ -347,6 +346,14 @@ def _cmd_bounds(args):
             ),
         ]
     )
+    overflowed = [name for name, value in rows if not np.isfinite(value)]
+    if overflowed:
+        raise ConfigError(
+            f"float64 overflow in {', '.join(overflowed)} with Q={constants.Q:g}, "
+            f"G={constants.G:g}, k_max={constants.k_max:g}, epsilon={constants.epsilon:g}, "
+            f"u={constants.u:g}; use smaller constants"
+        )
+    # the gap scale's documented sentinel for a repeated eigenvalue is inf
     if args.pca_k is not None:
         rows.append(["pca_gap_scale", bounds_mod.pca_gap_scale(cov.decomposition.eigenvalues, args.pca_k)])
     out = _out_dir(args)

@@ -143,6 +143,11 @@ class _Embedding:
         return cst_transform_batch(self.model, x, layout=self.layout).matrix.T
 
 
+def _decided(model: CstModel, pool_x: np.ndarray) -> _Embedding:
+    """A CST model's embedding with the layout decided on ``pool_x`` at its config's tau."""
+    return _Embedding(model, decide_layout(model, pool_x).paths)
+
+
 def _fit(method: Method, cov: SampleCovariance, pool_x=None, layout=None) -> _Embedding:
     """Fit ``method`` on ``cov``; a CST method without ``layout`` decides it on ``pool_x``."""
     if isinstance(method, RawMethod):
@@ -150,9 +155,15 @@ def _fit(method: Method, cov: SampleCovariance, pool_x=None, layout=None) -> _Em
     if isinstance(method, PcaMethod):
         return _Embedding(pca_fit(cov, method.k))
     model = cst_fit(cov, method.config)
-    if layout is None:
-        layout = decide_layout(model, pool_x).paths
-    return _Embedding(model, layout)
+    return _decided(model, pool_x) if layout is None else _Embedding(model, layout)
+
+
+def _xy(data: DataMatrix, targets) -> tuple[np.ndarray, np.ndarray]:
+    """The signals and the targets as float arrays, one target per sample."""
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != (data.n_samples,):
+        raise ShapeError(f"expected {data.n_samples} targets, got shape {y.shape}")
+    return data.values, y
 
 
 DEFAULT_SUBSAMPLE_FRACS = (0.05, 0.1, 0.2, 0.4, 0.7, 1.0)
@@ -181,11 +192,12 @@ class StabilityReport:
         return names if self.include_bounds else names[:-2]
 
 
-def _layer_counts(layout_paths, n_layers: int, include_root: bool) -> list[int]:
+def _layer_counts(layout_paths, n_layers: int) -> list[int]:
+    """Retained path counts for layers 1 .. n_layers - 1."""
     counts = [0] * n_layers
     for path in layout_paths:
         counts[len(path)] += 1
-    return counts if include_root else counts[1:]
+    return counts[1:]
 
 
 def run_stability(
@@ -206,10 +218,7 @@ def run_stability(
     Every method's model is fitted on the pool before any refit, so a method
     that cannot be fitted fails before the refits start.
     """
-    x = data.values
-    y = np.asarray(targets, dtype=np.float64)
-    if y.shape[0] != data.n_samples:
-        raise ShapeError("targets length does not match sample count")
+    x, y = _xy(data, targets)
     if not all(0.0 <= f <= 1.0 for f in subsample_fracs):
         raise ConfigError("subsample fractions must be in [0, 1]")
     if not seeds:
@@ -259,7 +268,7 @@ def run_stability(
             delta = bound = None
             if include_bounds and isinstance(method, CstMethod):
                 delta = bounds_mod.measured_wavelet_delta(
-                    clean.model.matrices.matrices, perturbed.model.matrices.matrices
+                    clean.model.matrices, perturbed.model.matrices
                 )
                 frame_upper = max(
                     clean.model.filterbank.frame_upper,
@@ -270,7 +279,7 @@ def run_stability(
                     frame_upper,
                     clean.model.aggregation_norm_bound,
                     test_norm_max,
-                    _layer_counts(clean.layout, method.config.L, include_root=False),
+                    _layer_counts(clean.layout, method.config.L),
                     method.config.L,
                 )
             rows.append(
@@ -301,31 +310,31 @@ def run_pruning_sweep(
 ) -> list[PruningRow]:
     """Regression quality and feature count as tau increases.
 
-    The retention decision is made on the fit pool at each tau.
+    The model is fitted once per seed; the retention decision is made on the
+    fit pool at each tau, which replaces the tau of ``method.config``.
     """
     taus = [float(t) for t in taus]
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ConfigError("taus must be ascending")
     if not seeds:
         raise ConfigError("at least one seed is needed")
-    x = data.values
-    y = np.asarray(targets, dtype=np.float64)
+    x, y = _xy(data, targets)
     rows = []
     for seed in seeds:
         split = make_split(dataclasses.replace(split_spec, seed=seed), data.n_samples)
         pool = split.fit_pool
-        model = cst_fit(sample_covariance(x[:, pool]), method.config)
+        fitted = cst_fit(sample_covariance(x[:, pool]), method.config)
         for tau in taus:
-            layout = decide_layout(model, x[:, pool], tau=tau).paths
-            z_train = cst_transform_batch(model, x[:, split.train], layout=layout).matrix.T
-            z_test = cst_transform_batch(model, x[:, split.test], layout=layout).matrix.T
+            config = dataclasses.replace(fitted.config, tau=tau)
+            embedding = _decided(dataclasses.replace(fitted, config=config), x[:, pool])
+            z_train = embedding.embed(x[:, split.train])
             ridge = ridge_fit(z_train, y[split.train], method.alpha)
             rows.append(
                 PruningRow(
                     tau=tau,
                     seed=seed,
-                    mae=mae(ridge.predict(z_test), y[split.test]),
-                    feature_count=len(layout) * model.feature_width,
+                    mae=mae(ridge.predict(embedding.embed(x[:, split.test])), y[split.test]),
+                    feature_count=z_train.shape[0],
                 )
             )
     rows.sort(key=lambda r: (r.tau, r.seed))
@@ -360,8 +369,7 @@ def run_labeled_sweep(
     """
     if not seeds:
         raise ConfigError("at least one seed is needed")
-    x = data.values
-    y = np.asarray(targets, dtype=np.float64)
+    x, y = _xy(data, targets)
     rows = []
     for train_frac in train_fracs:
         unlabeled = 1.0 - split_template.valid_frac - split_template.test_frac - train_frac
@@ -433,8 +441,7 @@ def grid_search(
 
     if not all(len(grid) for grid in (j_grid, l_grid, operator_grid, alpha_grid)):
         raise ConfigError("every grid needs at least one value")
-    x = data.values
-    y = np.asarray(targets, dtype=np.float64)
+    x, y = _xy(data, targets)
     split = make_split(split_spec, data.n_samples)
     pool_x = x[:, split.fit_pool]
     cov = sample_covariance(pool_x)
@@ -445,11 +452,9 @@ def grid_search(
                 config = dataclasses.replace(
                     base_config, J=int(j), L=int(layers), operator_kind=kind
                 )
-                model = cst_fit(cov, config)
-                layout = decide_layout(model, pool_x).paths
-                z_train = cst_transform_batch(model, x[:, split.train], layout=layout).matrix.T
-                z_valid = cst_transform_batch(model, x[:, split.valid], layout=layout).matrix.T
-                width = len(layout) * model.feature_width
+                embedding = _decided(cst_fit(cov, config), pool_x)
+                z_train = embedding.embed(x[:, split.train])
+                z_valid = embedding.embed(x[:, split.valid])
                 for ridge in ridge_path(z_train, y[split.train], alpha_grid):
                     rows.append(
                         GridRow(
@@ -459,7 +464,7 @@ def grid_search(
                             operator=kind,
                             alpha=ridge.alpha,
                             valid_mae=mae(ridge.predict(z_valid), y[split.valid]),
-                            feature_count=width,
+                            feature_count=z_train.shape[0],
                         )
                     )
     best = min(rows, key=lambda r: (r.valid_mae, r.feature_count, r.J, r.L, r.operator, r.alpha))

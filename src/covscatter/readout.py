@@ -60,11 +60,6 @@ def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def pca_fit_transform(cov: SampleCovariance, k: int, data) -> np.ndarray:
-    x = data.values if hasattr(data, "values") else np.asarray(data)
-    return pca_transform(pca_fit(cov, k), x)
-
-
 def _spd_solve(matrix, rhs):
     try:
         factor = scipy.linalg.cho_factor(matrix)

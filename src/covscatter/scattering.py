@@ -4,7 +4,8 @@ A model holds one wavelet operator with its filterbank and dense wavelet
 matrices. One layer-wise pass over a batch of signals (:func:`_scatter`)
 applies every kernel followed by an absolute-value nonlinearity,
 discarding branches whose energy ratio to their parent does not exceed
-the pruning threshold; the public transforms are its consumers.
+the pruning threshold ``CstConfig.tau``; the public transforms are its
+consumers.
 Coefficients are laid out breadth-first by layer, then lexicographically
 by scale indices, so serialized features are comparable across runs.
 """
@@ -27,7 +28,6 @@ from .wavelets import (
     MAX_SCALE,
     Filterbank,
     KernelFamily,
-    WaveletMatrixSet,
     build_filterbank,
     default_gamma,
     wavelet_matrices,
@@ -67,13 +67,16 @@ class CstConfig:
 
 @dataclass(frozen=True)
 class CstModel:
-    """Reusable operator + filterbank + wavelet matrices bundle."""
+    """Reusable operator + filterbank + wavelet matrices bundle.
+
+    ``matrices`` is the read-only (J, N, N) array of :func:`wavelet_matrices`;
+    gamma is ``operator.gamma``.
+    """
 
     config: CstConfig
-    gamma: float
     operator: object
     filterbank: Filterbank
-    matrices: WaveletMatrixSet
+    matrices: np.ndarray
 
     @property
     def n_features(self) -> int:
@@ -157,13 +160,11 @@ def cst_fit(cov: SampleCovariance, config: CstConfig) -> CstModel:
             f"frame upper bound {filterbank.frame_upper:g} overflows float64 over "
             f"{config.L} layers; use a smaller kernel or fewer layers"
         ) from None
-    matrices = wavelet_matrices(filterbank, operator)
     return CstModel(
         config=config,
-        gamma=float(gamma),
         operator=operator,
         filterbank=filterbank,
-        matrices=matrices,
+        matrices=wavelet_matrices(filterbank, operator),
     )
 
 
@@ -177,7 +178,6 @@ def _aggregate(model: CstModel, signals: np.ndarray) -> np.ndarray:
 def _scatter(
     model: CstModel,
     x: np.ndarray,
-    tau: float | None,
     prune: bool,
     layout: tuple[Path, ...] | None,
     pruned: dict,
@@ -188,17 +188,13 @@ def _scatter(
     child, in layout order (breadth-first, then lexicographic). Each child
     is computed once. Without ``layout``, a child is retained iff the batch
     mean of its per-sample energy ratio (child norm over parent norm, zero
-    where the parent has zero energy) strictly exceeds ``tau``, or always
-    when ``prune`` is false; every pruned path is recorded in ``pruned`` with
-    that ratio. With ``layout``, a child is retained iff its path is in the
-    layout, and no other child is computed. Only the signals of layers that
-    still have children to compute are kept, so a caller that drops the
-    yielded signals holds no more than two layers at a time.
+    where the parent has zero energy) strictly exceeds ``model.config.tau``,
+    or always when ``prune`` is false; every pruned path is recorded in
+    ``pruned`` with that ratio. With ``layout``, a child is retained iff its
+    path is in the layout, and no other child is computed. Only the signals
+    of layers that still have children to compute are kept, so a caller that
+    drops the yielded signals holds no more than two layers at a time.
     """
-    if tau is None:
-        tau = model.config.tau
-    elif not 0.0 <= tau < 1.0:
-        raise ConfigError(f"pruning threshold must be in [0, 1), got {tau}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != model.n_features:
         raise ShapeError(f"expected {model.n_features} rows, got shape {x.shape}")
@@ -206,7 +202,8 @@ def _scatter(
         raise InvalidData("signals contain non-finite entries")
     follow = None if layout is None else frozenset(layout)
 
-    mats = model.matrices.matrices
+    tau = model.config.tau
+    mats = model.matrices
     norms = np.linalg.norm(x, axis=0)
     yield (), x, norms
     frontier = deque([((), x, norms)])
@@ -235,18 +232,15 @@ def _scatter(
 
 
 def cst_transform(
-    model: CstModel,
-    x: np.ndarray,
-    tau: float | None = None,
-    prune: bool = True,
+    model: CstModel, x: np.ndarray, prune: bool = True
 ) -> tuple[ScatterTree, FeatureVector]:
     """Scatter one signal: the batch-of-one case of :func:`cst_transform_batch`.
 
-    A child is retained iff its energy exceeds ``tau`` times its parent's
-    (strict inequality), so zero-energy children are always pruned; children
-    of a zero-energy node are pruned by the same convention. ``prune=False``
-    keeps the full tree regardless of energies, which the perturbation-bound
-    checks rely on to compare identically shaped outputs.
+    A child is retained iff its energy exceeds ``model.config.tau`` times its
+    parent's (strict inequality), so zero-energy children are always pruned;
+    children of a zero-energy node are pruned by the same convention.
+    ``prune=False`` keeps the full tree regardless of energies, which the
+    perturbation-bound checks rely on to compare identically shaped outputs.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.n_features:
@@ -254,7 +248,7 @@ def cst_transform(
     pruned: dict[Path, float] = {}
     nodes: dict[Path, tuple[np.ndarray, float]] = {}
     blocks = []
-    for path, signals, norms in _scatter(model, x[:, None], tau, prune, None, pruned):
+    for path, signals, norms in _scatter(model, x[:, None], prune, None, pruned):
         nodes[path] = (signals[:, 0], float(norms[0]))
         blocks.append(_aggregate(model, signals)[0])
     features = FeatureVector(
@@ -265,43 +259,36 @@ def cst_transform(
     return ScatterTree(nodes=nodes, pruned_paths=pruned), features
 
 
-def decide_layout(
-    model: CstModel,
-    x: np.ndarray,
-    tau: float | None = None,
-    prune: bool = True,
-) -> ScatterLayout:
+def decide_layout(model: CstModel, x: np.ndarray) -> ScatterLayout:
     """Shared retention decision for a batch of signals, without its features.
 
-    Decides as :func:`cst_transform_batch` does, keeping no signal of the
-    last layer. Every sample then yields an identically shaped feature
-    vector, which downstream regression needs.
+    Decides at ``model.config.tau`` as :func:`cst_transform_batch` does,
+    keeping no signal of the last layer. Every sample then yields an
+    identically shaped feature vector, which downstream regression needs.
+    To decide at another tau, pass a fitted model whose config is replaced
+    (``dataclasses.replace``); the matrices need no refit.
     """
     pruned: dict[Path, float] = {}
-    paths = tuple(path for path, _, _ in _scatter(model, x, tau, prune, None, pruned))
+    paths = tuple(path for path, _, _ in _scatter(model, x, True, None, pruned))
     return ScatterLayout(paths=paths, pruned=pruned)
 
 
 def cst_transform_batch(
-    model: CstModel,
-    data,
-    tau: float | None = None,
-    prune: bool = True,
-    layout: tuple[Path, ...] | None = None,
+    model: CstModel, data, layout: tuple[Path, ...] | None = None
 ) -> BatchFeatures:
     """Scatter a batch in one pass; rows of the matrix are samples.
 
     Without ``layout`` the pass decides which paths to keep from the batch
-    itself (see :func:`_scatter`). With ``layout``, a tuple of paths in
-    layout order such as ``decide_layout(...).paths``, it follows that fixed
-    schema instead, so samples embedded apart share one feature layout; the
-    output width is then known in advance, and each path's block is written
-    straight into one preallocated matrix.
+    itself at ``model.config.tau`` (see :func:`_scatter`). With ``layout``, a
+    tuple of paths in layout order such as ``decide_layout(...).paths``, it
+    follows that fixed schema instead, so samples embedded apart share one
+    feature layout; the output width is then known in advance, and each
+    path's block is written straight into one preallocated matrix.
     """
     x = data.values if hasattr(data, "values") else data
     pruned: dict[Path, float] = {}
     width = model.feature_width
-    passes = _scatter(model, x, tau, prune, layout, pruned)
+    passes = _scatter(model, x, True, layout, pruned)
     if layout is None:
         paths, blocks = [], []
         for path, signals, _ in passes:

@@ -144,15 +144,6 @@ class Filterbank:
 
 
 @dataclass(frozen=True)
-class WaveletMatrixSet:
-    """Dense wavelet matrices H_j = V diag(h_j(lambda)) V^T for one operator."""
-
-    matrices: np.ndarray  # (J, N, N)
-    operator: WaveletOperator
-    filterbank: Filterbank
-
-
-@dataclass(frozen=True)
 class LocalizationProfile:
     """Wavelet column centered on one feature plus its covariance-distance bound."""
 
@@ -417,20 +408,28 @@ def _build_filterbank(operator: WaveletOperator, family: KernelFamily, J: int) -
     )
 
 
-def wavelet_matrices(filterbank: Filterbank, operator: WaveletOperator) -> WaveletMatrixSet:
-    """Materialize H_j = V diag(h_j(lambda_i)) V^T for every scale."""
+def _spectral_kernels(filterbank: Filterbank, operator: WaveletOperator):
+    """The operator's eigenvectors and the (J, N) kernel values on its eigenvalues."""
     if operator.n_features != filterbank.n_eigenvalues:
         raise ShapeError(
             f"filterbank built for N={filterbank.n_eigenvalues}, operator has N={operator.n_features}"
         )
     vectors = operator.decomposition.eigenvectors
-    values = filterbank.kernel_values(operator.decomposition.eigenvalues)
+    return vectors, filterbank.kernel_values(operator.decomposition.eigenvalues)
+
+
+def wavelet_matrices(filterbank: Filterbank, operator: WaveletOperator) -> np.ndarray:
+    """Materialize H_j = V diag(h_j(lambda_i)) V^T for every scale.
+
+    Returns a read-only (J, N, N) array whose ``j``-th slice is ``H_j``.
+    """
+    vectors, values = _spectral_kernels(filterbank, operator)
     mats = np.empty((filterbank.J, operator.n_features, operator.n_features))
     for j in range(filterbank.J):
         h = (vectors * values[j]) @ vectors.T
         mats[j] = (h + h.T) / 2.0
     mats.flags.writeable = False
-    return WaveletMatrixSet(matrices=mats, operator=operator, filterbank=filterbank)
+    return mats
 
 
 def diffusion_apply(operator_matrix: np.ndarray, x: np.ndarray, J: int) -> list[np.ndarray]:
@@ -461,21 +460,26 @@ def diffusion_apply(operator_matrix: np.ndarray, x: np.ndarray, J: int) -> list[
     return out
 
 
-def localization_profile(matrixset: WaveletMatrixSet, center: int, scale: int) -> LocalizationProfile:
+def localization_profile(
+    filterbank: Filterbank, operator: WaveletOperator, center: int, scale: int
+) -> LocalizationProfile:
     """Wavelet centered on one feature, with the covariance-distance decay bound.
 
-    For diffusion kernels the entry at feature ``b`` is bounded by
+    The values are column ``center`` of ``H_scale``, built from the operator's
+    eigendecomposition without materializing the matrix. For diffusion
+    kernels the entry at feature ``b`` is bounded by
     ``1/d^s1(center, b) + 1/d^s2(center, b)`` where ``d^s(a, b)`` is the
     inverse magnitude of the s-step operator entry; the bound is evaluated
     and checked here.
     """
-    n = matrixset.operator.n_features
+    n = operator.n_features
     if not 0 <= center < n:
         raise IndexError(f"center {center} outside 0..{n - 1}")
-    if not 0 <= scale < matrixset.filterbank.J:
-        raise IndexError(f"scale {scale} outside 0..{matrixset.filterbank.J - 1}")
-    values = matrixset.matrices[scale][:, center].copy()
-    if not isinstance(matrixset.filterbank.family, Diffusion):
+    if not 0 <= scale < filterbank.J:
+        raise IndexError(f"scale {scale} outside 0..{filterbank.J - 1}")
+    vectors, kernels = _spectral_kernels(filterbank, operator)
+    values = (vectors * kernels[scale]) @ vectors[center]
+    if not isinstance(filterbank.family, Diffusion):
         return LocalizationProfile(center, scale, values, None, None)
 
     s1 = 2 ** (scale - 1) if scale >= 1 else 0
@@ -485,7 +489,7 @@ def localization_profile(matrixset: WaveletMatrixSet, center: int, scale: int) -
     col = delta
     cols = {0: delta.copy()}
     for step in range(1, s2 + 1):
-        col = matrixset.operator.matrix @ col
+        col = operator.matrix @ col
         if step in (s1, s2):
             cols[step] = col.copy()
     bound = np.abs(cols[s1]) + np.abs(cols[s2])

@@ -60,7 +60,7 @@ def test_criterion_01_frame_property():
             cov = spd_covariance(n, 100 * idx + n)
             operator = wavelet_operator(cov, NORMALIZED, default_gamma(family, J))
             fb = build_filterbank(operator, family, J)
-            mats = wavelet_matrices(fb, operator).matrices
+            mats = wavelet_matrices(fb, operator)
             x = rng.standard_normal((n, 100))
             x /= np.linalg.norm(x, axis=0)
             total = sum(np.sum((mats[j] @ x) ** 2, axis=0) for j in range(J))
@@ -81,7 +81,7 @@ def test_criterion_02_diffusion_spectral_polynomial_equivalence():
     for n in (16, 48, 64):
         cov = spd_covariance(n, n)
         operator = wavelet_operator(cov, NORMALIZED, default_gamma(Diffusion(), J))
-        mats = wavelet_matrices(build_filterbank(operator, Diffusion(), J), operator).matrices
+        mats = wavelet_matrices(build_filterbank(operator, Diffusion(), J), operator)
         x = rng.standard_normal((n, 50))
         poly = diffusion_apply(operator.matrix, x, J)
         for j in range(J):
@@ -102,17 +102,17 @@ def test_criterion_03_permutation_equivariance():
     config = CstConfig(family=Diffusion(), J=3, L=3)
     model = cst_fit(sample_covariance(ds.data.values), config)
     model_p = cst_fit(sample_covariance(pmat @ ds.data.values), config)
-    _, fv = cst_transform(model, x, tau=0.0)
-    _, fv_p = cst_transform(model_p, pmat @ x, tau=0.0)
+    _, fv = cst_transform(model, x)
+    _, fv_p = cst_transform(model_p, pmat @ x)
     expected = np.concatenate(
         [fv.coefficients[i * 30 : (i + 1) * 30][perm] for i in range(len(fv.layout))]
     )
     npt.assert_allclose(fv_p.coefficients, expected, atol=1e-8)
 
     mean_cfg = CstConfig(family=Diffusion(), J=3, L=3, aggregation="mean")
-    _, mv = cst_transform(cst_fit(sample_covariance(ds.data.values), mean_cfg), x, tau=0.0)
+    _, mv = cst_transform(cst_fit(sample_covariance(ds.data.values), mean_cfg), x)
     _, mv_p = cst_transform(
-        cst_fit(sample_covariance(pmat @ ds.data.values), mean_cfg), pmat @ x, tau=0.0
+        cst_fit(sample_covariance(pmat @ ds.data.values), mean_cfg), pmat @ x
     )
     npt.assert_allclose(mv_p.coefficients, mv.coefficients, atol=1e-8)
     elapsed = time.perf_counter() - start
@@ -126,7 +126,7 @@ def test_criterion_04_feature_count_formula():
     for (J, L), count in expected.items():
         assert feature_count(J, L) == count
         model = cst_fit(spd_covariance(8, J + L), CstConfig(family=Diffusion(), J=J, L=L))
-        _, fv = cst_transform(model, rng.standard_normal(8), tau=0.0)
+        _, fv = cst_transform(model, rng.standard_normal(8))
         assert len(fv.layout) == count
     _passed(4, "unpruned path counts are 13, 5 and 400 for (3,3), (4,2), (7,4)")
 
@@ -167,9 +167,7 @@ def test_criterion_06_covariance_stability_dominance():
                 config = CstConfig(family=family, J=J, L=L)
                 m_true = cst_fit(SampleCovariance(ds.true_cov, np.zeros(20), t), config)
                 m_est = cst_fit(sample_covariance(ds.data), config)
-                delta = measured_wavelet_delta(
-                    m_true.matrices.matrices, m_est.matrices.matrices
-                )
+                delta = measured_wavelet_delta(m_true.matrices, m_est.matrices)
                 frame_upper = max(
                     m_true.filterbank.frame_upper, m_est.filterbank.frame_upper
                 )
@@ -207,7 +205,7 @@ def test_criterion_07_stability_rate():
             m_true = cst_fit(SampleCovariance(ds.true_cov, np.zeros(20), t), config)
             m_est = cst_fit(sample_covariance(ds.data), config)
             errors.append(
-                measured_wavelet_delta(m_true.matrices.matrices, m_est.matrices.matrices)
+                measured_wavelet_delta(m_true.matrices, m_est.matrices)
             )
         medians.append(np.median(errors))
     slope = np.polyfit(np.log(sizes), np.log(medians), 1)[0]
@@ -313,7 +311,7 @@ def test_criterion_10_oracle_suite():
     # recursive scattering vs brute-force path enumeration
     cst = cst_fit(spd_covariance(16, 2), CstConfig(family=Diffusion(), J=3, L=3))
     x = rng.standard_normal(16)
-    _, fv = cst_transform(cst, x, tau=0.0)
+    _, fv = cst_transform(cst, x)
     assert np.max(np.abs(fv.coefficients - brute_force_features(cst, x, 3))) <= 1e-10
 
     # sample covariance vs two-pass oracle
@@ -328,8 +326,8 @@ def test_criterion_11_localization_bound():
     J = 4
     cov = spd_covariance(8, 11)
     operator = wavelet_operator(cov, NORMALIZED, default_gamma(Diffusion(), J))
-    mset = wavelet_matrices(build_filterbank(operator, Diffusion(), J), operator)
+    filterbank = build_filterbank(operator, Diffusion(), J)
     for center, scale in itertools.product(range(8), (1, 2, 3)):
-        profile = localization_profile(mset, center, scale)
+        profile = localization_profile(filterbank, operator, center, scale)
         assert np.all(np.abs(profile.values) <= profile.bound + 1e-12)
     _passed(11, "diffusion localization bound holds at every center for j in {1,2,3}")

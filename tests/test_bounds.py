@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -83,6 +84,12 @@ class TestWaveletDelta:
         with pytest.raises(ConfigError):
             BoundConstants(epsilon=1e308)  # exp(epsilon / 2) overflows
 
+    @pytest.mark.parametrize("name", ["Q", "G", "k_max", "epsilon", "u"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_constants_rejected(self, name, value):
+        with pytest.raises(ConfigError):
+            BoundConstants(**{name: value})
+
 
 class TestPruningPreserved:
     def test_zero_delta_true_when_positive(self):
@@ -99,17 +106,16 @@ class TestPruningPreserved:
         true_cov = SampleCovariance(ds.true_cov, np.zeros(20), ds.data.n_samples)
         model_true = cst_fit(true_cov, config)
         model_est = cst_fit(sample_covariance(ds.data), config)
-        delta = measured_wavelet_delta(
-            model_true.matrices.matrices, model_est.matrices.matrices
-        )
+        delta = measured_wavelet_delta(model_true.matrices, model_est.matrices)
         frame_upper = max(
             model_true.filterbank.frame_upper, model_est.filterbank.frame_upper
         )
         x = ds.data.values[:, 0]
-        mats = model_true.matrices.matrices
+        mats = model_true.matrices
         for tau in (0.05, 0.2, 0.5, 0.8):
-            tree_true, _ = cst_transform(model_true, x, tau=tau)
-            tree_est, _ = cst_transform(model_est, x, tau=tau)
+            at_tau = dataclasses.replace(config, tau=tau)
+            tree_true, _ = cst_transform(dataclasses.replace(model_true, config=at_tau), x)
+            tree_est, _ = cst_transform(dataclasses.replace(model_est, config=at_tau), x)
             all_hold = True
             full_tree, _ = cst_transform(model_true, x, prune=False)
             for path, (signal, norm) in full_tree.nodes.items():

@@ -212,6 +212,16 @@ class TestExperimentCommands:
         assert float(rows["k_max"]) > 0.0
         assert "wavelet_delta_0" in rows and "pca_gap_scale" in rows
 
+    def test_bounds_overflow_names_the_constants(self, tmp_path, capsys):
+        _, data_path, _ = make_data_files(tmp_path)
+        out = tmp_path / "b"
+        capsys.readouterr()
+        code = main(["bounds", "--data", str(data_path), "--out", str(out), "--k-max", "1e308"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "wavelet_delta_" in err and "k_max=1e+308" in err
+        assert not out.exists()
+
     def test_grid_search(self, tmp_path):
         _, data_path, targets_path = make_data_files(tmp_path)
         out = tmp_path / "g"
@@ -313,6 +323,12 @@ class TestFlagValues:
         "transform-monic-alpha-huge": ["transform", "--data", "{data}", "--family", "monic",
                                        "--monic-alpha", "1e300"],
         "bounds-epsilon-huge": ["bounds", "--data", "{data}", "--epsilon", "1e308"],
+        "bounds-k-max-inf": ["bounds", "--data", "{data}", "--k-max", "inf"],
+        "bounds-q-inf": ["bounds", "--data", "{data}", "--q", "inf"],
+        "bounds-g-inf": ["bounds", "--data", "{data}", "--g", "inf"],
+        "bounds-u-inf": ["bounds", "--data", "{data}", "--u", "inf"],
+        # finite constants whose Delta formula overflows float64
+        "bounds-k-max-huge": ["bounds", "--data", "{data}", "--k-max", "1e308"],
         # the last --runs wins, so these ask for no runs at all
         "stability-runs-zero": [*STABILITY, "--runs", "0"],
         "stability-runs-negative": [*STABILITY, "--runs", "-1"],

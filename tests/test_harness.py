@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from covscatter.errors import ConfigError, InvalidK
+from covscatter.errors import ConfigError, InvalidK, ShapeError
 from covscatter.readout import mae, ridge_fit
 from covscatter.harness import (
     CstMethod,
@@ -320,7 +320,7 @@ class TestGridSearch:
         x, y = dataset.data.values, dataset.targets
         split = make_split(DEFAULT_SPLIT, dataset.data.n_samples)
         model = cst_fit(sample_covariance(x[:, split.fit_pool]), config)
-        layout = decide_layout(model, x[:, split.fit_pool], tau=config.tau).paths
+        layout = decide_layout(model, x[:, split.fit_pool]).paths
         z_train = cst_transform_batch(model, x[:, split.train], layout=layout).matrix.T
         z_valid = cst_transform_batch(model, x[:, split.valid], layout=layout).matrix.T
         expected = [
@@ -355,3 +355,29 @@ class TestGridSearch:
             return [dataclasses.replace(r, selected=False) for r in rs]
 
         assert unselected(rows) == unselected(apart)
+
+
+PROTOCOLS = {
+    "stability": lambda data, y: run_stability(
+        data, y, _methods(), DEFAULT_SPLIT, subsample_fracs=[1.0], seeds=[0]
+    ),
+    "pruning-sweep": lambda data, y: run_pruning_sweep(
+        data, y, _methods()[0], [0.0], DEFAULT_SPLIT, seeds=[0]
+    ),
+    "labeled-sweep": lambda data, y: run_labeled_sweep(
+        data, y, _methods(), [0.1], DEFAULT_SPLIT, seeds=[0]
+    ),
+    "grid-search": lambda data, y: grid_search(
+        data, y, _methods()[0].config, [3], [2], ["normalized"], [1.0], DEFAULT_SPLIT
+    ),
+}
+
+
+class TestTargetsLength:
+    # the dataset has 300 samples: too few targets, then too many
+    @pytest.mark.parametrize("n_targets", [150, 400])
+    @pytest.mark.parametrize("protocol", PROTOCOLS.values(), ids=PROTOCOLS.keys())
+    def test_mismatch_is_shape_error(self, dataset, protocol, n_targets):
+        targets = np.resize(dataset.targets, n_targets)
+        with pytest.raises(ShapeError, match="expected 300 targets"):
+            protocol(dataset.data, targets)

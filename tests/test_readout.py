@@ -10,7 +10,6 @@ from covscatter.readout import (
     mae,
     mse,
     pca_fit,
-    pca_fit_transform,
     pca_transform,
     ridge_fit,
     ridge_path,
@@ -54,7 +53,7 @@ class TestPca:
     def test_projection_variance_equals_eigenvalues(self, rng):
         x = rng.standard_normal((6, 40))
         cov = sample_covariance(x)
-        projected = pca_fit_transform(cov, 3, x)
+        projected = pca_transform(pca_fit(cov, 3), x)
         variances = np.mean(projected**2, axis=1)
         expected = eig_sym(cov.matrix).eigenvalues[:3]
         npt.assert_allclose(variances, expected, atol=1e-8)

@@ -27,7 +27,7 @@ from conftest import spd_covariance
 
 def brute_force_features(model, x, max_layer):
     """Non-recursive oracle: recompute every scale tuple from scratch."""
-    mats = model.matrices.matrices
+    mats = model.matrices
     blocks = [x]
     for ell in range(1, max_layer):
         for combo in itertools.product(range(model.config.J), repeat=ell):
@@ -44,9 +44,9 @@ class TestCstFit:
         config = CstConfig(family=Diffusion(), J=3, L=2, operator_kind=INVERTED)
         model = cst_fit(cov, config)
         npt.assert_allclose(model.operator.matrix, np.zeros((5, 5)), atol=1e-12)
-        npt.assert_array_equal(model.matrices.matrices[0], np.eye(5))
-        npt.assert_array_equal(model.matrices.matrices[1], np.zeros((5, 5)))
-        npt.assert_array_equal(model.matrices.matrices[2], np.zeros((5, 5)))
+        npt.assert_array_equal(model.matrices[0], np.eye(5))
+        npt.assert_array_equal(model.matrices[1], np.zeros((5, 5)))
+        npt.assert_array_equal(model.matrices[2], np.zeros((5, 5)))
 
     def test_brain_shaped_model_builds(self):
         rng = np.random.default_rng(68)
@@ -75,7 +75,7 @@ class TestCstTransform:
 
     def test_full_tree_path_count(self, rng):
         model = self._model()
-        _, fv = cst_transform(model, rng.standard_normal(16), tau=0.0)
+        _, fv = cst_transform(model, rng.standard_normal(16))
         assert len(fv.layout) == feature_count(3, 3) == 13
 
     def test_zero_signal_keeps_root_only(self):
@@ -88,7 +88,7 @@ class TestCstTransform:
     def test_matches_brute_force_enumeration(self, rng):
         model = self._model()
         x = rng.standard_normal(16)
-        _, fv = cst_transform(model, x, tau=0.0)
+        _, fv = cst_transform(model, x)
         npt.assert_allclose(
             fv.coefficients, brute_force_features(model, x, 3), atol=1e-10
         )
@@ -101,33 +101,32 @@ class TestCstTransform:
 
     def test_layout_order_breadth_first_lexicographic(self, rng):
         model = self._model(J=2, L=3)
-        _, fv = cst_transform(model, rng.standard_normal(16), tau=0.0)
+        _, fv = cst_transform(model, rng.standard_normal(16))
         assert fv.layout == ((), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1))
 
     def test_norm_propagation(self, rng):
         for family in (Diffusion(), Hann(), Monic()):
             model = cst_fit(spd_covariance(12, 4), CstConfig(family=family, J=3, L=3))
             x = rng.standard_normal(12)
-            tree, _ = cst_transform(model, x, tau=0.0)
+            tree, _ = cst_transform(model, x)
             upper = model.filterbank.frame_upper
             for path, (_, energy) in tree.nodes.items():
                 bound = upper ** len(path) * np.linalg.norm(x) + 1e-8
                 assert energy <= bound
 
     def test_pruning_monotone_in_tau(self, rng):
-        model = self._model()
         x = rng.standard_normal(16)
         previous = None
         for tau in (0.0, 0.1, 0.3, 0.5, 0.8):
-            _, fv = cst_transform(model, x, tau=tau)
+            _, fv = cst_transform(self._model(tau=tau), x)
             retained = set(fv.layout)
             if previous is not None:
                 assert retained <= previous
             previous = retained
 
     def test_pruned_ratios_recorded(self, rng):
-        model = self._model()
-        tree, fv = cst_transform(model, rng.standard_normal(16), tau=0.5)
+        model = self._model(tau=0.5)
+        tree, fv = cst_transform(model, rng.standard_normal(16))
         assert set(tree.pruned_paths).isdisjoint(set(fv.layout))
         for ratio in tree.pruned_paths.values():
             assert 0.0 <= ratio <= 0.5
@@ -149,8 +148,8 @@ class TestPermutationEquivariance:
             config = CstConfig(family=Diffusion(), J=3, L=3, operator_kind=kind)
             model = cst_fit(sample_covariance(ds.data.values), config)
             model_p = cst_fit(sample_covariance(pmat @ ds.data.values), config)
-            _, fv = cst_transform(model, x, tau=0.0)
-            _, fv_p = cst_transform(model_p, pmat @ x, tau=0.0)
+            _, fv = cst_transform(model, x)
+            _, fv_p = cst_transform(model_p, pmat @ x)
             expected = np.concatenate(
                 [
                     fv.coefficients[i * 30 : (i + 1) * 30][perm]
@@ -162,8 +161,8 @@ class TestPermutationEquivariance:
             mean_cfg = CstConfig(family=Diffusion(), J=3, L=3, aggregation="mean", operator_kind=kind)
             model_m = cst_fit(sample_covariance(ds.data.values), mean_cfg)
             model_mp = cst_fit(sample_covariance(pmat @ ds.data.values), mean_cfg)
-            _, fv_m = cst_transform(model_m, x, tau=0.0)
-            _, fv_mp = cst_transform(model_mp, pmat @ x, tau=0.0)
+            _, fv_m = cst_transform(model_m, x)
+            _, fv_mp = cst_transform(model_mp, pmat @ x)
             npt.assert_allclose(fv_mp.coefficients, fv_m.coefficients, atol=1e-8)
 
 
@@ -194,19 +193,20 @@ class TestBatch:
     def test_tau_zero_matches_per_sample_layout(self, rng):
         model = self._model()
         x = rng.standard_normal((20, 12))
-        batch = cst_transform_batch(model, x, tau=0.0)
-        _, fv = cst_transform(model, x[:, 3], tau=0.0)
+        batch = cst_transform_batch(model, x)
+        _, fv = cst_transform(model, x[:, 3])
         assert batch.layout == fv.layout
         npt.assert_allclose(batch.matrix[3], fv.coefficients, atol=1e-12)
 
     def test_batch_pruning_matches_energy_oracle(self):
         ds = synth_generate(SynthSpec(n_features=20, n_samples=200, tail=0.5, seed=9))
-        model = cst_fit(sample_covariance(ds.data.values), CstConfig(family=Diffusion(), J=3, L=3))
         tau = 0.1
-        batch = cst_transform_batch(model, ds.data.values, tau=tau)
+        config = CstConfig(family=Diffusion(), J=3, L=3, tau=tau)
+        model = cst_fit(sample_covariance(ds.data.values), config)
+        batch = cst_transform_batch(model, ds.data.values)
 
         # oracle: full per-sample trees, then average child/parent ratios
-        mats = model.matrices.matrices
+        mats = model.matrices
         expected = {(): True}
         ratios = {}
         level = {(): ds.data.values}
@@ -231,15 +231,15 @@ class TestBatch:
         assert set(batch.layout) == retained_oracle
 
     def test_fixed_layout_reembedding(self, rng):
-        model = self._model()
+        model = self._model(tau=0.2)
         pool = rng.standard_normal((20, 30))
-        layout = decide_layout(model, pool, tau=0.2).paths
+        layout = decide_layout(model, pool).paths
         fresh = rng.standard_normal((20, 4))
         z = cst_transform_batch(model, fresh, layout=layout)
         assert z.matrix.shape == (4, len(layout) * 20)
         assert z.layout == layout and z.pruned == {}
         # each retained path's block is that path's recursion on the fresh signals
-        mats = model.matrices.matrices
+        mats = model.matrices
         for k, path in enumerate(layout):
             signals = fresh
             for j in path:
@@ -247,17 +247,17 @@ class TestBatch:
             npt.assert_array_equal(z.matrix[:, k * 20 : (k + 1) * 20], signals.T)
 
     def test_decide_layout_matches_batch_decision(self, rng):
-        model = self._model()
+        model = self._model(tau=0.2)
         x = rng.standard_normal((20, 30))
-        decided = decide_layout(model, x, tau=0.2)
-        batch = cst_transform_batch(model, x, tau=0.2)
+        decided = decide_layout(model, x)
+        batch = cst_transform_batch(model, x)
         assert decided.paths == batch.layout
         assert decided.pruned == batch.pruned
 
     def test_following_own_layout_is_bit_equal(self, rng):
-        model = self._model()
+        model = self._model(tau=0.2)
         x = rng.standard_normal((20, 30))
-        b = cst_transform_batch(model, x, tau=0.2)
+        b = cst_transform_batch(model, x)
         assert len(b.layout) < feature_count(3, 3)  # some paths were pruned
         followed = cst_transform_batch(model, x, layout=b.layout)
         npt.assert_array_equal(followed.matrix, b.matrix)
@@ -265,18 +265,18 @@ class TestBatch:
 
     def test_following_layout_on_subset_is_bit_equal(self, rng):
         # train is a subset of the fit pool: its rows must not depend on the rest
-        model = self._model()
+        model = self._model(tau=0.2)
         x = rng.standard_normal((20, 30))
-        b = cst_transform_batch(model, x, tau=0.2)
+        b = cst_transform_batch(model, x)
         subset = np.array([1, 4, 5, 11, 17, 29])
         followed = cst_transform_batch(model, x[:, subset], layout=b.layout)
         npt.assert_array_equal(followed.matrix, b.matrix[subset])
 
     def test_single_signal_is_batch_of_one(self, rng):
-        model = self._model()
+        model = self._model(tau=0.3)
         x = rng.standard_normal((20, 30))
-        tree, fv = cst_transform(model, x[:, 0], tau=0.3)
-        batch = cst_transform_batch(model, x[:, :1], tau=0.3)
+        tree, fv = cst_transform(model, x[:, 0])
+        batch = cst_transform_batch(model, x[:, :1])
         assert tree.pruned_paths  # the threshold prunes something
         assert fv.layout == batch.layout
         assert tree.pruned_paths == batch.pruned
@@ -296,13 +296,13 @@ class TestBatch:
 
     @pytest.mark.parametrize("aggregation", ["identity", "mean"])
     def test_followed_matrix_equals_concatenated_blocks(self, rng, aggregation):
-        model = self._model(aggregation=aggregation)
+        model = self._model(aggregation=aggregation, tau=0.2)
         pool = rng.standard_normal((20, 30))
-        layout = decide_layout(model, pool, tau=0.2).paths
+        layout = decide_layout(model, pool).paths
         x = rng.standard_normal((20, 7))
         followed = cst_transform_batch(model, x, layout=layout)
         # reference: one block per yielded path, joined by np.concatenate
-        blocks = [_aggregate(model, s) for _, s, _ in _scatter(model, x, None, True, layout, {})]
+        blocks = [_aggregate(model, s) for _, s, _ in _scatter(model, x, True, layout, {})]
         reference = np.concatenate(blocks, axis=1)
         assert followed.matrix.shape == (7, len(layout) * model.feature_width)
         assert followed.matrix.flags.c_contiguous
