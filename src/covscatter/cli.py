@@ -19,7 +19,7 @@ import scipy
 
 from . import __version__, harness, io
 from . import bounds as bounds_mod
-from .errors import ConfigError, CovScatterError
+from .errors import ConfigError, CovScatterError, InvalidData
 from .readout import pca_fit, pca_transform
 from .scattering import (
     AGGREGATIONS,
@@ -297,11 +297,12 @@ def _cmd_bounds(args):
     config = _build_config(args)
     cov = sample_covariance(data)
     model = cst_fit(cov, config)
-    k_max = (
-        args.k_max
-        if args.k_max is not None
-        else bounds_mod.estimate_kmax(data, cov.decomposition)
-    )
+    if args.k_max is not None:
+        k_max = args.k_max
+    else:
+        k_max = bounds_mod.estimate_kmax(data, cov.decomposition)
+        if not np.isfinite(k_max):
+            raise InvalidData("k_max estimated from the data overflows float64; pass --k-max")
     constants = bounds_mod.BoundConstants(
         Q=args.q, G=args.g, k_max=k_max, epsilon=args.epsilon, u=args.u
     )
@@ -347,11 +348,18 @@ def _cmd_bounds(args):
         ]
     )
     overflowed = [name for name, value in rows if not np.isfinite(value)]
-    if overflowed:
+    from_constants = [n for n in overflowed if n.startswith(("wavelet_delta_", "cst_"))]
+    if from_constants:
         raise ConfigError(
-            f"float64 overflow in {', '.join(overflowed)} with Q={constants.Q:g}, "
+            f"float64 overflow in {', '.join(from_constants)} with Q={constants.Q:g}, "
             f"G={constants.G:g}, k_max={constants.k_max:g}, epsilon={constants.epsilon:g}, "
             f"u={constants.u:g}; use smaller constants"
+        )
+    if overflowed:
+        raise ConfigError(
+            f"float64 overflow in {', '.join(overflowed)} with frame upper bound "
+            f"{model.filterbank.frame_upper:g}, J={config.J} and {config.L} layers; "
+            f"use a smaller kernel or fewer layers"
         )
     # the gap scale's documented sentinel for a repeated eigenvalue is inf
     if args.pca_k is not None:

@@ -143,11 +143,6 @@ class _Embedding:
         return cst_transform_batch(self.model, x, layout=self.layout).matrix.T
 
 
-def _decided(model: CstModel, pool_x: np.ndarray) -> _Embedding:
-    """A CST model's embedding with the layout decided on ``pool_x`` at its config's tau."""
-    return _Embedding(model, decide_layout(model, pool_x).paths)
-
-
 def _fit(method: Method, cov: SampleCovariance, pool_x=None, layout=None) -> _Embedding:
     """Fit ``method`` on ``cov``; a CST method without ``layout`` decides it on ``pool_x``."""
     if isinstance(method, RawMethod):
@@ -155,7 +150,9 @@ def _fit(method: Method, cov: SampleCovariance, pool_x=None, layout=None) -> _Em
     if isinstance(method, PcaMethod):
         return _Embedding(pca_fit(cov, method.k))
     model = cst_fit(cov, method.config)
-    return _decided(model, pool_x) if layout is None else _Embedding(model, layout)
+    if layout is None:
+        layout = decide_layout(model, pool_x).paths
+    return _Embedding(model, layout)
 
 
 def _xy(data: DataMatrix, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -325,8 +322,10 @@ def run_pruning_sweep(
         pool = split.fit_pool
         fitted = cst_fit(sample_covariance(x[:, pool]), method.config)
         for tau in taus:
-            config = dataclasses.replace(fitted.config, tau=tau)
-            embedding = _decided(dataclasses.replace(fitted, config=config), x[:, pool])
+            model = dataclasses.replace(
+                fitted, config=dataclasses.replace(fitted.config, tau=tau)
+            )
+            embedding = _Embedding(model, decide_layout(model, x[:, pool]).paths)
             z_train = embedding.embed(x[:, split.train])
             ridge = ridge_fit(z_train, y[split.train], method.alpha)
             rows.append(
@@ -452,7 +451,8 @@ def grid_search(
                 config = dataclasses.replace(
                     base_config, J=int(j), L=int(layers), operator_kind=kind
                 )
-                embedding = _decided(cst_fit(cov, config), pool_x)
+                model = cst_fit(cov, config)
+                embedding = _Embedding(model, decide_layout(model, pool_x).paths)
                 z_train = embedding.embed(x[:, split.train])
                 z_valid = embedding.embed(x[:, split.valid])
                 for ridge in ridge_path(z_train, y[split.train], alpha_grid):

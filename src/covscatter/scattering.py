@@ -213,7 +213,7 @@ def _scatter(
         while frontier:
             path, signals, parent_norms = frontier.popleft()
             safe_parent = np.where(parent_norms > 0.0, parent_norms, 1.0)
-            for j in range(model.config.J):
+            for j in range(len(mats)):
                 child_path = path + (j,)
                 if follow is not None and child_path not in follow:
                     continue
@@ -265,8 +265,9 @@ def decide_layout(model: CstModel, x: np.ndarray) -> ScatterLayout:
     Decides at ``model.config.tau`` as :func:`cst_transform_batch` does,
     keeping no signal of the last layer. Every sample then yields an
     identically shaped feature vector, which downstream regression needs.
-    To decide at another tau, pass a fitted model whose config is replaced
-    (``dataclasses.replace``); the matrices need no refit.
+    To decide at another tau, pass a fitted model whose config has only its
+    ``tau`` (or ``aggregation``) replaced (``dataclasses.replace``); the
+    matrices need no refit. Any other field must be changed by refitting.
     """
     pruned: dict[Path, float] = {}
     paths = tuple(path for path, _, _ in _scatter(model, x, True, None, pruned))

@@ -408,22 +408,17 @@ def _build_filterbank(operator: WaveletOperator, family: KernelFamily, J: int) -
     )
 
 
-def _spectral_kernels(filterbank: Filterbank, operator: WaveletOperator):
-    """The operator's eigenvectors and the (J, N) kernel values on its eigenvalues."""
-    if operator.n_features != filterbank.n_eigenvalues:
-        raise ShapeError(
-            f"filterbank built for N={filterbank.n_eigenvalues}, operator has N={operator.n_features}"
-        )
-    vectors = operator.decomposition.eigenvectors
-    return vectors, filterbank.kernel_values(operator.decomposition.eigenvalues)
-
-
 def wavelet_matrices(filterbank: Filterbank, operator: WaveletOperator) -> np.ndarray:
     """Materialize H_j = V diag(h_j(lambda_i)) V^T for every scale.
 
     Returns a read-only (J, N, N) array whose ``j``-th slice is ``H_j``.
     """
-    vectors, values = _spectral_kernels(filterbank, operator)
+    if operator.n_features != filterbank.n_eigenvalues:
+        raise ShapeError(
+            f"filterbank built for N={filterbank.n_eigenvalues}, operator has N={operator.n_features}"
+        )
+    vectors = operator.decomposition.eigenvectors
+    values = filterbank.kernel_values(operator.decomposition.eigenvalues)
     mats = np.empty((filterbank.J, operator.n_features, operator.n_features))
     for j in range(filterbank.J):
         h = (vectors * values[j]) @ vectors.T
@@ -465,9 +460,8 @@ def localization_profile(
 ) -> LocalizationProfile:
     """Wavelet centered on one feature, with the covariance-distance decay bound.
 
-    The values are column ``center`` of ``H_scale``, built from the operator's
-    eigendecomposition without materializing the matrix. For diffusion
-    kernels the entry at feature ``b`` is bounded by
+    The values are column ``center`` of ``H_scale`` (:func:`wavelet_matrices`).
+    For diffusion kernels the entry at feature ``b`` is bounded by
     ``1/d^s1(center, b) + 1/d^s2(center, b)`` where ``d^s(a, b)`` is the
     inverse magnitude of the s-step operator entry; the bound is evaluated
     and checked here.
@@ -477,8 +471,7 @@ def localization_profile(
         raise IndexError(f"center {center} outside 0..{n - 1}")
     if not 0 <= scale < filterbank.J:
         raise IndexError(f"scale {scale} outside 0..{filterbank.J - 1}")
-    vectors, kernels = _spectral_kernels(filterbank, operator)
-    values = (vectors * kernels[scale]) @ vectors[center]
+    values = wavelet_matrices(filterbank, operator)[scale][:, center].copy()
     if not isinstance(filterbank.family, Diffusion):
         return LocalizationProfile(center, scale, values, None, None)
 

@@ -222,6 +222,34 @@ class TestExperimentCommands:
         assert "wavelet_delta_" in err and "k_max=1e+308" in err
         assert not out.exists()
 
+    def test_bounds_overflow_past_the_frame_check_names_the_layers(self, tmp_path, capsys):
+        # frame_upper**2 is finite, so cst_fit accepts it, but J of them overflow
+        _, data_path, _ = make_data_files(tmp_path)
+        out = tmp_path / "b"
+        capsys.readouterr()
+        code = main(
+            ["bounds", "--data", str(data_path), "--out", str(out), "--family", "monic",
+             "--monic-beta", "1.2e155", "--j", "8", "--l", "2", "--k-max", "1e-300",
+             "--q", "1e-300"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "signal_stability_bound_unit_perturbation" in err and "2 layers" in err
+        assert "smaller constants" not in err
+        assert not out.exists()
+
+    def test_bounds_overflowing_estimated_kmax_is_a_data_error(self, tmp_path, capsys):
+        ds, _, _ = make_data_files(tmp_path)
+        data_path = tmp_path / "huge.csv"
+        write_data_csv(data_path, DataMatrix(ds.data.values * 1e80))
+        out = tmp_path / "b"
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["bounds", "--data", str(data_path), "--out", str(out)])
+        assert code == 3
+        assert "k_max" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_search(self, tmp_path):
         _, data_path, targets_path = make_data_files(tmp_path)
         out = tmp_path / "g"
