@@ -54,23 +54,27 @@ def _build_family(name, args):
 
 
 def _build_config(args):
+    """The config of the family flags; one a command does not take keeps its default."""
+    given = vars(args)
     return CstConfig(
         family=_build_family(args.family, args),
         J=args.j,
         L=args.l,
-        tau=args.tau,
-        aggregation=args.aggregation,
         operator_kind=args.operator,
         gamma_override=args.gamma,
+        **{key: given[key] for key in ("tau", "aggregation") if key in given},
     )
 
 
-def _add_family_flags(parser, tau_default=0.0):
+def _add_family_flags(parser, tau=True, aggregation=True):
+    """The transform's flags, less ``--tau`` or ``--aggregation`` where the run sets it."""
     parser.add_argument("--family", choices=sorted(FAMILY_NAMES), default="diffusion")
     parser.add_argument("--j", type=int, default=4, help="number of kernels")
     parser.add_argument("--l", type=int, default=2, help="number of layers")
-    parser.add_argument("--tau", type=float, default=tau_default, help="pruning threshold")
-    parser.add_argument("--aggregation", choices=["identity", "mean"], default="identity")
+    if tau:
+        parser.add_argument("--tau", type=float, default=0.0, help="pruning threshold")
+    if aggregation:
+        parser.add_argument("--aggregation", choices=list(AGGREGATIONS), default="identity")
     parser.add_argument("--operator", choices=list(OPERATOR_KINDS), default=NORMALIZED)
     parser.add_argument("--gamma", type=float, default=None, help="override the family default")
     parser.add_argument("--hann-r", type=float, default=3.0)
@@ -94,10 +98,6 @@ def _load_dataset(args, need_targets=True):
         if not args.targets:
             raise ConfigError("--targets is required for this command")
         targets = io.read_targets_csv(args.targets)
-        if targets.shape[0] != data.n_samples:
-            raise ConfigError(
-                f"{targets.shape[0]} targets for {data.n_samples} observations"
-            )
     return data, targets
 
 
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("stability", "covariance-perturbation stability experiment")
     common(p, seed=True)
-    _add_family_flags(p)
+    _add_family_flags(p, tau=False)  # the protocol never prunes
     _add_split_flags(p)
     p.add_argument("--families", type=_comma_strings, default=["diffusion", "hann", "monic"])
     p.add_argument("--pca-k", type=int, default=None)
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("prune-sweep", "pruning-threshold sweep")
     common(p, seed=True)
-    _add_family_flags(p)
+    _add_family_flags(p, tau=False)  # --taus sets it
     _add_split_flags(p)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--taus", type=_comma_floats, default=[0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7])
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("labeled-sweep", "labeled-set-size sweep")
     common(p, seed=True)
-    _add_family_flags(p)
+    _add_family_flags(p, aggregation=False)  # both aggregations always run
     _add_split_flags(p)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--pca-k", type=int, default=None)

@@ -307,25 +307,29 @@ def run_pruning_sweep(
 ) -> list[PruningRow]:
     """Regression quality and feature count as tau increases.
 
-    The model is fitted once per seed; the retention decision is made on the
-    fit pool at each tau, which replaces the tau of ``method.config``.
+    The model is fitted and its layout decided on the fit pool once per seed,
+    at the smallest tau, which replaces the tau of ``method.config``; each
+    tau's layout is that decision tightened (:meth:`ScatterLayout.tightened`).
     """
     taus = [float(t) for t in taus]
-    if any(b < a for a, b in zip(taus, taus[1:])):
+    if not taus:
+        raise ConfigError("at least one tau is needed")
+    if not all(a <= b for a, b in zip(taus, taus[1:])):
         raise ConfigError("taus must be ascending")
     if not seeds:
         raise ConfigError("at least one seed is needed")
+    # ascending, so the config's range check on the two ends covers every tau
+    dataclasses.replace(method.config, tau=taus[-1])
+    config = dataclasses.replace(method.config, tau=taus[0])
     x, y = _xy(data, targets)
     rows = []
     for seed in seeds:
         split = make_split(dataclasses.replace(split_spec, seed=seed), data.n_samples)
-        pool = split.fit_pool
-        fitted = cst_fit(sample_covariance(x[:, pool]), method.config)
+        pool_x = x[:, split.fit_pool]
+        model = cst_fit(sample_covariance(pool_x), config)
+        decided = decide_layout(model, pool_x)
         for tau in taus:
-            model = dataclasses.replace(
-                fitted, config=dataclasses.replace(fitted.config, tau=tau)
-            )
-            embedding = _Embedding(model, decide_layout(model, x[:, pool]).paths)
+            embedding = _Embedding(model, decided.tightened(tau).paths)
             z_train = embedding.embed(x[:, split.train])
             ridge = ridge_fit(z_train, y[split.train], method.alpha)
             rows.append(
@@ -364,42 +368,50 @@ def run_labeled_sweep(
     """Re-train the readout at several labeled-set sizes.
 
     Validation and test fractions come from the template; the training
-    fraction varies and the unlabeled fraction absorbs the remainder.
+    fraction varies and the unlabeled fraction absorbs the remainder. Every
+    fraction is checked before any fit. At one seed the fit pool (unlabeled
+    plus train) is usually the same index set for every fraction, so each
+    method is fitted once per distinct pool and only the readout is refitted
+    per fraction.
     """
     if not seeds:
         raise ConfigError("at least one seed is needed")
+    if not train_fracs:
+        raise ConfigError("at least one train fraction is needed")
     x, y = _xy(data, targets)
-    rows = []
+    specs = []
     for train_frac in train_fracs:
         unlabeled = 1.0 - split_template.valid_frac - split_template.test_frac - train_frac
         if unlabeled < -1e-9:
             raise ConfigError(f"train fraction {train_frac} leaves no room for the split")
-        for seed in seeds:
-            spec = SplitSpec(
-                unlabeled_frac=max(unlabeled, 0.0),
-                train_frac=train_frac,
-                valid_frac=split_template.valid_frac,
-                test_frac=split_template.test_frac,
-                seed=seed,
+        specs.append(
+            dataclasses.replace(
+                split_template, unlabeled_frac=max(unlabeled, 0.0), train_frac=train_frac
             )
-            split = make_split(spec, data.n_samples)
+        )
+    rows = []
+    for seed in seeds:
+        fits = {}  # sorted fit-pool indices -> each method's embedding
+        for spec in specs:
+            train_frac = float(spec.train_frac)
+            split = make_split(dataclasses.replace(spec, seed=seed), data.n_samples)
             if split.train.shape[0] < 2:
                 for method in methods:
-                    rows.append(
-                        LabeledRow(method.name, float(train_frac), seed, "skipped", None, None)
-                    )
+                    rows.append(LabeledRow(method.name, train_frac, seed, "skipped", None, None))
                 continue
-            pool_x = x[:, split.fit_pool]
-            cov = sample_covariance(pool_x)
-            for method in methods:
-                embedding = _fit(method, cov, pool_x)
+            pool = split.fit_pool.tobytes()
+            if pool not in fits:
+                pool_x = x[:, split.fit_pool]
+                cov = sample_covariance(pool_x)
+                fits[pool] = [_fit(method, cov, pool_x) for method in methods]
+            for method, embedding in zip(methods, fits[pool]):
                 z_train = embedding.embed(x[:, split.train])
                 ridge = ridge_fit(z_train, y[split.train], method.alpha)
                 z_test = embedding.embed(x[:, split.test])
                 rows.append(
                     LabeledRow(
                         method.name,
-                        float(train_frac),
+                        train_frac,
                         seed,
                         "ok",
                         mae(ridge.predict(z_test), y[split.test]),

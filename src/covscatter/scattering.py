@@ -5,7 +5,9 @@ matrices. One layer-wise pass over a batch of signals (:func:`_scatter`)
 applies every kernel followed by an absolute-value nonlinearity,
 discarding branches whose energy ratio to their parent does not exceed
 the pruning threshold ``CstConfig.tau``; the public transforms are its
-consumers.
+consumers. A child's ratio does not depend on tau, so a layout decided at
+one tau yields the layout at any larger tau by thresholding
+(:meth:`ScatterLayout.tightened`).
 Coefficients are laid out breadth-first by layer, then lexicographically
 by scale indices, so serialized features are comparable across runs.
 """
@@ -111,10 +113,55 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class ScatterLayout:
-    """Shared retention decision for a batch: retained paths in output order."""
+    """Shared retention decision for a batch at ``tau``: retained paths in output order.
 
+    ``ratios`` holds the batch-mean energy ratio of every child the deciding
+    pass computed, in output order; ``pruned`` is the part of it that this
+    decision removed.
+    """
+
+    tau: float
+    ratios: dict  # path -> batch-mean energy ratio
     paths: tuple[Path, ...]
     pruned: dict  # path -> batch-mean energy ratio that removed it
+
+    def tightened(self, tau: float) -> ScatterLayout:
+        """The decision at ``tau``, equal to deciding afresh there.
+
+        A smaller tau than this layout's own is a :class:`ConfigError`: its
+        decision would need the children of paths pruned here, which the
+        deciding pass never computed.
+        """
+        if not tau >= self.tau:
+            raise ConfigError(
+                f"a layout decided at tau {self.tau} cannot give the one at tau {tau}"
+            )
+        return _threshold(self.ratios, tau)
+
+
+def _kept(ratio: float, tau: float) -> bool:
+    """The pruning rule: a child is kept iff its energy ratio strictly exceeds tau."""
+    return ratio > tau
+
+
+def _threshold(ratios: dict, tau: float) -> ScatterLayout:
+    """The decision at ``tau`` from a deciding pass's ``ratios``, given in output order.
+
+    A path is kept iff its parent is kept and its ratio passes :func:`_kept`;
+    a child of a kept path that fails is pruned.
+    """
+    paths: list[Path] = [()]
+    pruned: dict[Path, float] = {}
+    kept = {()}
+    for path, ratio in ratios.items():
+        if path[:-1] not in kept:
+            continue
+        if _kept(ratio, tau):
+            kept.add(path)
+            paths.append(path)
+        else:
+            pruned[path] = ratio
+    return ScatterLayout(tau=tau, ratios=ratios, paths=tuple(paths), pruned=pruned)
 
 
 @dataclass(frozen=True)
@@ -180,7 +227,7 @@ def _scatter(
     x: np.ndarray,
     prune: bool,
     layout: tuple[Path, ...] | None,
-    pruned: dict,
+    ratios: dict,
 ):
     """The scattering recursion, run layer by layer over a batch ``x`` of shape (N, n).
 
@@ -188,12 +235,14 @@ def _scatter(
     child, in layout order (breadth-first, then lexicographic). Each child
     is computed once. Without ``layout``, a child is retained iff the batch
     mean of its per-sample energy ratio (child norm over parent norm, zero
-    where the parent has zero energy) strictly exceeds ``model.config.tau``,
-    or always when ``prune`` is false; every pruned path is recorded in
-    ``pruned`` with that ratio. With ``layout``, a child is retained iff its
-    path is in the layout, and no other child is computed. Only the signals
-    of layers that still have children to compute are kept, so a caller that
-    drops the yielded signals holds no more than two layers at a time.
+    where the parent has zero energy) passes :func:`_kept` at
+    ``model.config.tau``, or always when ``prune`` is false; when pruning,
+    every child decided on is recorded in ``ratios`` with that ratio, from
+    which :func:`_threshold` reads the decision. With ``layout``, a child is
+    retained iff its path is in the layout, and no other child is computed.
+    Only the signals of layers that still have children to compute are kept,
+    so a caller that drops the yielded signals holds no more than two layers
+    at a time.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != model.n_features:
@@ -220,10 +269,10 @@ def _scatter(
                 children = np.abs(mats[j] @ signals)
                 child_norms = np.linalg.norm(children, axis=0)
                 if follow is None and prune:
-                    ratios = np.where(parent_norms > 0.0, child_norms / safe_parent, 0.0)
-                    ratio = float(ratios.mean())
-                    if not ratio > tau:
-                        pruned[child_path] = ratio
+                    child_ratios = np.where(parent_norms > 0.0, child_norms / safe_parent, 0.0)
+                    ratio = float(child_ratios.mean())
+                    ratios[child_path] = ratio
+                    if not _kept(ratio, tau):
                         continue
                 yield child_path, children, child_norms
                 if keep:
@@ -245,10 +294,10 @@ def cst_transform(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.n_features:
         raise ShapeError(f"expected a length-{model.n_features} signal, got shape {x.shape}")
-    pruned: dict[Path, float] = {}
+    ratios: dict[Path, float] = {}
     nodes: dict[Path, tuple[np.ndarray, float]] = {}
     blocks = []
-    for path, signals, norms in _scatter(model, x[:, None], prune, None, pruned):
+    for path, signals, norms in _scatter(model, x[:, None], prune, None, ratios):
         nodes[path] = (signals[:, 0], float(norms[0]))
         blocks.append(_aggregate(model, signals)[0])
     features = FeatureVector(
@@ -256,6 +305,7 @@ def cst_transform(
         layout=tuple(nodes),
         width=model.feature_width,
     )
+    pruned = _threshold(ratios, model.config.tau).pruned
     return ScatterTree(nodes=nodes, pruned_paths=pruned), features
 
 
@@ -265,13 +315,16 @@ def decide_layout(model: CstModel, x: np.ndarray) -> ScatterLayout:
     Decides at ``model.config.tau`` as :func:`cst_transform_batch` does,
     keeping no signal of the last layer. Every sample then yields an
     identically shaped feature vector, which downstream regression needs.
-    To decide at another tau, pass a fitted model whose config has only its
-    ``tau`` (or ``aggregation``) replaced (``dataclasses.replace``); the
-    matrices need no refit. Any other field must be changed by refitting.
+    The decision at a larger tau is ``.tightened(tau)`` of the result, with
+    no further pass. To decide at a smaller tau, pass a fitted model whose
+    config has only its ``tau`` (or ``aggregation``) replaced
+    (``dataclasses.replace``); the matrices need no refit. Any other field
+    must be changed by refitting.
     """
-    pruned: dict[Path, float] = {}
-    paths = tuple(path for path, _, _ in _scatter(model, x, True, None, pruned))
-    return ScatterLayout(paths=paths, pruned=pruned)
+    ratios: dict[Path, float] = {}
+    for _ in _scatter(model, x, True, None, ratios):
+        pass
+    return _threshold(ratios, model.config.tau)
 
 
 def cst_transform_batch(
@@ -287,9 +340,9 @@ def cst_transform_batch(
     path's block is written straight into one preallocated matrix.
     """
     x = data.values if hasattr(data, "values") else data
-    pruned: dict[Path, float] = {}
+    ratios: dict[Path, float] = {}
     width = model.feature_width
-    passes = _scatter(model, x, True, layout, pruned)
+    passes = _scatter(model, x, True, layout, ratios)
     if layout is None:
         paths, blocks = [], []
         for path, signals, _ in passes:
@@ -312,4 +365,5 @@ def cst_transform_batch(
             filled += 1
         if filled != len(paths):
             raise out_of_order
+    pruned = _threshold(ratios, model.config.tau).pruned
     return BatchFeatures(matrix=matrix, layout=tuple(paths), width=width, pruned=pruned)

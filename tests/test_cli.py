@@ -8,7 +8,13 @@ import scipy
 import covscatter
 
 from covscatter.cli import main
-from covscatter.io import read_data_csv, read_keyvalue, read_targets_csv, write_data_csv
+from covscatter.io import (
+    read_data_csv,
+    read_keyvalue,
+    read_targets_csv,
+    write_data_csv,
+    write_targets_csv,
+)
 from covscatter.scattering import CstConfig, cst_fit, cst_transform_batch
 from covscatter.spectral import DataMatrix, sample_covariance
 from covscatter.synthdata import SynthSpec, synth_generate
@@ -362,6 +368,9 @@ class TestFlagValues:
         "stability-runs-negative": [*STABILITY, "--runs", "-1"],
         "prune-sweep-runs-zero": [*PRUNE_SWEEP, "--runs", "0"],
         "labeled-sweep-runs-zero": [*LABELED_SWEEP, "--runs", "0"],
+        # the last list wins, so these ask for an empty sweep
+        "prune-sweep-empty-taus": [*PRUNE_SWEEP, "--taus="],
+        "labeled-sweep-empty-train-fracs": [*LABELED_SWEEP, "--train-fracs="],
         "stability-pca-k-zero": [*STABILITY, "--pca-k", "0"],
         "labeled-sweep-pca-k-zero": [*LABELED_SWEEP, "--pca-k", "0"],
         "bounds-pca-k-zero": ["bounds", "--data", "{data}", "--pca-k", "0"],
@@ -381,6 +390,53 @@ class TestFlagValues:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Warning" not in err and "Traceback" not in err
+
+    # the flags a command's run would override: stability never prunes, --taus sets
+    # prune-sweep's tau and labeled-sweep runs both aggregations
+    DROPPED = {
+        "stability-tau": (STABILITY, "tau", "0.1"),
+        "prune-sweep-tau": (PRUNE_SWEEP, "tau", "0.1"),
+        "labeled-sweep-aggregation": (LABELED_SWEEP, "aggregation", "mean"),
+    }
+
+    @pytest.mark.parametrize("argv, key, value", DROPPED.values(), ids=DROPPED.keys())
+    def test_dropped_flag_is_usage_error(self, tmp_path, capsys, argv, key, value):
+        _, data_path, targets_path = make_data_files(tmp_path)
+        argv = [arg.format(data=data_path, targets=targets_path) for arg in argv]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--{key}", value, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"--{key}" in capsys.readouterr().err
+        # an older provenance file that still holds the key
+        conf = tmp_path / "old.provenance.txt"
+        conf.write_text(f"{key} = {value}\n")
+        assert main([*argv, "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"unknown config key {key!r}" in err
+        assert not (tmp_path / "o").exists()
+
+    COMMANDS_WITH_TARGETS = {
+        "stability": STABILITY,
+        "prune-sweep": PRUNE_SWEEP,
+        "labeled-sweep": LABELED_SWEEP,
+        "grid-search": ["grid-search", *SPLIT, "--grid-j", "2", "--grid-l", "2"],
+    }
+
+    @pytest.mark.parametrize(
+        "argv", COMMANDS_WITH_TARGETS.values(), ids=COMMANDS_WITH_TARGETS.keys()
+    )
+    def test_wrong_target_count_is_data_error(self, tmp_path, capsys, argv):
+        ds, data_path, _ = make_data_files(tmp_path)
+        short = tmp_path / "short.csv"
+        write_targets_csv(short, ds.targets[:-1])
+        argv = [arg.format(data=data_path, targets=short) for arg in argv]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "expected 120 targets" in err and "Traceback" not in err
 
     def test_tiny_effective_rank_writes_without_warning(self, tmp_path, capsys):
         # below 1e-4 every eigenvalue past the first underflows to zero: the same data

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from covscatter import harness
 from covscatter.errors import ConfigError, InvalidK, ShapeError
 from covscatter.readout import mae, ridge_fit
 from covscatter.harness import (
@@ -37,6 +38,20 @@ def dataset():
     return synth_generate(
         SynthSpec(n_features=12, n_samples=300, tail=0.5, noise_sigma=0.1, seed=42)
     )
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """The tau of every layout decision the harness makes while the test runs."""
+    calls = []
+    decide = harness.decide_layout
+
+    def counting_decide_layout(model, x):
+        calls.append(model.config.tau)
+        return decide(model, x)
+
+    monkeypatch.setattr(harness, "decide_layout", counting_decide_layout)
+    return calls
 
 
 def _four_methods():
@@ -226,6 +241,29 @@ class TestPruningSweep:
                 dataset.data, dataset.targets, method, [0.3, 0.1], DEFAULT_SPLIT, [0]
             )
 
+    @pytest.mark.parametrize("taus", [[0.0, 1.5], [0.0, float("nan"), 0.5]], ids=["one", "nan"])
+    def test_out_of_range_tau_rejected_before_any_fit(self, dataset, eig_calls, taus):
+        method = CstMethod("cst", CstConfig(family=Diffusion(), J=3, L=2), alpha=1.0)
+        with pytest.raises(ConfigError):
+            run_pruning_sweep(dataset.data, dataset.targets, method, taus, DEFAULT_SPLIT, [0])
+        assert eig_calls == []
+
+    def test_rows_equal_one_tau_runs(self, dataset, eig_calls, decisions):
+        method = CstMethod("cst", CstConfig(family=Diffusion(), J=3, L=3), alpha=1.0)
+        kwargs = dict(split_spec=DEFAULT_SPLIT, seeds=[0, 1])
+        taus = [0.05, 0.1, 0.3, 0.6]
+        together = run_pruning_sweep(dataset.data, dataset.targets, method, taus, **kwargs)
+        # one fit per seed, decided at the smallest tau
+        assert len(eig_calls) == 2 and decisions == [0.05, 0.05]
+        apart = [
+            row
+            for tau in taus
+            for row in run_pruning_sweep(dataset.data, dataset.targets, method, [tau], **kwargs)
+        ]
+        apart.sort(key=lambda r: (r.tau, r.seed))
+        assert together == apart
+        assert len({r.feature_count for r in together}) > 1  # the taus prune differently
+
 
 class TestLabeledSweep:
     def test_raw_equals_full_rank_pca(self, dataset):
@@ -283,6 +321,37 @@ class TestLabeledSweep:
         ]
         apart.sort(key=lambda r: (r.method, r.train_frac, r.seed))
         assert together == apart
+
+    def test_rows_equal_one_fraction_runs(self, dataset, eig_calls, decisions):
+        # rounding gives these fractions fit pools of 236 and 235 of the 300 samples
+        template = SplitSpec(0.685, 0.1, 0.1, 0.115, seed=0)
+        fracs = [0.1, 0.2]
+        methods = _four_methods()
+        kwargs = dict(split_template=template, seeds=[0, 1])
+        together = run_labeled_sweep(dataset.data, dataset.targets, methods, fracs, **kwargs)
+        # each seed's two pools are each estimated once and fitted once per CST method
+        assert len(eig_calls) == 2 * 2 and len(decisions) == 2 * 2 * 2
+        apart = [
+            row
+            for f in fracs
+            for row in run_labeled_sweep(dataset.data, dataset.targets, methods, [f], **kwargs)
+        ]
+        apart.sort(key=lambda r: (r.method, r.train_frac, r.seed))
+        assert together == apart
+
+    def test_shared_pool_fitted_once_per_seed(self, dataset, eig_calls, decisions):
+        # with the default template every train fraction leaves the same fit pool
+        run_labeled_sweep(
+            dataset.data, dataset.targets, _four_methods(), [0.05, 0.1, 0.2], DEFAULT_SPLIT, [0, 1]
+        )
+        assert len(eig_calls) == 2 and len(decisions) == 2 * 2
+
+    def test_every_fraction_checked_before_any_fit(self, dataset, eig_calls):
+        with pytest.raises(ConfigError, match="train fraction 0.7"):
+            run_labeled_sweep(
+                dataset.data, dataset.targets, _four_methods(), [0.1, 0.7], DEFAULT_SPLIT, [0]
+            )
+        assert eig_calls == []
 
 
 class TestGridSearch:

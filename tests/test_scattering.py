@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -18,7 +19,7 @@ from covscatter.scattering import (
     feature_count,
     path_name,
 )
-from covscatter.spectral import INVERTED, SampleCovariance, sample_covariance
+from covscatter.spectral import INVERTED, NORMALIZED, SampleCovariance, sample_covariance
 from covscatter.synthdata import SynthSpec, synth_generate
 from covscatter.wavelets import Diffusion, Hann, Monic
 
@@ -307,6 +308,40 @@ class TestBatch:
         assert followed.matrix.shape == (7, len(layout) * model.feature_width)
         assert followed.matrix.flags.c_contiguous
         assert np.array_equal(followed.matrix, reference)
+
+
+class TestTightenedLayout:
+    TAUS = (0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7)
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return synth_generate(SynthSpec(n_features=20, n_samples=200, tail=0.5, seed=9)).data
+
+    @pytest.mark.parametrize("operator", [NORMALIZED, INVERTED])
+    @pytest.mark.parametrize(
+        "family", [Diffusion(), Hann(), Monic()], ids=["diffusion", "hann", "monic"]
+    )
+    def test_equals_deciding_at_each_tau(self, data, family, operator):
+        config = CstConfig(family=family, J=3, L=3, tau=self.TAUS[0], operator_kind=operator)
+        model = cst_fit(sample_covariance(data), config)
+        decided = decide_layout(model, data.values)
+        layouts = set()
+        for tau in self.TAUS:
+            at_tau = dataclasses.replace(model, config=dataclasses.replace(config, tau=tau))
+            fresh = decide_layout(at_tau, data.values)
+            tightened = decided.tightened(tau)
+            assert tightened.paths == fresh.paths
+            assert tightened.pruned == fresh.pruned
+            layouts.add(fresh.paths)
+        assert len(layouts) >= 3  # the taus do not all give the same layout
+
+    def test_smaller_tau_rejected(self, data):
+        model = cst_fit(sample_covariance(data), CstConfig(family=Diffusion(), J=3, L=3, tau=0.2))
+        decided = decide_layout(model, data.values)
+        assert decided.tightened(0.2).paths == decided.paths
+        for tau in (0.1, float("nan")):
+            with pytest.raises(ConfigError, match="decided at tau 0.2"):
+                decided.tightened(tau)
 
 
 class TestFeatureCount:
