@@ -53,35 +53,43 @@ def _build_family(name, args):
     return Monic(alpha=args.monic_alpha, beta=args.monic_beta, K=args.monic_k)
 
 
+# what --j, --l and --operator default to; grid-search, whose grids set them,
+# keeps these in the base config it hands the search
+_DEFAULT_J, _DEFAULT_L = 4, 2
+
+
 def _build_config(args):
     """The config of the family flags; one a command does not take keeps its default."""
     given = vars(args)
     return CstConfig(
         family=_build_family(args.family, args),
-        J=args.j,
-        L=args.l,
-        operator_kind=args.operator,
+        J=given.get("j", _DEFAULT_J),
+        L=given.get("l", _DEFAULT_L),
+        operator_kind=given.get("operator", NORMALIZED),
         gamma_override=args.gamma,
         **{key: given[key] for key in ("tau", "aggregation") if key in given},
     )
 
 
-def _add_family_flags(parser, tau=True, aggregation=True):
-    """The transform's flags, less ``--tau`` or ``--aggregation`` where the run sets it."""
-    parser.add_argument("--family", choices=sorted(FAMILY_NAMES), default="diffusion")
-    parser.add_argument("--j", type=int, default=4, help="number of kernels")
-    parser.add_argument("--l", type=int, default=2, help="number of layers")
-    if tau:
-        parser.add_argument("--tau", type=float, default=0.0, help="pruning threshold")
-    if aggregation:
-        parser.add_argument("--aggregation", choices=list(AGGREGATIONS), default="identity")
-    parser.add_argument("--operator", choices=list(OPERATOR_KINDS), default=NORMALIZED)
-    parser.add_argument("--gamma", type=float, default=None, help="override the family default")
-    parser.add_argument("--hann-r", type=float, default=3.0)
-    parser.add_argument("--no-warp", action="store_true", help="disable Hann spectral warping")
-    parser.add_argument("--monic-alpha", type=float, default=2.0)
-    parser.add_argument("--monic-beta", type=float, default=2.0)
-    parser.add_argument("--monic-k", type=float, default=20.0)
+def _add_family_flags(parser, without=()):
+    """The transform's flags, less those in ``without``, which the command's run sets itself."""
+
+    def add(flag, **kwargs):
+        if flag not in without:
+            parser.add_argument(f"--{flag}", **kwargs)
+
+    add("family", choices=sorted(FAMILY_NAMES), default="diffusion")
+    add("j", type=int, default=_DEFAULT_J, help="number of kernels")
+    add("l", type=int, default=_DEFAULT_L, help="number of layers")
+    add("tau", type=float, default=0.0, help="pruning threshold")
+    add("aggregation", choices=list(AGGREGATIONS), default="identity")
+    add("operator", choices=list(OPERATOR_KINDS), default=NORMALIZED)
+    add("gamma", type=float, default=None, help="override the family default")
+    add("hann-r", type=float, default=3.0)
+    add("no-warp", action="store_true", help="disable Hann spectral warping")
+    add("monic-alpha", type=float, default=2.0)
+    add("monic-beta", type=float, default=2.0)
+    add("monic-k", type=float, default=20.0)
 
 
 def _add_split_flags(parser):
@@ -440,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("stability", "covariance-perturbation stability experiment")
     common(p, seed=True)
-    _add_family_flags(p, tau=False)  # the protocol never prunes
+    _add_family_flags(p, without=("tau",))  # the protocol never prunes
     _add_split_flags(p)
     p.add_argument("--families", type=_comma_strings, default=["diffusion", "hann", "monic"])
     p.add_argument("--pca-k", type=int, default=None)
@@ -456,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("prune-sweep", "pruning-threshold sweep")
     common(p, seed=True)
-    _add_family_flags(p, tau=False)  # --taus sets it
+    _add_family_flags(p, without=("tau",))  # --taus sets it
     _add_split_flags(p)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--taus", type=_comma_floats, default=[0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7])
@@ -465,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("labeled-sweep", "labeled-set-size sweep")
     common(p, seed=True)
-    _add_family_flags(p, aggregation=False)  # both aggregations always run
+    _add_family_flags(p, without=("aggregation",))  # both aggregations always run
     _add_split_flags(p)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--pca-k", type=int, default=None)
@@ -477,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bounds", "evaluate the stability-bound formulas")
     common(p)
-    _add_family_flags(p)
+    _add_family_flags(p, without=("tau",))  # no bound reads it
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--g", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=1.0)
@@ -488,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("grid-search", "grid search over transform configurations")
     common(p, seed=True)
-    _add_family_flags(p)
+    _add_family_flags(p, without=("j", "l", "operator"))  # the grids set them
     _add_split_flags(p)
     p.add_argument("--grid-j", type=_comma_ints, default=[4, 5, 6, 7])
     p.add_argument("--grid-l", type=_comma_ints, default=[2, 3, 4])

@@ -26,7 +26,16 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .readout import PcaModel, mae, mse, pca_fit, pca_transform, ridge_fit, ridge_path
+from .readout import (
+    PcaModel,
+    dual_ridge_predict,
+    mae,
+    mse,
+    pca_fit,
+    pca_transform,
+    ridge_fit,
+    ridge_path,
+)
 from .scattering import (
     CstConfig,
     CstModel,
@@ -34,6 +43,7 @@ from .scattering import (
     cst_fit,
     cst_transform_batch,
     decide_layout,
+    layout_blocks,
 )
 from .spectral import DataMatrix, SampleCovariance, sample_covariance
 from . import bounds as bounds_mod
@@ -372,7 +382,8 @@ def run_labeled_sweep(
     fraction is checked before any fit. At one seed the fit pool (unlabeled
     plus train) is usually the same index set for every fraction, so each
     method is fitted once per distinct pool and only the readout is refitted
-    per fraction.
+    per fraction. The test set is the same at every fraction too, so each
+    fitted method embeds it once per distinct test set.
     """
     if not seeds:
         raise ConfigError("at least one seed is needed")
@@ -392,6 +403,7 @@ def run_labeled_sweep(
     rows = []
     for seed in seeds:
         fits = {}  # sorted fit-pool indices -> each method's embedding
+        z_tests = {}  # (fit pool, test indices) -> each method's test embedding
         for spec in specs:
             train_frac = float(spec.train_frac)
             split = make_split(dataclasses.replace(spec, seed=seed), data.n_samples)
@@ -404,10 +416,12 @@ def run_labeled_sweep(
                 pool_x = x[:, split.fit_pool]
                 cov = sample_covariance(pool_x)
                 fits[pool] = [_fit(method, cov, pool_x) for method in methods]
-            for method, embedding in zip(methods, fits[pool]):
+            tested = (pool, split.test.tobytes())
+            if tested not in z_tests:
+                z_tests[tested] = [embedding.embed(x[:, split.test]) for embedding in fits[pool]]
+            for method, embedding, z_test in zip(methods, fits[pool], z_tests[tested]):
                 z_train = embedding.embed(x[:, split.train])
                 ridge = ridge_fit(z_train, y[split.train], method.alpha)
-                z_test = embedding.embed(x[:, split.test])
                 rows.append(
                     LabeledRow(
                         method.name,
@@ -447,7 +461,19 @@ def grid_search(
     alpha_grid: Sequence[float],
     split_spec: SplitSpec,
 ) -> tuple[list[GridRow], GridRow]:
-    """Validation-MAE grid search; ties go to the smaller feature count."""
+    """Validation-MAE grid search; ties go to the smaller feature count.
+
+    Every configuration is fitted on one covariance of the fit pool and
+    decides its layout there. The readout then takes one of two branches,
+    chosen once the layout gives the feature count D. With D at most the
+    train count t, the train and valid feature matrices are embedded and
+    :func:`ridge_path` solves the primal. With D > t, no feature matrix is
+    formed: :func:`dual_ridge_predict` sums the t x t dual kernel over the
+    path blocks of one followed pass over train, then predicts from a
+    second pass over train and valid as one batch (:func:`layout_blocks`).
+    The dual rows equal the materialized solve's up to the order of the
+    sums.
+    """
     from .wavelets import family_name
 
     if not all(len(grid) for grid in (j_grid, l_grid, operator_grid, alpha_grid)):
@@ -456,6 +482,9 @@ def grid_search(
     split = make_split(split_spec, data.n_samples)
     pool_x = x[:, split.fit_pool]
     cov = sample_covariance(pool_x)
+    train_x, valid_x = x[:, split.train], x[:, split.valid]
+    joint_x = np.concatenate([train_x, valid_x], axis=1)
+    y_train, y_valid = y[split.train], y[split.valid]
     rows: list[GridRow] = []
     for j in j_grid:
         for layers in l_grid:
@@ -464,19 +493,30 @@ def grid_search(
                     base_config, J=int(j), L=int(layers), operator_kind=kind
                 )
                 model = cst_fit(cov, config)
-                embedding = _Embedding(model, decide_layout(model, pool_x).paths)
-                z_train = embedding.embed(x[:, split.train])
-                z_valid = embedding.embed(x[:, split.valid])
-                for ridge in ridge_path(z_train, y[split.train], alpha_grid):
+                layout = decide_layout(model, pool_x).paths
+                d = len(layout) * model.feature_width
+                if d > y_train.shape[0]:
+                    predictions = dual_ridge_predict(
+                        layout_blocks(model, train_x, layout),
+                        layout_blocks(model, joint_x, layout),
+                        y_train,
+                        alpha_grid,
+                    )
+                else:
+                    embedding = _Embedding(model, layout)
+                    z_valid = embedding.embed(valid_x)
+                    ridges = ridge_path(embedding.embed(train_x), y_train, alpha_grid)
+                    predictions = [ridge.predict(z_valid) for ridge in ridges]
+                for alpha, prediction in zip(alpha_grid, predictions):
                     rows.append(
                         GridRow(
                             family=family_name(config.family),
                             J=int(j),
                             L=int(layers),
                             operator=kind,
-                            alpha=ridge.alpha,
-                            valid_mae=mae(ridge.predict(z_valid), y[split.valid]),
-                            feature_count=z_train.shape[0],
+                            alpha=float(alpha),
+                            valid_mae=mae(prediction, y_valid),
+                            feature_count=d,
                         )
                     )
     best = min(rows, key=lambda r: (r.valid_mae, r.feature_count, r.J, r.L, r.operator, r.alpha))

@@ -70,6 +70,25 @@ def _spd_solve(matrix, rhs):
     return scipy.linalg.cho_solve(factor, rhs)
 
 
+def _checked(targets, alphas) -> tuple[np.ndarray, list]:
+    """The targets as a float vector and the alpha grid as a list, checked for a ridge solve.
+
+    Both solvers share this: at least one target, every target finite, and
+    every alpha in [0, inf).
+    """
+    y = np.asarray(targets, dtype=np.float64)
+    if y.ndim != 1:
+        raise ShapeError(f"targets must be a vector, got shape {y.shape}")
+    if y.shape[0] < 1:
+        raise InvalidData("need at least one sample")
+    if not np.all(np.isfinite(y)):
+        raise InvalidData("targets contain non-finite entries")
+    alphas = list(alphas)
+    if not all(0.0 <= alpha < math.inf for alpha in alphas):
+        raise ConfigError("alpha_R must be finite and non-negative")
+    return y, alphas
+
+
 def ridge_path(features: np.ndarray, targets: np.ndarray, alphas) -> list[RidgeModel]:
     """Closed-form ridge on centered features and targets, one model per alpha.
 
@@ -78,19 +97,14 @@ def ridge_path(features: np.ndarray, targets: np.ndarray, alphas) -> list[RidgeM
     equations when D <= T and the equivalent T x T dual otherwise, keeping
     each solve cubic in min(D, T).
     """
+    y, alphas = _checked(targets, alphas)
     z = np.asarray(features, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
     if z.ndim == 1:
         z = z[None, :]
-    if z.ndim != 2 or y.ndim != 1 or z.shape[1] != y.shape[0]:
+    if z.ndim != 2 or z.shape[1] != y.shape[0]:
         raise ShapeError(f"incompatible shapes {z.shape} and {y.shape}")
-    if y.shape[0] < 1:
-        raise InvalidData("need at least one sample")
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
-        raise InvalidData("features or targets contain non-finite entries")
-    alphas = list(alphas)
-    if not all(0.0 <= alpha < math.inf for alpha in alphas):
-        raise ConfigError("alpha_R must be finite and non-negative")
+    if not np.all(np.isfinite(z)):
+        raise InvalidData("features contain non-finite entries")
 
     d, t = z.shape
     z_bar = z.mean(axis=1)
@@ -111,6 +125,71 @@ def ridge_path(features: np.ndarray, targets: np.ndarray, alphas) -> list[RidgeM
             )
         )
     return models
+
+
+def dual_ridge_predict(train_blocks, joint_blocks, targets, alphas) -> np.ndarray:
+    """Dual ridge predictions for every alpha, from feature blocks taken one at a time.
+
+    The dual solve of :func:`ridge_path` (Saunders, Gammerman & Vovk,
+    "Ridge Regression Learning Algorithm in Dual Variables", ICML 1998)
+    without a feature matrix: the features come as blocks of columns, such
+    as one scattering path each, and no more than one block and its weights
+    are held at a time. It pays when the feature count D is above the train
+    count t, where it needs only a t x t kernel.
+
+    ``train_blocks`` yields each block's train rows, (t, width), one row
+    per target; it is consumed first. Each block is checked for finite
+    values and centred on its own train mean, and the sum of the centred
+    blocks' products is the kernel K, so that ``(K + alpha I) s = y_c`` is
+    solved for every alpha at once. ``joint_blocks`` then yields the same
+    blocks in the same order, each for the t train samples followed by the
+    samples to predict; a block's weights are its centred train rows
+    transposed times the solutions.
+
+    Returns the (n_alphas, n_predicted) predictions, equal to
+    ``ridge_path(z_train, targets, alphas)[i].predict(z)`` up to the order of
+    the sums.
+    """
+    y, alphas = _checked(targets, alphas)
+    t = y.shape[0]
+    kernel = np.zeros((t, t))
+    means = []
+    for block in train_blocks:
+        b = np.asarray(block, dtype=np.float64)
+        if b.ndim != 2 or b.shape[0] != t:
+            raise ShapeError(f"expected blocks of {t} train rows, got shape {b.shape}")
+        if not np.all(np.isfinite(b)):
+            raise InvalidData("features contain non-finite entries")
+        b_mean = b.mean(axis=0)
+        centred = b - b_mean
+        kernel += centred @ centred.T
+        means.append(b_mean)
+    if not means:
+        raise ShapeError("need at least one feature block")
+    y_bar = float(y.mean())
+    yc = y - y_bar
+    identity = np.eye(t)
+    solutions = np.empty((t, len(alphas)))
+    for i, alpha in enumerate(alphas):
+        solutions[:, i] = _spd_solve(kernel + alpha * identity, yc)
+
+    mismatch = ShapeError("the joint blocks must repeat the train blocks over one set of rows")
+    predictions = offset = 0.0
+    rows = None
+    count = 0
+    for block in joint_blocks:
+        b = np.asarray(block, dtype=np.float64)
+        if rows is None:
+            rows = b.shape[0] if b.ndim == 2 else -1
+        if count == len(means) or rows < t or b.shape != (rows, means[count].shape[0]):
+            raise mismatch
+        weights = (b[:t] - means[count]).T @ solutions
+        predictions = predictions + b[t:] @ weights
+        offset = offset + means[count] @ weights
+        count += 1
+    if count != len(means):
+        raise mismatch
+    return (predictions + (y_bar - offset)).T
 
 
 def ridge_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> RidgeModel:

@@ -327,6 +327,30 @@ def decide_layout(model: CstModel, x: np.ndarray) -> ScatterLayout:
     return _threshold(ratios, model.config.tau)
 
 
+def layout_blocks(model: CstModel, x: np.ndarray, layout: tuple[Path, ...]):
+    """Follow ``layout`` over a batch ``x`` (N, n): yield each path's (n, width) block.
+
+    ``layout`` lists paths in layout order, such as ``decide_layout(...).paths``;
+    the blocks come in that order, one path at a time, so a consumer that
+    keeps only what it sums holds no feature matrix. A layout out of order,
+    or with a path whose parent is missing, raises :class:`ConfigError` once
+    the pass reaches the fault, so only a consumer that exhausts the
+    generator has had every block checked.
+    """
+    paths = tuple(layout)
+    out_of_order = ConfigError(
+        "layout must list retained paths in breadth-first, lexicographic order"
+    )
+    filled = 0
+    for path, signals, _ in _scatter(model, x, True, paths, {}):
+        if filled == len(paths) or path != paths[filled]:
+            raise out_of_order
+        yield _aggregate(model, signals)
+        filled += 1
+    if filled != len(paths):
+        raise out_of_order
+
+
 def cst_transform_batch(
     model: CstModel, data, layout: tuple[Path, ...] | None = None
 ) -> BatchFeatures:
@@ -335,35 +359,26 @@ def cst_transform_batch(
     Without ``layout`` the pass decides which paths to keep from the batch
     itself at ``model.config.tau`` (see :func:`_scatter`). With ``layout``, a
     tuple of paths in layout order such as ``decide_layout(...).paths``, it
-    follows that fixed schema instead, so samples embedded apart share one
-    feature layout; the output width is then known in advance, and each
-    path's block is written straight into one preallocated matrix.
+    follows that fixed schema instead (:func:`layout_blocks`), so samples
+    embedded apart share one feature layout; the output width is then known
+    in advance, and each path's block is written straight into one
+    preallocated matrix.
     """
     x = data.values if hasattr(data, "values") else data
     ratios: dict[Path, float] = {}
     width = model.feature_width
-    passes = _scatter(model, x, True, layout, ratios)
     if layout is None:
         paths, blocks = [], []
-        for path, signals, _ in passes:
+        for path, signals, _ in _scatter(model, x, True, None, ratios):
             paths.append(path)
             blocks.append(_aggregate(model, signals))
         matrix = np.concatenate(blocks, axis=1)
     else:
         paths = tuple(layout)
-        out_of_order = ConfigError(
-            "layout must list retained paths in breadth-first, lexicographic order"
-        )
         matrix = None
-        filled = 0
-        for path, signals, _ in passes:
-            if filled == len(paths) or path != paths[filled]:
-                raise out_of_order
+        for filled, block in enumerate(layout_blocks(model, x, paths)):
             if matrix is None:  # the root: x has passed _scatter's checks
-                matrix = np.empty((signals.shape[1], len(paths) * width))
-            matrix[:, filled * width : (filled + 1) * width] = _aggregate(model, signals)
-            filled += 1
-        if filled != len(paths):
-            raise out_of_order
+                matrix = np.empty((block.shape[0], len(paths) * width))
+            matrix[:, filled * width : (filled + 1) * width] = block
     pruned = _threshold(ratios, model.config.tau).pruned
     return BatchFeatures(matrix=matrix, layout=tuple(paths), width=width, pruned=pruned)

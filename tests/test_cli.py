@@ -391,12 +391,19 @@ class TestFlagValues:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Warning" not in err and "Traceback" not in err
 
-    # the flags a command's run would override: stability never prunes, --taus sets
-    # prune-sweep's tau and labeled-sweep runs both aggregations
+    BOUNDS = ["bounds", "--data", "{data}"]
+    GRID_SEARCH = ["grid-search", *SPLIT, "--grid-j", "2", "--grid-l", "2"]
+    # the flags a command's run would ignore or override: stability never prunes,
+    # --taus sets prune-sweep's tau, labeled-sweep runs both aggregations, no bound
+    # reads tau, and grid-search's grids set J, L and the operator
     DROPPED = {
         "stability-tau": (STABILITY, "tau", "0.1"),
         "prune-sweep-tau": (PRUNE_SWEEP, "tau", "0.1"),
         "labeled-sweep-aggregation": (LABELED_SWEEP, "aggregation", "mean"),
+        "bounds-tau": (BOUNDS, "tau", "0.5"),
+        "grid-search-j": (GRID_SEARCH, "j", "3"),
+        "grid-search-l": (GRID_SEARCH, "l", "3"),
+        "grid-search-operator": (GRID_SEARCH, "operator", "inverted"),
     }
 
     @pytest.mark.parametrize("argv, key, value", DROPPED.values(), ids=DROPPED.keys())
@@ -421,7 +428,7 @@ class TestFlagValues:
         "stability": STABILITY,
         "prune-sweep": PRUNE_SWEEP,
         "labeled-sweep": LABELED_SWEEP,
-        "grid-search": ["grid-search", *SPLIT, "--grid-j", "2", "--grid-l", "2"],
+        "grid-search": GRID_SEARCH,
     }
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -346,6 +347,30 @@ class TestLabeledSweep:
         )
         assert len(eig_calls) == 2 and len(decisions) == 2 * 2
 
+    def test_test_set_embedded_once_per_method_and_seed(self, dataset, monkeypatch):
+        calls = []
+        transform = harness.cst_transform_batch
+
+        def counting_transform(model, data, layout=None):
+            calls.append(np.array(data))
+            return transform(model, data, layout=layout)
+
+        monkeypatch.setattr(harness, "cst_transform_batch", counting_transform)
+        methods = [
+            CstMethod(f"cst-{agg}", CstConfig(Diffusion(), J=3, L=2, aggregation=agg), alpha=1.0)
+            for agg in ("identity", "mean")
+        ]
+        # README's train fractions, each of which leaves one test set per seed
+        rows = run_labeled_sweep(
+            dataset.data, dataset.targets, methods, [0.006, 0.05, 0.2, 0.4], DEFAULT_SPLIT, [0, 1]
+        )
+        for seed in (0, 1):
+            split = make_split(dataclasses.replace(DEFAULT_SPLIT, seed=seed), 300)
+            test_x = dataset.data.values[:, split.test]
+            assert sum(np.array_equal(c, test_x) for c in calls) == len(methods)
+        # and every other call embeds one row's train set
+        assert len(calls) == sum(r.status == "ok" for r in rows) + 2 * len(methods)
+
     def test_every_fraction_checked_before_any_fit(self, dataset, eig_calls):
         with pytest.raises(ConfigError, match="train fraction 0.7"):
             run_labeled_sweep(
@@ -372,8 +397,15 @@ class TestGridSearch:
         ties = [r for r in rows if r.valid_mae == best_mae]
         assert best.feature_count == min(r.feature_count for r in ties)
 
-    def test_rows_equal_per_alpha_ridge_fits(self, dataset):
-        config = CstConfig(family=Diffusion(), J=3, L=3, tau=0.1)
+    # primal: mean aggregation gives one feature per path, at most 13 <= 30 train
+    # samples; dual: identity aggregation gives 12 per path, more than 30. The
+    # dual branch sums its kernel path by path, so its MAEs equal the
+    # materialized solve's only up to the order of the sums.
+    @pytest.mark.parametrize(
+        "aggregation, rel", [("mean", 0.0), ("identity", 1e-12)], ids=["primal", "dual"]
+    )
+    def test_rows_equal_per_alpha_ridge_fits(self, dataset, aggregation, rel):
+        config = CstConfig(family=Diffusion(), J=3, L=3, tau=0.1, aggregation=aggregation)
         alphas = [1.0, 10.0]
         rows, _ = grid_search(
             dataset.data,
@@ -392,13 +424,50 @@ class TestGridSearch:
         layout = decide_layout(model, x[:, split.fit_pool]).paths
         z_train = cst_transform_batch(model, x[:, split.train], layout=layout).matrix.T
         z_valid = cst_transform_batch(model, x[:, split.valid], layout=layout).matrix.T
+        assert (z_train.shape[0] > split.train.shape[0]) == (aggregation == "identity")
         expected = [
             mae(ridge_fit(z_train, y[split.train], alpha).predict(z_valid), y[split.valid])
             for alpha in alphas
         ]
         assert [r.alpha for r in rows] == alphas
-        assert [r.valid_mae for r in rows] == expected
-        assert all(r.feature_count == len(layout) * 12 for r in rows)
+        if rel == 0.0:
+            assert [r.valid_mae for r in rows] == expected
+        else:
+            assert [r.valid_mae for r in rows] == pytest.approx(expected, rel=rel, abs=0.0)
+        assert all(r.feature_count == z_train.shape[0] for r in rows)
+
+    def test_repeated_runs_equal(self, dataset):
+        # L=1 keeps the root alone, 12 features for 30 train samples (primal); L=3 more (dual)
+        grid = dict(
+            j_grid=[2, 3], l_grid=[1, 3], operator_grid=["normalized"],
+            alpha_grid=[1.0, 10.0], split_spec=DEFAULT_SPLIT,
+        )
+        base = CstConfig(family=Diffusion(), J=3, L=3, tau=0.1)
+        first, _ = grid_search(dataset.data, dataset.targets, base, **grid)
+        second, _ = grid_search(dataset.data, dataset.targets, base, **grid)
+        assert first == second
+        train = make_split(DEFAULT_SPLIT, dataset.data.n_samples).train.shape[0]
+        counts = {r.feature_count for r in first}
+        assert min(counts) <= train < max(counts)  # both readout branches ran
+
+    def test_dual_branch_holds_no_feature_matrix(self, dataset):
+        # J=4 and L=4 keep up to 85 paths of 12 features for 60 train samples (dual)
+        spec = SplitSpec(0.0, 0.2, 0.6, 0.2, seed=0)
+        split = make_split(spec, dataset.data.n_samples)
+        config = CstConfig(family=Diffusion(), J=4, L=4)
+        tracemalloc.start()
+        try:
+            rows, _ = grid_search(
+                dataset.data, dataset.targets, config, [4], [4], ["normalized"], [1.0, 10.0], spec
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d = rows[0].feature_count
+        assert d > split.train.shape[0]
+        # the (D, n_train) and (D, n_valid) matrices a materialized readout holds;
+        # the streamed call peaks near a third of their size
+        assert peak < d * (split.train.shape[0] + split.valid.shape[0]) * 8
 
     def test_rows_equal_one_point_grids(self, dataset):
         base = CstConfig(family=Diffusion(), J=3, L=3, tau=0.1)

@@ -5,8 +5,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covscatter.errors import ConfigError, InvalidK, ShapeError, SingularSystem
+from covscatter.errors import ConfigError, InvalidData, InvalidK, ShapeError, SingularSystem
 from covscatter.readout import (
+    dual_ridge_predict,
     mae,
     mse,
     pca_fit,
@@ -14,7 +15,9 @@ from covscatter.readout import (
     ridge_fit,
     ridge_path,
 )
+from covscatter.scattering import CstConfig, cst_fit, cst_transform_batch, decide_layout
 from covscatter.spectral import SampleCovariance, eig_sym, sample_covariance
+from covscatter.wavelets import Diffusion
 
 from conftest import random_spd
 
@@ -171,6 +174,57 @@ class TestRidge:
         model = ridge_fit(rng.standard_normal((3, 20)), rng.standard_normal(20), 1.0)
         with pytest.raises(ShapeError):
             model.predict(np.ones((4, 5)))
+
+
+class TestDualRidgePredict:
+    # every case has more features than train samples: 13 paths of 12 features
+    # for 20 samples, 13 path means for 8, and the root's 12 features for 8
+    CASES = {
+        "identity": ("identity", None, 20),
+        "mean": ("mean", None, 8),
+        "one-path": ("identity", ((),), 8),
+    }
+
+    @pytest.mark.parametrize("aggregation, layout, n_train", CASES.values(), ids=CASES.keys())
+    def test_equals_ridge_path_on_materialized_blocks(self, rng, aggregation, layout, n_train):
+        x = rng.standard_normal((12, 100))
+        y = rng.standard_normal(n_train)
+        config = CstConfig(family=Diffusion(), J=3, L=3, aggregation=aggregation)
+        model = cst_fit(sample_covariance(x), config)
+        layout = layout or decide_layout(model, x).paths
+        z_train = cst_transform_batch(model, x[:, :n_train], layout=layout).matrix.T
+        z_valid = cst_transform_batch(model, x[:, n_train:], layout=layout).matrix.T
+        assert z_train.shape[0] > n_train
+        width = model.feature_width
+        cuts = range(0, z_train.shape[0], width)
+        train_blocks = [z_train[i : i + width].T for i in cuts]
+        joint_blocks = [np.vstack([z_train[i : i + width].T, z_valid[i : i + width].T]) for i in cuts]
+        alphas = [0.5, 3.0, 100.0]
+        streamed = dual_ridge_predict(train_blocks, joint_blocks, y, alphas)
+        assert streamed.shape == (len(alphas), z_valid.shape[1])
+        for prediction, ridge in zip(streamed, ridge_path(z_train, y, alphas)):
+            expected = ridge.predict(z_valid)
+            assert np.abs(prediction - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_checks(self, rng):
+        blocks = [rng.standard_normal((10, 3)) for _ in range(4)]
+        joint = [np.vstack([b, rng.standard_normal((5, 3))]) for b in blocks]
+        y = rng.standard_normal(10)
+        # shared with ridge_path: alphas in [0, inf) and finite targets
+        for alphas in ([1.0, -0.5], [np.inf]):
+            with pytest.raises(ConfigError):
+                dual_ridge_predict(blocks, joint, y, alphas)
+        with pytest.raises(InvalidData):
+            dual_ridge_predict(blocks, joint, np.r_[y[:-1], np.nan], [1.0])
+        # every train block is checked
+        with pytest.raises(InvalidData):
+            dual_ridge_predict([*blocks[:3], np.full((10, 3), np.inf)], joint, y, [1.0])
+        with pytest.raises(ShapeError):
+            dual_ridge_predict([*blocks[:3], blocks[3][:9]], joint, y, [1.0])
+        # the second pass must repeat the first
+        for mismatched in (joint[:3], [*joint, joint[0]], [j[:, :2] for j in joint]):
+            with pytest.raises(ShapeError):
+                dual_ridge_predict(blocks, mismatched, y, [1.0])
 
 
 class TestMetrics:
