@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import platform
 import sys
 from pathlib import Path
@@ -121,7 +122,9 @@ def _write_provenance(args, path, derived=None):
     The flags are keyed by flag name, in the form ``--config`` reads back.
     ``out`` is left out: where a run writes is not one of its settings, so two
     identical runs write identical provenance. Unset optional flags are left
-    out. The derived facts end with the library versions.
+    out. The derived facts end with what the bytes depend on beyond the
+    settings: the library versions, the BLAS numpy was built with, the
+    BLAS thread variables (``unset`` when absent) and the CPU count.
     """
     settings = {}
     for dest, value in vars(args).items():
@@ -130,13 +133,20 @@ def _write_provenance(args, path, derived=None):
         if isinstance(value, list):
             value = ",".join(io.format_value(v) for v in value)
         settings[dest.replace("_", "-")] = value
-    versions = {
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    environment = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "covscatter": __version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+        **{
+            variable: os.environ.get(variable, "unset")
+            for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+        "cpu_count": os.cpu_count(),
     }
-    io.write_provenance(path, settings, {**(derived or {}), **versions})
+    io.write_provenance(path, settings, {**(derived or {}), **environment})
 
 
 def _split_spec(args):

@@ -1,12 +1,16 @@
 """Pruned covariance scattering transforms.
 
-A model holds one wavelet operator with its filterbank and dense wavelet
-matrices. One layer-wise pass over a batch of signals (:func:`_scatter`)
-applies every kernel followed by an absolute-value nonlinearity,
-discarding branches whose energy ratio to their parent does not exceed
-the pruning threshold ``CstConfig.tau``; the public transforms are its
-consumers. A child's ratio does not depend on tau, so a layout decided at
-one tau yields the layout at any larger tau by thresholding
+A model holds one wavelet operator with its filterbank, dense wavelet
+matrices and squared kernel responses. One layer-wise pass over a batch of
+signals (:func:`_scatter`) applies every kernel followed by an
+absolute-value nonlinearity, discarding branches whose energy ratio to
+their parent does not exceed the pruning threshold ``CstConfig.tau``; the
+public transforms are its consumers. Since ``H_j = V h_j(Lambda) V^T``,
+a child's energy ``||H_j s||^2 = sum_k h_j(lambda_k)^2 (v_k^T s)^2`` is
+read from its parent's covariance Fourier coefficients, so a decision
+takes one product per parent and a pruned child is never formed. A
+child's ratio does not depend on tau, so a layout decided at one tau
+yields the layout at any larger tau by thresholding
 (:meth:`ScatterLayout.tightened`).
 Coefficients are laid out breadth-first by layer, then lexicographically
 by scale indices, so serialized features are comparable across runs.
@@ -72,13 +76,16 @@ class CstModel:
     """Reusable operator + filterbank + wavelet matrices bundle.
 
     ``matrices`` is the read-only (J, N, N) array of :func:`wavelet_matrices`;
-    gamma is ``operator.gamma``.
+    ``squared_responses`` is the read-only (J, N) array of ``h_j(lambda_k)^2``
+    on the operator's eigenvalues, in the order of its eigenvectors, from
+    which a deciding pass reads child energies; gamma is ``operator.gamma``.
     """
 
     config: CstConfig
     operator: object
     filterbank: Filterbank
     matrices: np.ndarray
+    squared_responses: np.ndarray
 
     @property
     def n_features(self) -> int:
@@ -186,7 +193,7 @@ def path_name(path: Path) -> str:
 
 
 def cst_fit(cov: SampleCovariance, config: CstConfig) -> CstModel:
-    """Build the operator, filterbank and wavelet matrices once for reuse.
+    """Build the operator, filterbank, wavelet matrices and squared responses once for reuse.
 
     The operator comes from ``cov.decomposition``, so models fitted on one
     estimate share its eigensolve. A filterbank whose frame upper bound
@@ -207,11 +214,15 @@ def cst_fit(cov: SampleCovariance, config: CstConfig) -> CstModel:
             f"frame upper bound {filterbank.frame_upper:g} overflows float64 over "
             f"{config.L} layers; use a smaller kernel or fewer layers"
         ) from None
+    responses = filterbank.kernel_values(operator.decomposition.eigenvalues)
+    np.square(responses, out=responses)
+    responses.flags.writeable = False
     return CstModel(
         config=config,
         operator=operator,
         filterbank=filterbank,
         matrices=wavelet_matrices(filterbank, operator),
+        squared_responses=responses,
     )
 
 
@@ -228,21 +239,28 @@ def _scatter(
     prune: bool,
     layout: tuple[Path, ...] | None,
     ratios: dict,
+    leaves: bool = True,
 ):
     """The scattering recursion, run layer by layer over a batch ``x`` of shape (N, n).
 
-    Yields ``(path, signals, norms)`` for the root and then every retained
-    child, in layout order (breadth-first, then lexicographic). Each child
-    is computed once. Without ``layout``, a child is retained iff the batch
-    mean of its per-sample energy ratio (child norm over parent norm, zero
-    where the parent has zero energy) passes :func:`_kept` at
+    Yields ``(path, signals)`` for the root and then every retained child,
+    in layout order (breadth-first, then lexicographic). Each child is
+    formed at most once. Without ``layout``, a child is retained iff the
+    batch mean of its per-sample energy ratio (child norm over parent norm,
+    zero where the parent has zero energy) passes :func:`_kept` at
     ``model.config.tau``, or always when ``prune`` is false; when pruning,
     every child decided on is recorded in ``ratios`` with that ratio, from
-    which :func:`_threshold` reads the decision. With ``layout``, a child is
-    retained iff its path is in the layout, and no other child is computed.
-    Only the signals of layers that still have children to compute are kept,
-    so a caller that drops the yielded signals holds no more than two layers
-    at a time.
+    which :func:`_threshold` reads the decision. The deciding pass forms no
+    child to measure it: one product ``V^T s`` per parent, squared, times
+    ``model.squared_responses`` gives the energies of all J children, and a
+    child's norm is the root of its energy, which is also its norm as the
+    next layer's parent. Only retained children are then formed, and with
+    ``leaves`` false not those of the last layer, which a decision alone
+    never needs. With ``layout``, a child is retained iff its path is in the
+    layout, and no other child is formed. Followed and unpruned passes
+    compute no norms. Only the signals of layers that still have children
+    to compute are kept, so a caller that drops the yielded signals holds
+    no more than two layers at a time.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != model.n_features:
@@ -250,33 +268,43 @@ def _scatter(
     if not np.all(np.isfinite(x)):
         raise InvalidData("signals contain non-finite entries")
     follow = None if layout is None else frozenset(layout)
+    decide = follow is None and prune
 
     tau = model.config.tau
     mats = model.matrices
-    norms = np.linalg.norm(x, axis=0)
-    yield (), x, norms
-    frontier = deque([((), x, norms)])
+    vectors = model.operator.decomposition.eigenvectors
+    yield (), x
+    frontier = deque([((), x, np.linalg.norm(x, axis=0) if decide else None)])
     for layer in range(1, model.config.L):
         keep = layer < model.config.L - 1
+        form = keep or leaves
         next_frontier = deque()
         while frontier:
             path, signals, parent_norms = frontier.popleft()
-            safe_parent = np.where(parent_norms > 0.0, parent_norms, 1.0)
-            for j in range(len(mats)):
+            if decide:
+                # squared in place and dropped before any H_j product, so no second
+                # (N, n) array lives beside the children
+                coeffs = vectors.T @ signals
+                np.square(coeffs, out=coeffs)
+                child_norms = np.sqrt(model.squared_responses @ coeffs)
+                del coeffs
+                safe_parent = np.where(parent_norms > 0.0, parent_norms, 1.0)
+                child_ratios = np.where(parent_norms > 0.0, child_norms / safe_parent, 0.0)
+            for j in range(model.config.J):
                 child_path = path + (j,)
-                if follow is not None and child_path not in follow:
-                    continue
-                children = np.abs(mats[j] @ signals)
-                child_norms = np.linalg.norm(children, axis=0)
-                if follow is None and prune:
-                    child_ratios = np.where(parent_norms > 0.0, child_norms / safe_parent, 0.0)
-                    ratio = float(child_ratios.mean())
+                if decide:
+                    ratio = float(child_ratios[j].mean())
                     ratios[child_path] = ratio
                     if not _kept(ratio, tau):
                         continue
-                yield child_path, children, child_norms
+                elif follow is not None and child_path not in follow:
+                    continue
+                if not form:
+                    continue
+                children = np.abs(mats[j] @ signals)
+                yield child_path, children
                 if keep:
-                    next_frontier.append((child_path, children, child_norms))
+                    next_frontier.append((child_path, children, child_norms[j] if decide else None))
         frontier = next_frontier
 
 
@@ -285,11 +313,13 @@ def cst_transform(
 ) -> tuple[ScatterTree, FeatureVector]:
     """Scatter one signal: the batch-of-one case of :func:`cst_transform_batch`.
 
-    A child is retained iff its energy exceeds ``model.config.tau`` times its
+    A child is retained iff its norm exceeds ``model.config.tau`` times its
     parent's (strict inequality), so zero-energy children are always pruned;
-    children of a zero-energy node are pruned by the same convention.
+    children of a zero-energy node are pruned by the same convention. The
+    ratios come from spectral energies, and a pruned child is never formed.
     ``prune=False`` keeps the full tree regardless of energies, which the
     perturbation-bound checks rely on to compare identically shaped outputs.
+    Each node's tree energy is the norm of its yielded signal.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.n_features:
@@ -297,8 +327,8 @@ def cst_transform(
     ratios: dict[Path, float] = {}
     nodes: dict[Path, tuple[np.ndarray, float]] = {}
     blocks = []
-    for path, signals, norms in _scatter(model, x[:, None], prune, None, ratios):
-        nodes[path] = (signals[:, 0], float(norms[0]))
+    for path, signals in _scatter(model, x[:, None], prune, None, ratios):
+        nodes[path] = (signals[:, 0], float(np.linalg.norm(signals, axis=0)[0]))
         blocks.append(_aggregate(model, signals)[0])
     features = FeatureVector(
         coefficients=np.concatenate(blocks),
@@ -313,7 +343,9 @@ def decide_layout(model: CstModel, x: np.ndarray) -> ScatterLayout:
     """Shared retention decision for a batch of signals, without its features.
 
     Decides at ``model.config.tau`` as :func:`cst_transform_batch` does,
-    keeping no signal of the last layer. Every sample then yields an
+    from spectral energies: it forms only the retained children that are
+    parents of the next layer, and no child of the last layer at all.
+    Every sample then yields an
     identically shaped feature vector, which downstream regression needs.
     The decision at a larger tau is ``.tightened(tau)`` of the result, with
     no further pass. To decide at a smaller tau, pass a fitted model whose
@@ -322,7 +354,7 @@ def decide_layout(model: CstModel, x: np.ndarray) -> ScatterLayout:
     must be changed by refitting.
     """
     ratios: dict[Path, float] = {}
-    for _ in _scatter(model, x, True, None, ratios):
+    for _ in _scatter(model, x, True, None, ratios, leaves=False):
         pass
     return _threshold(ratios, model.config.tau)
 
@@ -342,7 +374,7 @@ def layout_blocks(model: CstModel, x: np.ndarray, layout: tuple[Path, ...]):
         "layout must list retained paths in breadth-first, lexicographic order"
     )
     filled = 0
-    for path, signals, _ in _scatter(model, x, True, paths, {}):
+    for path, signals in _scatter(model, x, True, paths, {}):
         if filled == len(paths) or path != paths[filled]:
             raise out_of_order
         yield _aggregate(model, signals)
@@ -357,7 +389,8 @@ def cst_transform_batch(
     """Scatter a batch in one pass; rows of the matrix are samples.
 
     Without ``layout`` the pass decides which paths to keep from the batch
-    itself at ``model.config.tau`` (see :func:`_scatter`). With ``layout``, a
+    itself at ``model.config.tau`` (see :func:`_scatter`), forming only the
+    retained children. With ``layout``, a
     tuple of paths in layout order such as ``decide_layout(...).paths``, it
     follows that fixed schema instead (:func:`layout_blocks`), so samples
     embedded apart share one feature layout; the output width is then known
@@ -369,7 +402,7 @@ def cst_transform_batch(
     width = model.feature_width
     if layout is None:
         paths, blocks = [], []
-        for path, signals, _ in _scatter(model, x, True, None, ratios):
+        for path, signals in _scatter(model, x, True, None, ratios):
             paths.append(path)
             blocks.append(_aggregate(model, signals))
         matrix = np.concatenate(blocks, axis=1)

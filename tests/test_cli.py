@@ -1,3 +1,4 @@
+import os
 import platform
 
 import numpy as np
@@ -329,6 +330,13 @@ class TestExperimentCommands:
         assert derived["python"] == platform.python_version()
         assert derived["numpy"] == np.__version__ and derived["scipy"] == scipy.__version__
         assert derived["covscatter"] == covscatter.__version__
+        # what the bytes depend on beyond the settings: the BLAS and its threads
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert derived["blas"] == f"{blas['name']} {blas['version']}"
+        for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            assert derived[variable] == os.environ.get(variable, "unset")
+        assert derived["cpu_count"] == str(os.cpu_count())
+        assert list(derived)[-1] == "cpu_count"
 
         assert main([command, "--config", str(provenance), "--out", str(second)]) == 0
         names = sorted(path.name for path in first.iterdir())

@@ -17,6 +17,7 @@ from covscatter.scattering import (
     cst_transform_batch,
     decide_layout,
     feature_count,
+    layout_blocks,
     path_name,
 )
 from covscatter.spectral import INVERTED, NORMALIZED, SampleCovariance, sample_covariance
@@ -303,11 +304,118 @@ class TestBatch:
         x = rng.standard_normal((20, 7))
         followed = cst_transform_batch(model, x, layout=layout)
         # reference: one block per yielded path, joined by np.concatenate
-        blocks = [_aggregate(model, s) for _, s, _ in _scatter(model, x, True, layout, {})]
+        blocks = [_aggregate(model, s) for _, s in _scatter(model, x, True, layout, {})]
         reference = np.concatenate(blocks, axis=1)
         assert followed.matrix.shape == (7, len(layout) * model.feature_width)
         assert followed.matrix.flags.c_contiguous
         assert np.array_equal(followed.matrix, reference)
+
+
+class CountingMatrices:
+    """Stand-in for ``model.matrices`` that counts the H_j it hands out for a product."""
+
+    def __init__(self, matrices):
+        self.matrices = matrices
+        self.products = 0
+
+    def __getitem__(self, j):
+        self.products += 1
+        return self.matrices[j]
+
+    def __len__(self):
+        return len(self.matrices)
+
+
+def explicit_ratio(model, x, path):
+    """Batch-mean norm ratio of ``path`` to its parent, from explicit |H_j s| products."""
+    parent = x
+    for j in path[:-1]:
+        parent = np.abs(model.matrices[j] @ parent)
+    child = np.abs(model.matrices[path[-1]] @ parent)
+    parent_norms = np.linalg.norm(parent, axis=0)
+    safe_parent = np.where(parent_norms > 0.0, parent_norms, 1.0)
+    return float(
+        np.where(parent_norms > 0.0, np.linalg.norm(child, axis=0) / safe_parent, 0.0).mean()
+    )
+
+
+class TestSpectralDecision:
+    """The deciding pass reads child energies from the parent's covariance Fourier coefficients."""
+
+    @given(
+        family=st.sampled_from([Diffusion(), Hann(R=2.0), Monic()]),  # R < J + 1 at J = 2
+        operator=st.sampled_from([NORMALIZED, INVERTED]),
+        J=st.integers(2, 7),
+        L=st.integers(2, 3),
+        tau=st.sampled_from([0.0, 0.1, 0.3]),
+        seed=st.integers(0, 2**16),
+        zero_sample=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_ratios_equal_explicit_products(self, family, operator, J, L, tau, seed, zero_sample):
+        config = CstConfig(family=family, J=J, L=L, tau=tau, operator_kind=operator)
+        model = cst_fit(spd_covariance(12, seed), config)
+        x = np.random.default_rng(seed).standard_normal((12, 9))
+        if zero_sample:
+            x[:, 0] = 0.0  # every node of this sample is a zero-energy parent
+        decided = decide_layout(model, x)
+        parents = [path for path in decided.paths if len(path) < L - 1]
+        assert list(decided.ratios) == [path + (j,) for path in parents for j in range(J)]
+        for path, ratio in decided.ratios.items():
+            # a ratio near zero is only known to the explicit product's roundoff
+            assert ratio == pytest.approx(explicit_ratio(model, x, path), rel=1e-12, abs=1e-15)
+        assert decided.paths == cst_transform_batch(model, x).layout
+        for larger in (tau, tau + 0.05, 0.5):
+            at_tau = dataclasses.replace(model, config=dataclasses.replace(config, tau=larger))
+            fresh = decide_layout(at_tau, x)
+            assert decided.tightened(larger).paths == fresh.paths
+            assert decided.tightened(larger).pruned == fresh.pruned
+
+    def test_zero_energy_parent_prunes_its_children(self):
+        model = cst_fit(spd_covariance(12, 1), CstConfig(family=Diffusion(), J=3, L=3))
+        decided = decide_layout(model, np.zeros((12, 4)))
+        assert decided.paths == ((),)
+        assert decided.ratios == {(0,): 0.0, (1,): 0.0, (2,): 0.0}
+
+    def test_zero_kernel_child_pruned_at_tau_zero(self, rng):
+        # inverted operator of an identity covariance: H_1 = H_2 = 0
+        cov = SampleCovariance(np.eye(5), np.zeros(5), 10)
+        config = CstConfig(family=Diffusion(), J=3, L=3, operator_kind=INVERTED)
+        decided = decide_layout(cst_fit(cov, config), rng.standard_normal((5, 6)))
+        assert decided.paths == ((), (0,), (0, 0))
+        assert all(decided.ratios[path] == 0.0 for path in ((1,), (2,), (0, 1), (0, 2)))
+
+
+class TestWorkCount:
+    """How many H_j products each pass forms, counted, not timed."""
+
+    def _model(self, **kwargs):
+        model = cst_fit(spd_covariance(20, 6), CstConfig(family=Diffusion(), J=3, **kwargs))
+        return dataclasses.replace(model, matrices=CountingMatrices(model.matrices))
+
+    def test_decision_forms_no_last_layer_child(self, rng):
+        model = self._model(L=2)
+        assert len(decide_layout(model, rng.standard_normal((20, 30))).paths) > 1
+        assert model.matrices.products == 0
+
+    def test_decision_forms_only_retained_parents(self, rng):
+        model = self._model(L=3, tau=0.2)
+        decided = decide_layout(model, rng.standard_normal((20, 30)))
+        assert model.matrices.products == sum(len(path) == 1 for path in decided.paths)
+
+    def test_pruned_child_is_never_formed(self, rng):
+        model = self._model(L=3, tau=0.2)
+        batch = cst_transform_batch(model, rng.standard_normal((20, 30)))
+        assert batch.pruned
+        assert model.matrices.products == len(batch.layout) - 1
+
+    def test_followed_pass_forms_each_path_once(self, rng):
+        model = self._model(L=3, tau=0.2)
+        layout = decide_layout(model, rng.standard_normal((20, 30))).paths
+        model.matrices.products = 0
+        blocks = list(layout_blocks(model, rng.standard_normal((20, 7)), layout))
+        assert len(blocks) == len(layout)
+        assert model.matrices.products == len(layout) - 1
 
 
 class TestTightenedLayout:
