@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, harness, io
 from . import bounds as bounds_mod
@@ -137,7 +136,6 @@ def _write_provenance(args, path, derived=None):
     environment = {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "covscatter": __version__,
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
         **{

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, InvalidData, InvalidK, ShapeError, SingularSystem
 from .spectral import SampleCovariance
@@ -60,14 +59,17 @@ def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def _spd_solve(matrix, rhs):
+def _ridge_solve(gram, rhs, alphas) -> np.ndarray:
+    """The (m, n_alphas) solutions of ``(gram + alpha I) s = rhs``, solved as one stack.
+
+    The stack's Cholesky factors check that every system is positive definite.
+    """
+    systems = gram + np.multiply.outer(alphas, np.eye(gram.shape[0]))
     try:
-        factor = scipy.linalg.cho_factor(matrix)
+        np.linalg.cholesky(systems)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(
-            "normal equations are singular; use a positive alpha_R"
-        ) from exc
-    return scipy.linalg.cho_solve(factor, rhs)
+        raise SingularSystem("normal equations are singular; use a positive alpha_R") from exc
+    return np.linalg.solve(systems, rhs[:, None])[..., 0].T
 
 
 def _checked(targets, alphas) -> tuple[np.ndarray, list]:
@@ -93,9 +95,9 @@ def ridge_path(features: np.ndarray, targets: np.ndarray, alphas) -> list[RidgeM
     """Closed-form ridge on centered features and targets, one model per alpha.
 
     Validates, centres and forms the Gram matrix once for the whole grid, then
-    factors ``gram + alpha * I`` once per alpha. Solves the D x D normal
-    equations when D <= T and the equivalent T x T dual otherwise, keeping
-    each solve cubic in min(D, T).
+    solves ``gram + alpha * I`` for every alpha in one stacked call. Solves
+    the D x D normal equations when D <= T and the equivalent T x T dual
+    otherwise, keeping each solve cubic in min(D, T).
     """
     y, alphas = _checked(targets, alphas)
     z = np.asarray(features, dtype=np.float64)
@@ -114,10 +116,8 @@ def ridge_path(features: np.ndarray, targets: np.ndarray, alphas) -> list[RidgeM
     primal = d <= t
     gram = zc @ zc.T if primal else zc.T @ zc
     rhs = zc @ yc if primal else yc
-    identity = np.eye(gram.shape[0])
     models = []
-    for alpha in alphas:
-        solution = _spd_solve(gram + alpha * identity, rhs)
+    for alpha, solution in zip(alphas, _ridge_solve(gram, rhs, alphas).T):
         weights = solution if primal else zc @ solution
         models.append(
             RidgeModel(
@@ -168,10 +168,7 @@ def dual_ridge_predict(train_blocks, joint_blocks, targets, alphas) -> np.ndarra
         raise ShapeError("need at least one feature block")
     y_bar = float(y.mean())
     yc = y - y_bar
-    identity = np.eye(t)
-    solutions = np.empty((t, len(alphas)))
-    for i, alpha in enumerate(alphas):
-        solutions[:, i] = _spd_solve(kernel + alpha * identity, yc)
+    solutions = _ridge_solve(kernel, yc, alphas)
 
     mismatch = ShapeError("the joint blocks must repeat the train blocks over one set of rows")
     predictions = offset = 0.0

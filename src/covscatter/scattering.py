@@ -18,6 +18,7 @@ by scale indices, so serialized features are comparable across runs.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -188,6 +189,11 @@ def feature_count(J: int, L: int) -> int:
     return (J**L - 1) // (J - 1)
 
 
+def _full_layout(J: int, L: int) -> tuple[Path, ...]:
+    """Every path of an unpruned tree, in layout order: ``feature_count(J, L)`` of them."""
+    return tuple(p for depth in range(L) for p in itertools.product(range(J), repeat=depth))
+
+
 def path_name(path: Path) -> str:
     return "p_root" if not path else "p_" + ".".join(str(j) for j in path)
 
@@ -236,7 +242,6 @@ def _aggregate(model: CstModel, signals: np.ndarray) -> np.ndarray:
 def _scatter(
     model: CstModel,
     x: np.ndarray,
-    prune: bool,
     layout: tuple[Path, ...] | None,
     ratios: dict,
     leaves: bool = True,
@@ -248,19 +253,18 @@ def _scatter(
     formed at most once. Without ``layout``, a child is retained iff the
     batch mean of its per-sample energy ratio (child norm over parent norm,
     zero where the parent has zero energy) passes :func:`_kept` at
-    ``model.config.tau``, or always when ``prune`` is false; when pruning,
-    every child decided on is recorded in ``ratios`` with that ratio, from
-    which :func:`_threshold` reads the decision. The deciding pass forms no
-    child to measure it: one product ``V^T s`` per parent, squared, times
-    ``model.squared_responses`` gives the energies of all J children, and a
-    child's norm is the root of its energy, which is also its norm as the
-    next layer's parent. Only retained children are then formed, and with
-    ``leaves`` false not those of the last layer, which a decision alone
-    never needs. With ``layout``, a child is retained iff its path is in the
-    layout, and no other child is formed. Followed and unpruned passes
-    compute no norms. Only the signals of layers that still have children
-    to compute are kept, so a caller that drops the yielded signals holds
-    no more than two layers at a time.
+    ``model.config.tau``, and every child decided on is recorded in
+    ``ratios`` with that ratio, from which :func:`_threshold` reads the
+    decision. The deciding pass forms no child to measure it: one product
+    ``V^T s`` per parent, squared, times ``model.squared_responses`` gives
+    the energies of all J children, and a child's norm is the root of its
+    energy, which is also its norm as the next layer's parent. Only
+    retained children are then formed, and with ``leaves`` false not those
+    of the last layer, which a decision alone never needs. With ``layout``,
+    a child is retained iff its path is in the layout, no other child is
+    formed and no norm is computed. Only the signals of layers that still
+    have children to compute are kept, so a caller that drops the yielded
+    signals holds no more than two layers at a time.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != model.n_features:
@@ -268,7 +272,7 @@ def _scatter(
     if not np.all(np.isfinite(x)):
         raise InvalidData("signals contain non-finite entries")
     follow = None if layout is None else frozenset(layout)
-    decide = follow is None and prune
+    decide = follow is None
 
     tau = model.config.tau
     mats = model.matrices
@@ -297,7 +301,7 @@ def _scatter(
                     ratios[child_path] = ratio
                     if not _kept(ratio, tau):
                         continue
-                elif follow is not None and child_path not in follow:
+                elif child_path not in follow:
                     continue
                 if not form:
                     continue
@@ -317,7 +321,7 @@ def cst_transform(
     parent's (strict inequality), so zero-energy children are always pruned;
     children of a zero-energy node are pruned by the same convention. The
     ratios come from spectral energies, and a pruned child is never formed.
-    ``prune=False`` keeps the full tree regardless of energies, which the
+    ``prune=False`` follows the full tree regardless of energies, which the
     perturbation-bound checks rely on to compare identically shaped outputs.
     Each node's tree energy is the norm of its yielded signal.
     """
@@ -327,7 +331,8 @@ def cst_transform(
     ratios: dict[Path, float] = {}
     nodes: dict[Path, tuple[np.ndarray, float]] = {}
     blocks = []
-    for path, signals in _scatter(model, x[:, None], prune, None, ratios):
+    layout = None if prune else _full_layout(model.config.J, model.config.L)
+    for path, signals in _scatter(model, x[:, None], layout, ratios):
         nodes[path] = (signals[:, 0], float(np.linalg.norm(signals, axis=0)[0]))
         blocks.append(_aggregate(model, signals)[0])
     features = FeatureVector(
@@ -354,7 +359,7 @@ def decide_layout(model: CstModel, x: np.ndarray) -> ScatterLayout:
     must be changed by refitting.
     """
     ratios: dict[Path, float] = {}
-    for _ in _scatter(model, x, True, None, ratios, leaves=False):
+    for _ in _scatter(model, x, None, ratios, leaves=False):
         pass
     return _threshold(ratios, model.config.tau)
 
@@ -374,7 +379,7 @@ def layout_blocks(model: CstModel, x: np.ndarray, layout: tuple[Path, ...]):
         "layout must list retained paths in breadth-first, lexicographic order"
     )
     filled = 0
-    for path, signals in _scatter(model, x, True, paths, {}):
+    for path, signals in _scatter(model, x, paths, {}):
         if filled == len(paths) or path != paths[filled]:
             raise out_of_order
         yield _aggregate(model, signals)
@@ -402,7 +407,7 @@ def cst_transform_batch(
     width = model.feature_width
     if layout is None:
         paths, blocks = [], []
-        for path, signals in _scatter(model, x, True, None, ratios):
+        for path, signals in _scatter(model, x, None, ratios):
             paths.append(path)
             blocks.append(_aggregate(model, signals))
         matrix = np.concatenate(blocks, axis=1)

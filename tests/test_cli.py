@@ -1,10 +1,12 @@
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy
 
 import covscatter
 
@@ -328,7 +330,7 @@ class TestExperimentCommands:
         derived = read_derived(provenance)
         assert not set(values) & set(derived)
         assert derived["python"] == platform.python_version()
-        assert derived["numpy"] == np.__version__ and derived["scipy"] == scipy.__version__
+        assert derived["numpy"] == np.__version__ and "scipy" not in derived
         assert derived["covscatter"] == covscatter.__version__
         # what the bytes depend on beyond the settings: the BLAS and its threads
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -343,6 +345,20 @@ class TestExperimentCommands:
         assert names == sorted(path.name for path in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only numerical dependency; a fresh interpreter shows what the import pulls in
+    src = Path(covscatter.__file__).parents[1]
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, covscatter, covscatter.cli; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert "covscatter.cli" in loaded
+    assert [name for name in loaded if name == "scipy" or name.startswith("scipy.")] == []
 
 
 class TestFlagValues:

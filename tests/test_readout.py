@@ -1,7 +1,6 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,12 +96,9 @@ def ridge_per_alpha(z, y, alpha):
     zc = z - z_bar[:, None]
     yc = y - y_bar
     if d <= t:
-        weights = scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(zc @ zc.T + alpha * np.eye(d)), zc @ yc
-        )
+        weights = np.linalg.solve(zc @ zc.T + alpha * np.eye(d), zc @ yc)
     else:
-        kernel = zc.T @ zc + alpha * np.eye(t)
-        weights = zc @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(kernel), yc)
+        weights = zc @ np.linalg.solve(zc.T @ zc + alpha * np.eye(t), yc)
     return weights, y_bar - float(weights @ z_bar)
 
 
@@ -140,6 +136,9 @@ class TestRidge:
         z = np.vstack([np.arange(5.0), np.arange(5.0)])  # duplicated feature
         with pytest.raises(SingularSystem):
             ridge_fit(z, np.arange(5.0), 0.0)
+        # one singular alpha in a grid fails the whole path
+        with pytest.raises(SingularSystem):
+            ridge_path(z, np.arange(5.0), [1.0, 0.0])
 
     def test_dual_solve_matches_primal(self, rng):
         # d > t takes the dual path; check it against the primal normal equations
@@ -225,6 +224,15 @@ class TestDualRidgePredict:
         for mismatched in (joint[:3], [*joint, joint[0]], [j[:, :2] for j in joint]):
             with pytest.raises(ShapeError):
                 dual_ridge_predict(blocks, mismatched, y, [1.0])
+
+    def test_singular_without_regularization(self):
+        # one block of width 1 for 4 train rows: a rank-one kernel, exact in floats
+        block = np.arange(4.0)[:, None]
+        joint = np.vstack([block, [[4.0]]])
+        y = np.arange(4.0)
+        assert dual_ridge_predict([block], [joint], y, [1.0]).shape == (1, 1)
+        with pytest.raises(SingularSystem):
+            dual_ridge_predict([block], [joint], y, [1.0, 0.0])
 
 
 class TestMetrics:

@@ -86,6 +86,11 @@ class TestCstTransform:
         assert list(tree.nodes) == [()]
         assert fv.layout == ((),)
         npt.assert_array_equal(fv.coefficients, np.zeros(16))
+        # unpruned, the same signal keeps every path, in layout order
+        tree, fv = cst_transform(model, np.zeros(16), prune=False)
+        assert len(fv.layout) == feature_count(3, 3)
+        assert list(fv.layout) == sorted(fv.layout, key=lambda path: (len(path), path))
+        assert list(tree.nodes) == list(fv.layout) and tree.pruned_paths == {}
 
     def test_matches_brute_force_enumeration(self, rng):
         model = self._model()
@@ -304,7 +309,7 @@ class TestBatch:
         x = rng.standard_normal((20, 7))
         followed = cst_transform_batch(model, x, layout=layout)
         # reference: one block per yielded path, joined by np.concatenate
-        blocks = [_aggregate(model, s) for _, s in _scatter(model, x, True, layout, {})]
+        blocks = [_aggregate(model, s) for _, s in _scatter(model, x, layout, {})]
         reference = np.concatenate(blocks, axis=1)
         assert followed.matrix.shape == (7, len(layout) * model.feature_width)
         assert followed.matrix.flags.c_contiguous
