@@ -60,16 +60,19 @@ def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
 
 
 def _ridge_solve(gram, rhs, alphas) -> np.ndarray:
-    """The (m, n_alphas) solutions of ``(gram + alpha I) s = rhs``, solved as one stack.
+    """The (m, n_alphas) solutions of ``(gram + alpha I) s = rhs``, one alpha at a time.
 
-    The stack's Cholesky factors check that every system is positive definite.
+    Each system's Cholesky factor checks that it is positive definite.
     """
-    systems = gram + np.multiply.outer(alphas, np.eye(gram.shape[0]))
-    try:
-        np.linalg.cholesky(systems)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("normal equations are singular; use a positive alpha_R") from exc
-    return np.linalg.solve(systems, rhs[:, None])[..., 0].T
+    solutions = np.empty((gram.shape[0], len(alphas)))
+    for i, alpha in enumerate(alphas):
+        system = gram + alpha * np.eye(gram.shape[0])
+        try:
+            np.linalg.cholesky(system)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem("normal equations are singular; use a positive alpha_R") from exc
+        solutions[:, i] = np.linalg.solve(system, rhs)
+    return solutions
 
 
 def _checked(targets, alphas) -> tuple[np.ndarray, list]:
@@ -95,7 +98,7 @@ def ridge_path(features: np.ndarray, targets: np.ndarray, alphas) -> list[RidgeM
     """Closed-form ridge on centered features and targets, one model per alpha.
 
     Validates, centres and forms the Gram matrix once for the whole grid, then
-    solves ``gram + alpha * I`` for every alpha in one stacked call. Solves
+    factors and solves ``gram + alpha * I`` for each alpha in turn. Solves
     the D x D normal equations when D <= T and the equivalent T x T dual
     otherwise, keeping each solve cubic in min(D, T).
     """
