@@ -471,8 +471,10 @@ def grid_search(
     formed: :func:`dual_ridge_predict` sums the t x t dual kernel over the
     path blocks of one followed pass over train, then predicts from a
     second pass over train and valid as one batch (:func:`layout_blocks`).
-    The dual rows equal the materialized solve's up to the order of the
-    sums.
+    Each pass walks the tree depth-first and holds at most L formed signal
+    batches of N x n, never a whole layer; both followed passes yield blocks
+    in ``sorted(layout)`` order. The dual rows equal the materialized
+    solve's up to the order of the sums.
     """
     from .wavelets import family_name
 

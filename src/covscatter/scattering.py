@@ -1,7 +1,7 @@
 """Pruned covariance scattering transforms.
 
 A model holds one wavelet operator with its filterbank, dense wavelet
-matrices and squared kernel responses. One layer-wise pass over a batch of
+matrices and squared kernel responses. One depth-first pass over a batch of
 signals (:func:`_scatter`) applies every kernel followed by an
 absolute-value nonlinearity, discarding branches whose energy ratio to
 their parent does not exceed the pruning threshold ``CstConfig.tau``; the
@@ -19,7 +19,6 @@ by scale indices, so serialized features are comparable across runs.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,12 +151,18 @@ def _kept(ratio: float, tau: float) -> bool:
     return ratio > tau
 
 
+def _layout_key(path: Path) -> tuple:
+    """Sort key of layout order: breadth-first by layer, then lexicographic."""
+    return len(path), path
+
+
 def _threshold(ratios: dict, tau: float) -> ScatterLayout:
-    """The decision at ``tau`` from a deciding pass's ``ratios``, given in output order.
+    """The decision at ``tau`` from a deciding pass's ``ratios``, in layout order.
 
     A path is kept iff its parent is kept and its ratio passes :func:`_kept`;
     a child of a kept path that fails is pruned.
     """
+    ratios = {path: ratios[path] for path in sorted(ratios, key=_layout_key)}
     paths: list[Path] = [()]
     pruned: dict[Path, float] = {}
     kept = {()}
@@ -246,25 +251,27 @@ def _scatter(
     ratios: dict,
     leaves: bool = True,
 ):
-    """The scattering recursion, run layer by layer over a batch ``x`` of shape (N, n).
+    """The scattering recursion, run depth-first over a batch ``x`` of shape (N, n).
 
-    Yields ``(path, signals)`` for the root and then every retained child,
-    in layout order (breadth-first, then lexicographic). Each child is
-    formed at most once. Without ``layout``, a child is retained iff the
-    batch mean of its per-sample energy ratio (child norm over parent norm,
-    zero where the parent has zero energy) passes :func:`_kept` at
-    ``model.config.tau``, and every child decided on is recorded in
-    ``ratios`` with that ratio, from which :func:`_threshold` reads the
-    decision. The deciding pass forms no child to measure it: one product
-    ``V^T s`` per parent, squared, times ``model.squared_responses`` gives
-    the energies of all J children, and a child's norm is the root of its
-    energy, which is also its norm as the next layer's parent. Only
+    Yields ``(path, signals)`` for the root and then every retained child in
+    pre-order, which is ``sorted`` path order: ``()``, ``(0,)``, ``(0, 0)``,
+    ..., ``(1,)``. Each child is formed at most once. Without ``layout``, a
+    child is retained iff the batch mean of its per-sample energy ratio
+    (child norm over parent norm, zero where the parent has zero energy)
+    passes :func:`_kept` at ``model.config.tau``, and every child decided on
+    is recorded in ``ratios`` with that ratio, from which :func:`_threshold`
+    reads the decision. The deciding pass forms no child to measure it: one
+    product ``V^T s`` per parent, squared, times ``model.squared_responses``
+    gives the energies of all J children, and a child's norm is the root of
+    its energy, which is also its norm as the next layer's parent. Only
     retained children are then formed, and with ``leaves`` false not those
     of the last layer, which a decision alone never needs. With ``layout``,
     a child is retained iff its path is in the layout, no other child is
-    formed and no norm is computed. Only the signals of layers that still
-    have children to compute are kept, so a caller that drops the yielded
-    signals holds no more than two layers at a time.
+    formed and no norm is computed. Only the current root-to-node chain is
+    held, so a caller that drops the yielded signals holds, besides ``x``,
+    at most L formed signal batches of (N, n): the chain's L - 1 and the
+    next sibling as it is formed; while deciding, also the (J, n) child
+    norms of each chain parent.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != model.n_features:
@@ -272,44 +279,46 @@ def _scatter(
     if not np.all(np.isfinite(x)):
         raise InvalidData("signals contain non-finite entries")
     follow = None if layout is None else frozenset(layout)
-    decide = follow is None
+    norms = np.linalg.norm(x, axis=0) if follow is None else None
+    yield from _walk(model, (), x, norms, follow, ratios, leaves)
 
-    tau = model.config.tau
-    mats = model.matrices
-    vectors = model.operator.decomposition.eigenvectors
-    yield (), x
-    frontier = deque([((), x, np.linalg.norm(x, axis=0) if decide else None)])
-    for layer in range(1, model.config.L):
-        keep = layer < model.config.L - 1
-        form = keep or leaves
-        next_frontier = deque()
-        while frontier:
-            path, signals, parent_norms = frontier.popleft()
-            if decide:
-                # squared in place and dropped before any H_j product, so no second
-                # (N, n) array lives beside the children
-                coeffs = vectors.T @ signals
-                np.square(coeffs, out=coeffs)
-                child_norms = np.sqrt(model.squared_responses @ coeffs)
-                del coeffs
-                safe_parent = np.where(parent_norms > 0.0, parent_norms, 1.0)
-                child_ratios = np.where(parent_norms > 0.0, child_norms / safe_parent, 0.0)
-            for j in range(model.config.J):
-                child_path = path + (j,)
-                if decide:
-                    ratio = float(child_ratios[j].mean())
-                    ratios[child_path] = ratio
-                    if not _kept(ratio, tau):
-                        continue
-                elif child_path not in follow:
-                    continue
-                if not form:
-                    continue
-                children = np.abs(mats[j] @ signals)
-                yield child_path, children
-                if keep:
-                    next_frontier.append((child_path, children, child_norms[j] if decide else None))
-        frontier = next_frontier
+
+def _walk(model: CstModel, path: Path, signals, norms, follow, ratios: dict, leaves: bool):
+    """:func:`_scatter` from ``path`` down, whose ``signals`` have ``norms`` when deciding.
+
+    A module-level function, not a closure: a closure that calls itself is
+    a reference cycle, which would keep each pass's model alive until the
+    cyclic garbage collector runs.
+    """
+    yield path, signals
+    last = model.config.L - 1
+    if len(path) == last:
+        return
+    decide = follow is None
+    if decide:
+        # squared in place and dropped before any H_j product, so no second
+        # (N, n) array lives beside the children
+        coeffs = model.operator.decomposition.eigenvectors.T @ signals
+        np.square(coeffs, out=coeffs)
+        child_norms = np.sqrt(model.squared_responses @ coeffs)
+        del coeffs
+        safe_parent = np.where(norms > 0.0, norms, 1.0)
+        child_ratios = np.where(norms > 0.0, child_norms / safe_parent, 0.0)
+    for j in range(model.config.J):
+        child_path = path + (j,)
+        if decide:
+            ratio = float(child_ratios[j].mean())
+            ratios[child_path] = ratio
+            if not _kept(ratio, model.config.tau):
+                continue
+        elif child_path not in follow:
+            continue
+        if len(child_path) == last and not leaves:
+            continue
+        children = model.matrices[j] @ signals
+        np.abs(children, out=children)
+        child_norm = child_norms[j] if decide else None
+        yield from _walk(model, child_path, children, child_norm, follow, ratios, leaves)
 
 
 def cst_transform(
@@ -330,13 +339,12 @@ def cst_transform(
         raise ShapeError(f"expected a length-{model.n_features} signal, got shape {x.shape}")
     ratios: dict[Path, float] = {}
     nodes: dict[Path, tuple[np.ndarray, float]] = {}
-    blocks = []
     layout = None if prune else _full_layout(model.config.J, model.config.L)
     for path, signals in _scatter(model, x[:, None], layout, ratios):
         nodes[path] = (signals[:, 0], float(np.linalg.norm(signals, axis=0)[0]))
-        blocks.append(_aggregate(model, signals)[0])
+    nodes = {path: nodes[path] for path in sorted(nodes, key=_layout_key)}
     features = FeatureVector(
-        coefficients=np.concatenate(blocks),
+        coefficients=np.concatenate([_aggregate(model, s[:, None])[0] for s, _ in nodes.values()]),
         layout=tuple(nodes),
         width=model.feature_width,
     )
@@ -365,27 +373,33 @@ def decide_layout(model: CstModel, x: np.ndarray) -> ScatterLayout:
 
 
 def layout_blocks(model: CstModel, x: np.ndarray, layout: tuple[Path, ...]):
-    """Follow ``layout`` over a batch ``x`` (N, n): yield each path's (n, width) block.
+    """Follow ``layout`` over a batch ``x`` (N, n): an iterator of (n, width) blocks.
 
-    ``layout`` lists paths in layout order, such as ``decide_layout(...).paths``;
-    the blocks come in that order, one path at a time, so a consumer that
-    keeps only what it sums holds no feature matrix. A layout out of order,
-    or with a path whose parent is missing, raises :class:`ConfigError` once
-    the pass reaches the fault, so only a consumer that exhausts the
-    generator has had every block checked.
+    ``layout`` lists paths in layout order, such as ``decide_layout(...).paths``.
+    It is checked whole before any product: a layout that does not start at
+    the root, is out of order, or has a path whose parent is missing or
+    that lies outside the model's tree raises :class:`ConfigError` here.
+    The blocks then come depth-first, in ``sorted(layout)`` order, one path
+    at a time, so a consumer that keeps only what it sums holds no feature
+    matrix, and the pass holds at most L formed signal batches of (N, n).
     """
     paths = tuple(layout)
-    out_of_order = ConfigError(
-        "layout must list retained paths in breadth-first, lexicographic order"
-    )
-    filled = 0
-    for path, signals in _scatter(model, x, paths, {}):
-        if filled == len(paths) or path != paths[filled]:
-            raise out_of_order
-        yield _aggregate(model, signals)
-        filled += 1
-    if filled != len(paths):
-        raise out_of_order
+    known = {()}
+    for before, path in zip(paths, paths[1:]):
+        if not (
+            _layout_key(before) < _layout_key(path)
+            and len(path) < model.config.L
+            and path[:-1] in known
+            and path[-1] in range(model.config.J)
+        ):
+            break
+        known.add(path)
+    if paths[:1] != ((),) or len(known) != len(paths):
+        raise ConfigError(
+            "layout must list paths of the tree from the root in breadth-first, "
+            "lexicographic order, each after its parent"
+        )
+    return (_aggregate(model, signals) for _, signals in _scatter(model, x, paths, {}))
 
 
 def cst_transform_batch(
@@ -399,24 +413,24 @@ def cst_transform_batch(
     tuple of paths in layout order such as ``decide_layout(...).paths``, it
     follows that fixed schema instead (:func:`layout_blocks`), so samples
     embedded apart share one feature layout; the output width is then known
-    in advance, and each path's block is written straight into one
-    preallocated matrix.
+    in advance, and each path's block, which comes depth-first, is written
+    into its column slot of one preallocated matrix; beside it the pass
+    holds at most L formed signal batches of (N, n).
     """
     x = data.values if hasattr(data, "values") else data
     ratios: dict[Path, float] = {}
     width = model.feature_width
     if layout is None:
-        paths, blocks = [], []
-        for path, signals in _scatter(model, x, None, ratios):
-            paths.append(path)
-            blocks.append(_aggregate(model, signals))
-        matrix = np.concatenate(blocks, axis=1)
+        blocks = {path: _aggregate(model, s) for path, s in _scatter(model, x, None, ratios)}
+        paths = sorted(blocks, key=_layout_key)
+        matrix = np.concatenate([blocks[path] for path in paths], axis=1)
     else:
         paths = tuple(layout)
         matrix = None
-        for filled, block in enumerate(layout_blocks(model, x, paths)):
+        slots = sorted(range(len(paths)), key=paths.__getitem__)
+        for slot, block in zip(slots, layout_blocks(model, x, paths)):
             if matrix is None:  # the root: x has passed _scatter's checks
                 matrix = np.empty((block.shape[0], len(paths) * width))
-            matrix[:, filled * width : (filled + 1) * width] = block
+            matrix[:, slot * width : (slot + 1) * width] = block
     pruned = _threshold(ratios, model.config.tau).pruned
     return BatchFeatures(matrix=matrix, layout=tuple(paths), width=width, pruned=pruned)

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
 import itertools
+import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -303,14 +306,15 @@ class TestBatch:
 
     @pytest.mark.parametrize("aggregation", ["identity", "mean"])
     def test_followed_matrix_equals_concatenated_blocks(self, rng, aggregation):
-        model = self._model(aggregation=aggregation, tau=0.2)
+        model = self._model(aggregation=aggregation, tau=0.1)
         pool = rng.standard_normal((20, 30))
         layout = decide_layout(model, pool).paths
         x = rng.standard_normal((20, 7))
         followed = cst_transform_batch(model, x, layout=layout)
-        # reference: one block per yielded path, joined by np.concatenate
-        blocks = [_aggregate(model, s) for _, s in _scatter(model, x, layout, {})]
-        reference = np.concatenate(blocks, axis=1)
+        # reference: one block per yielded path, joined by np.concatenate in layout order
+        blocks = {path: _aggregate(model, s) for path, s in _scatter(model, x, layout, {})}
+        assert list(blocks) != list(layout)  # depth-first yields differ from layout order
+        reference = np.concatenate([blocks[path] for path in layout], axis=1)
         assert followed.matrix.shape == (7, len(layout) * model.feature_width)
         assert followed.matrix.flags.c_contiguous
         assert np.array_equal(followed.matrix, reference)
@@ -414,6 +418,25 @@ class TestWorkCount:
         assert batch.pruned
         assert model.matrices.products == len(batch.layout) - 1
 
+    def test_faulty_layout_rejected_before_any_product(self, rng):
+        model = self._model(L=3)
+        x = rng.standard_normal((20, 5))
+        faulty = [
+            ((), (1,), (0,)),  # out of order
+            ((), (0, 0), (0,)),  # a child before its parent
+            ((), (0,), (1, 0)),  # (1,) missing
+            ((), (0,), (0,), (0, 0)),  # a path twice
+            ((), (3,)),  # scale index outside range(J)
+            ((), (0,), (0, 0), (0, 0, 0)),  # deeper than L - 1
+            ((0,),),  # root missing
+            ((0,), ()),
+            (),
+        ]
+        for layout in faulty:
+            with pytest.raises(ConfigError):
+                layout_blocks(model, x, layout)
+        assert model.matrices.products == 0
+
     def test_followed_pass_forms_each_path_once(self, rng):
         model = self._model(L=3, tau=0.2)
         layout = decide_layout(model, rng.standard_normal((20, 30))).paths
@@ -421,6 +444,69 @@ class TestWorkCount:
         blocks = list(layout_blocks(model, rng.standard_normal((20, 7)), layout))
         assert len(blocks) == len(layout)
         assert model.matrices.products == len(layout) - 1
+
+
+class TestTraversal:
+    """The pass walks depth-first; what it returns is in layout order."""
+
+    def _model(self, J=3, L=4, tau=0.1):
+        return cst_fit(spd_covariance(20, 6), CstConfig(family=Diffusion(), J=J, L=L, tau=tau))
+
+    def test_decision_in_layout_order(self, rng):
+        decided = decide_layout(self._model(), rng.standard_normal((20, 30)))
+        assert any(len(path) == 3 for path in decided.paths)
+        assert any(len(path) > 1 for path in decided.pruned)
+        for paths in (decided.paths, list(decided.ratios), list(decided.pruned)):
+            assert list(paths) == sorted(paths, key=lambda path: (len(path), path))
+
+    def test_blocks_come_in_sorted_layout_order(self, rng):
+        model = self._model()
+        layout = decide_layout(model, rng.standard_normal((20, 30))).paths
+        assert list(layout) != sorted(layout)
+        x = rng.standard_normal((20, 7))
+        blocks = list(layout_blocks(model, x, layout))
+        assert len(blocks) == len(layout)
+        for path, block in zip(sorted(layout), blocks):
+            signals = x
+            for j in path:
+                signals = np.abs(model.matrices[j] @ signals)
+            npt.assert_array_equal(block, signals.T)
+
+    def test_memory_holds_one_chain_of_signals(self, rng):
+        N, n, L = 20, 2000, 4
+        model = self._model(J=4, L=L, tau=0.0)
+        x = rng.standard_normal((N, n))
+        layout = decide_layout(model, x).paths
+        assert len(layout) == feature_count(4, L)
+        # a whole layer of the tree would be J^(L-2) = 16 batches of N x n
+        bound = (L + 2) * N * n * 8
+        tracemalloc.start()
+        try:
+            decide_layout(model, x)
+            deciding_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            for _ in layout_blocks(model, x, layout):
+                pass
+            followed_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert deciding_peak < bound
+        assert followed_peak < bound
+
+    def test_pass_leaves_no_reference_cycle(self, rng):
+        # a cycle would keep every pass's model and signals until the collector runs
+        model = self._model()
+        x = rng.standard_normal((20, 30))
+        gc.disable()
+        try:
+            ref = weakref.ref(model)
+            layout = decide_layout(model, x).paths
+            cst_transform_batch(model, x)
+            cst_transform_batch(model, x, layout=layout)
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestTightenedLayout:
