@@ -33,6 +33,7 @@ from .scattering import (
     cst_fit,
     cst_transform,
     cst_transform_batch,
+    decide_layout,
     feature_count,
 )
 from .spectral import (
@@ -83,6 +84,7 @@ __all__ = [
     "cst_stability_bound",
     "cst_transform",
     "cst_transform_batch",
+    "decide_layout",
     "diffusion_apply",
     "diffusion_gamma",
     "eig_sym",

@@ -106,6 +106,8 @@ def pruning_preserved(
     ``node_energy_lhs`` is ``| |H_j x_path|^2 - tau |x_path|^2 |`` for a node
     at ``layer``. When the condition holds at every node of the tree, the
     pruned trees computed from the true and estimated operators coincide.
+    ``tau`` is an energy threshold: the transform's norm-ratio threshold
+    ``CstConfig.tau`` enters here, and in the margin, as ``CstConfig.tau ** 2``.
     """
     rhs = (delta * frame_upper ** (layer - 1) * x_norm) ** 2 * (
         (layer + 1) * frame_upper + layer * tau

@@ -26,6 +26,7 @@ from .scattering import (
     CstConfig,
     cst_fit,
     cst_transform_batch,
+    decide_layout,
     path_name,
 )
 from .spectral import NORMALIZED, OPERATOR_KINDS, sample_covariance
@@ -203,13 +204,14 @@ def _cmd_transform(args):
     data, _ = _load_dataset(args, need_targets=False)
     config = _build_config(args)
     model = cst_fit(sample_covariance(data), config)
-    features = cst_transform_batch(model, data)
+    decision = decide_layout(model, data.values)
+    features = cst_transform_batch(model, data, decision.paths)
     out = _out_dir(args)
     io.write_features_csv(out / "features.csv", features)
     derived = model.filterbank.provenance()
     derived["retained_paths"] = ";".join(path_name(p) for p in features.layout)
     derived["pruned_paths"] = ";".join(
-        f"{path_name(p)}:{ratio!r}" for p, ratio in sorted(features.pruned.items())
+        f"{path_name(p)}:{ratio!r}" for p, ratio in sorted(decision.pruned.items())
     )
     _write_provenance(args, out / "features.provenance.txt", derived)
     print(f"wrote {out / 'features.csv'} ({features.matrix.shape[1]} columns)")
@@ -426,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         # _apply_config_file reads from argv before argparse sees it
         return sub.add_parser(name, help=help, allow_abbrev=False)
 
-    def common(p, data=True, targets=False, seed=False):
+    def common(p, data=True, seed=False):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", default=None, help="key=value config file")
         if data:

@@ -46,6 +46,7 @@ from .scattering import (
     layout_blocks,
 )
 from .spectral import DataMatrix, SampleCovariance, sample_covariance
+from .wavelets import family_name
 from . import bounds as bounds_mod
 
 
@@ -476,8 +477,6 @@ def grid_search(
     in ``sorted(layout)`` order. The dual rows equal the materialized
     solve's up to the order of the sums.
     """
-    from .wavelets import family_name
-
     if not all(len(grid) for grid in (j_grid, l_grid, operator_grid, alpha_grid)):
         raise ConfigError("every grid needs at least one value")
     x, y = _xy(data, targets)

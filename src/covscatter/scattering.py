@@ -1,17 +1,18 @@
 """Pruned covariance scattering transforms.
 
 A model holds one wavelet operator with its filterbank, dense wavelet
-matrices and squared kernel responses. One depth-first pass over a batch of
-signals (:func:`_scatter`) applies every kernel followed by an
-absolute-value nonlinearity, discarding branches whose energy ratio to
-their parent does not exceed the pruning threshold ``CstConfig.tau``; the
-public transforms are its consumers. Since ``H_j = V h_j(Lambda) V^T``,
-a child's energy ``||H_j s||^2 = sum_k h_j(lambda_k)^2 (v_k^T s)^2`` is
-read from its parent's covariance Fourier coefficients, so a decision
-takes one product per parent and a pruned child is never formed. A
-child's ratio does not depend on tau, so a layout decided at one tau
-yields the layout at any larger tau by thresholding
-(:meth:`ScatterLayout.tightened`).
+matrices and squared kernel responses. One depth-first recursion
+(:func:`_scatter`) applies every kernel followed by an absolute-value
+nonlinearity to a batch of signals. A pass decides or follows, never both:
+a deciding pass (:func:`decide_layout`) discards branches whose norm ratio
+to their parent does not exceed the pruning threshold ``CstConfig.tau``,
+and a followed pass (:func:`layout_blocks`) embeds over a decided layout.
+Since ``H_j = V h_j(Lambda) V^T``, a child's energy (squared norm)
+``||H_j s||^2 = sum_k h_j(lambda_k)^2 (v_k^T s)^2`` is read from its
+parent's covariance Fourier coefficients, so a decision takes one product
+per parent and a pruned child is never formed. A child's ratio does not
+depend on tau, so a layout decided at one tau yields the layout at any
+larger tau by thresholding (:meth:`ScatterLayout.tightened`).
 Coefficients are laid out breadth-first by layer, then lexicographically
 by scale indices, so serialized features are comparable across runs.
 """
@@ -107,8 +108,8 @@ class CstModel:
 class ScatterTree:
     """Retained scattering signals keyed by path, plus what pruning removed."""
 
-    nodes: dict  # path -> (signal, energy)
-    pruned_paths: dict  # path -> energy ratio that removed it
+    nodes: dict  # path -> (signal, its norm)
+    pruned_paths: dict  # path -> norm ratio that removed it
 
 
 @dataclass(frozen=True)
@@ -122,15 +123,15 @@ class FeatureVector:
 class ScatterLayout:
     """Shared retention decision for a batch at ``tau``: retained paths in output order.
 
-    ``ratios`` holds the batch-mean energy ratio of every child the deciding
+    ``ratios`` holds the batch-mean norm ratio of every child the deciding
     pass computed, in output order; ``pruned`` is the part of it that this
     decision removed.
     """
 
     tau: float
-    ratios: dict  # path -> batch-mean energy ratio
+    ratios: dict  # path -> batch-mean norm ratio
     paths: tuple[Path, ...]
-    pruned: dict  # path -> batch-mean energy ratio that removed it
+    pruned: dict  # path -> batch-mean norm ratio that removed it
 
     def tightened(self, tau: float) -> ScatterLayout:
         """The decision at ``tau``, equal to deciding afresh there.
@@ -147,7 +148,7 @@ class ScatterLayout:
 
 
 def _kept(ratio: float, tau: float) -> bool:
-    """The pruning rule: a child is kept iff its energy ratio strictly exceeds tau."""
+    """The pruning rule: keep a child iff its norm ratio exceeds tau (its energy ratio, tau**2)."""
     return ratio > tau
 
 
@@ -182,7 +183,6 @@ class BatchFeatures:
     matrix: np.ndarray  # (n_samples, n_paths * width)
     layout: tuple[Path, ...]
     width: int
-    pruned: dict
 
 
 def feature_count(J: int, L: int) -> int:
@@ -244,33 +244,24 @@ def _aggregate(model: CstModel, signals: np.ndarray) -> np.ndarray:
     return signals.mean(axis=0)[:, None]
 
 
-def _scatter(
-    model: CstModel,
-    x: np.ndarray,
-    layout: tuple[Path, ...] | None,
-    ratios: dict,
-    leaves: bool = True,
-):
+def _scatter(model: CstModel, x: np.ndarray, layout: tuple[Path, ...] | None, ratios: dict):
     """The scattering recursion, run depth-first over a batch ``x`` of shape (N, n).
 
-    Yields ``(path, signals)`` for the root and then every retained child in
+    Yields ``(path, signals)`` for the root and then every child it forms in
     pre-order, which is ``sorted`` path order: ``()``, ``(0,)``, ``(0, 0)``,
-    ..., ``(1,)``. Each child is formed at most once. Without ``layout``, a
-    child is retained iff the batch mean of its per-sample energy ratio
-    (child norm over parent norm, zero where the parent has zero energy)
-    passes :func:`_kept` at ``model.config.tau``, and every child decided on
-    is recorded in ``ratios`` with that ratio, from which :func:`_threshold`
-    reads the decision. The deciding pass forms no child to measure it: one
+    ..., ``(1,)``. Each child is formed at most once. Without ``layout`` the
+    pass decides: a child is retained iff the batch mean of its per-sample
+    norm ratio (zero where the parent has zero energy) passes :func:`_kept`
+    at ``model.config.tau``, and every child decided on is recorded in
+    ``ratios``, from which :func:`_threshold` reads the decision. One
     product ``V^T s`` per parent, squared, times ``model.squared_responses``
-    gives the energies of all J children, and a child's norm is the root of
-    its energy, which is also its norm as the next layer's parent. Only
-    retained children are then formed, and with ``leaves`` false not those
-    of the last layer, which a decision alone never needs. With ``layout``,
-    a child is retained iff its path is in the layout, no other child is
-    formed and no norm is computed. Only the current root-to-node chain is
-    held, so a caller that drops the yielded signals holds, besides ``x``,
-    at most L formed signal batches of (N, n): the chain's L - 1 and the
-    next sibling as it is formed; while deciding, also the (J, n) child
+    gives the energies of all J children, whose roots are their norms, so
+    only retained children that are parents of the next layer are formed.
+    With ``layout`` the pass follows: a child is formed iff its path is in
+    the layout, and no norm is computed. Only the current root-to-node
+    chain is held, so a caller that drops the yielded signals holds, besides
+    ``x``, at most L formed signal batches of (N, n): the chain's L - 1 and
+    the next sibling as it is formed; while deciding, also the (J, n) child
     norms of each chain parent.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -280,10 +271,10 @@ def _scatter(
         raise InvalidData("signals contain non-finite entries")
     follow = None if layout is None else frozenset(layout)
     norms = np.linalg.norm(x, axis=0) if follow is None else None
-    yield from _walk(model, (), x, norms, follow, ratios, leaves)
+    yield from _walk(model, (), x, norms, follow, ratios)
 
 
-def _walk(model: CstModel, path: Path, signals, norms, follow, ratios: dict, leaves: bool):
+def _walk(model: CstModel, path: Path, signals, norms, follow, ratios: dict):
     """:func:`_scatter` from ``path`` down, whose ``signals`` have ``norms`` when deciding.
 
     A module-level function, not a closure: a closure that calls itself is
@@ -309,22 +300,20 @@ def _walk(model: CstModel, path: Path, signals, norms, follow, ratios: dict, lea
         if decide:
             ratio = float(child_ratios[j].mean())
             ratios[child_path] = ratio
-            if not _kept(ratio, model.config.tau):
+            if not _kept(ratio, model.config.tau) or len(child_path) == last:
                 continue
         elif child_path not in follow:
-            continue
-        if len(child_path) == last and not leaves:
             continue
         children = model.matrices[j] @ signals
         np.abs(children, out=children)
         child_norm = child_norms[j] if decide else None
-        yield from _walk(model, child_path, children, child_norm, follow, ratios, leaves)
+        yield from _walk(model, child_path, children, child_norm, follow, ratios)
 
 
 def cst_transform(
     model: CstModel, x: np.ndarray, prune: bool = True
 ) -> tuple[ScatterTree, FeatureVector]:
-    """Scatter one signal: the batch-of-one case of :func:`cst_transform_batch`.
+    """Scatter one signal: decide on it as a batch of one, then follow that layout.
 
     A child is retained iff its norm exceeds ``model.config.tau`` times its
     parent's (strict inequality), so zero-energy children are always pruned;
@@ -332,34 +321,35 @@ def cst_transform(
     ratios come from spectral energies, and a pruned child is never formed.
     ``prune=False`` follows the full tree regardless of energies, which the
     perturbation-bound checks rely on to compare identically shaped outputs.
-    Each node's tree energy is the norm of its yielded signal.
+    Each node of the tree carries the norm of its signal.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.n_features:
         raise ShapeError(f"expected a length-{model.n_features} signal, got shape {x.shape}")
-    ratios: dict[Path, float] = {}
-    nodes: dict[Path, tuple[np.ndarray, float]] = {}
-    layout = None if prune else _full_layout(model.config.J, model.config.L)
-    for path, signals in _scatter(model, x[:, None], layout, ratios):
-        nodes[path] = (signals[:, 0], float(np.linalg.norm(signals, axis=0)[0]))
-    nodes = {path: nodes[path] for path in sorted(nodes, key=_layout_key)}
+    if prune:
+        decision = decide_layout(model, x[:, None])
+        layout, pruned = decision.paths, decision.pruned
+    else:
+        layout, pruned = _full_layout(model.config.J, model.config.L), {}
+    signals = dict(_scatter(model, x[:, None], layout, {}))
+    nodes = {p: (signals[p][:, 0], float(np.linalg.norm(signals[p], axis=0)[0])) for p in layout}
     features = FeatureVector(
         coefficients=np.concatenate([_aggregate(model, s[:, None])[0] for s, _ in nodes.values()]),
-        layout=tuple(nodes),
+        layout=layout,
         width=model.feature_width,
     )
-    pruned = _threshold(ratios, model.config.tau).pruned
     return ScatterTree(nodes=nodes, pruned_paths=pruned), features
 
 
 def decide_layout(model: CstModel, x: np.ndarray) -> ScatterLayout:
-    """Shared retention decision for a batch of signals, without its features.
+    """Shared retention decision for a batch of signals ``x`` (N, n), in layout order.
 
-    Decides at ``model.config.tau`` as :func:`cst_transform_batch` does,
-    from spectral energies: it forms only the retained children that are
-    parents of the next layer, and no child of the last layer at all.
-    Every sample then yields an
-    identically shaped feature vector, which downstream regression needs.
+    Decides at ``model.config.tau`` from spectral energies (see
+    :func:`_scatter`): it forms only the retained children that are parents
+    of the next layer, and no child of the last layer at all. Following the
+    decision's ``paths`` (:func:`cst_transform_batch`, :func:`layout_blocks`)
+    gives every sample an identically shaped feature vector, which
+    downstream regression needs.
     The decision at a larger tau is ``.tightened(tau)`` of the result, with
     no further pass. To decide at a smaller tau, pass a fitted model whose
     config has only its ``tau`` (or ``aggregation``) replaced
@@ -367,7 +357,7 @@ def decide_layout(model: CstModel, x: np.ndarray) -> ScatterLayout:
     must be changed by refitting.
     """
     ratios: dict[Path, float] = {}
-    for _ in _scatter(model, x, None, ratios, leaves=False):
+    for _ in _scatter(model, x, None, ratios):
         pass
     return _threshold(ratios, model.config.tau)
 
@@ -402,35 +392,21 @@ def layout_blocks(model: CstModel, x: np.ndarray, layout: tuple[Path, ...]):
     return (_aggregate(model, signals) for _, signals in _scatter(model, x, paths, {}))
 
 
-def cst_transform_batch(
-    model: CstModel, data, layout: tuple[Path, ...] | None = None
-) -> BatchFeatures:
-    """Scatter a batch in one pass; rows of the matrix are samples.
+def cst_transform_batch(model: CstModel, data, layout: tuple[Path, ...]) -> BatchFeatures:
+    """Embed a batch over ``layout``, such as ``decide_layout(...).paths``; rows are samples.
 
-    Without ``layout`` the pass decides which paths to keep from the batch
-    itself at ``model.config.tau`` (see :func:`_scatter`), forming only the
-    retained children. With ``layout``, a
-    tuple of paths in layout order such as ``decide_layout(...).paths``, it
-    follows that fixed schema instead (:func:`layout_blocks`), so samples
-    embedded apart share one feature layout; the output width is then known
-    in advance, and each path's block, which comes depth-first, is written
-    into its column slot of one preallocated matrix; beside it the pass
-    holds at most L formed signal batches of (N, n).
+    Samples embedded apart share one feature layout. Each path's block from
+    :func:`layout_blocks`, which come depth-first, is written into its
+    column slot of one preallocated matrix, and beside it the pass holds at
+    most L formed signal batches of (N, n).
     """
     x = data.values if hasattr(data, "values") else data
-    ratios: dict[Path, float] = {}
+    paths = tuple(layout)
     width = model.feature_width
-    if layout is None:
-        blocks = {path: _aggregate(model, s) for path, s in _scatter(model, x, None, ratios)}
-        paths = sorted(blocks, key=_layout_key)
-        matrix = np.concatenate([blocks[path] for path in paths], axis=1)
-    else:
-        paths = tuple(layout)
-        matrix = None
-        slots = sorted(range(len(paths)), key=paths.__getitem__)
-        for slot, block in zip(slots, layout_blocks(model, x, paths)):
-            if matrix is None:  # the root: x has passed _scatter's checks
-                matrix = np.empty((block.shape[0], len(paths) * width))
-            matrix[:, slot * width : (slot + 1) * width] = block
-    pruned = _threshold(ratios, model.config.tau).pruned
-    return BatchFeatures(matrix=matrix, layout=tuple(paths), width=width, pruned=pruned)
+    matrix = None
+    slots = sorted(range(len(paths)), key=paths.__getitem__)
+    for slot, block in zip(slots, layout_blocks(model, x, paths)):
+        if matrix is None:  # the root: x has passed _scatter's checks
+            matrix = np.empty((block.shape[0], len(paths) * width))
+        matrix[:, slot * width : (slot + 1) * width] = block
+    return BatchFeatures(matrix=matrix, layout=paths, width=width)

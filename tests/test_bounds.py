@@ -99,9 +99,11 @@ class TestPruningPreserved:
         assert not pruning_preserved(0.0, 1, 0.0, 1.0, 0.0, 1.0)
 
     def test_condition_implies_identical_pruned_sets(self):
-        # when every node of the exact tree satisfies the margin condition,
-        # the pruned trees from true and estimated operators must coincide
-        ds = synth_generate(SynthSpec(n_features=20, n_samples=4000, tail=0.5, seed=5))
+        # the code keeps a child iff ||H_j s|| / ||s|| > tau, which is the
+        # energy rule ||H_j s||^2 > tau^2 ||s||^2; when the bound's margin for
+        # that rule holds at every node of the exact tree, both trees keep
+        # exactly the children of positive margin, so they coincide
+        ds = synth_generate(SynthSpec(n_features=20, n_samples=20000, tail=0.5, seed=5))
         config = CstConfig(family=Diffusion(), J=3, L=3)
         true_cov = SampleCovariance(ds.true_cov, np.zeros(20), ds.data.n_samples)
         model_true = cst_fit(true_cov, config)
@@ -112,26 +114,34 @@ class TestPruningPreserved:
         )
         x = ds.data.values[:, 0]
         mats = model_true.matrices
-        for tau in (0.05, 0.2, 0.5, 0.8):
+        full_tree, _ = cst_transform(model_true, x, prune=False)
+        checked = 0
+        for tau in (0.05, 0.2, 0.4, 0.5, 0.8):
             at_tau = dataclasses.replace(config, tau=tau)
             tree_true, _ = cst_transform(dataclasses.replace(model_true, config=at_tau), x)
             tree_est, _ = cst_transform(dataclasses.replace(model_est, config=at_tau), x)
+            margins = {}
             all_hold = True
-            full_tree, _ = cst_transform(model_true, x, prune=False)
             for path, (signal, norm) in full_tree.nodes.items():
                 if len(path) >= config.L - 1:
                     continue
                 for j in range(config.J):
-                    lhs = abs(
-                        float(np.linalg.norm(mats[j] @ signal)) ** 2 - tau * norm**2
-                    )
+                    margin = float(np.linalg.norm(mats[j] @ signal)) ** 2 - tau**2 * norm**2
+                    margins[path + (j,)] = margin
                     if not pruning_preserved(
-                        lhs, len(path), delta, frame_upper, tau, float(np.linalg.norm(x))
+                        abs(margin), len(path), delta, frame_upper, tau**2, float(np.linalg.norm(x))
                     ):
                         all_hold = False
-            if all_hold:
-                assert set(tree_true.pruned_paths) == set(tree_est.pruned_paths)
-                assert set(tree_true.nodes) == set(tree_est.nodes)
+            if not all_hold:
+                continue
+            assert set(tree_true.pruned_paths) == set(tree_est.pruned_paths)
+            assert set(tree_true.nodes) == set(tree_est.nodes)
+            for tree in (tree_true, tree_est):
+                for path in [*list(tree.nodes)[1:], *tree.pruned_paths]:
+                    assert (path in tree.nodes) == (margins[path] > 0.0)
+            if len(tree_true.nodes) > 1 and tree_true.pruned_paths:
+                checked += 1  # kept and pruned children coexist
+        assert checked >= 1
 
 
 class TestCstStabilityBound:
@@ -177,7 +187,7 @@ class TestPcaGapScale:
         assert high > low
 
 
-class TestSpectralNorm:
+class TestMeasuredWaveletDelta:
     def test_matches_numpy(self, rng):
         # non-symmetric differences: the norm is exact for any matrix
         for seed in range(5):

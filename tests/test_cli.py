@@ -18,7 +18,7 @@ from covscatter.io import (
     write_data_csv,
     write_targets_csv,
 )
-from covscatter.scattering import CstConfig, cst_fit, cst_transform_batch
+from covscatter.scattering import CstConfig, cst_fit, cst_transform_batch, decide_layout
 from covscatter.spectral import DataMatrix, sample_covariance
 from covscatter.synthdata import SynthSpec, synth_generate
 from covscatter.wavelets import Diffusion
@@ -79,7 +79,8 @@ class TestTransform:
         )
         assert code == 0
         model = cst_fit(sample_covariance(ds.data), CstConfig(family=Diffusion(), J=3, L=2))
-        expected = cst_transform_batch(model, ds.data)
+        layout = decide_layout(model, ds.data.values).paths
+        expected = cst_transform_batch(model, ds.data, layout)
         lines = (out / "features.csv").read_text().strip().splitlines()
         got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         npt.assert_array_equal(got, expected.matrix)

@@ -23,7 +23,13 @@ from covscatter.io import (
     write_targets_csv,
 )
 from covscatter.readout import pca_fit, pca_transform
-from covscatter.scattering import BatchFeatures, CstConfig, cst_fit, cst_transform_batch
+from covscatter.scattering import (
+    BatchFeatures,
+    CstConfig,
+    cst_fit,
+    cst_transform_batch,
+    decide_layout,
+)
 from covscatter.spectral import DataMatrix, sample_covariance
 from covscatter.wavelets import Diffusion
 
@@ -182,7 +188,7 @@ class TestWriterBytes:
 
     def test_features(self, tmp_path):
         matrix = np.array([SPECIAL, SPECIAL[::-1], SPECIAL[3:] + SPECIAL[:3]])
-        features = BatchFeatures(matrix=matrix, layout=((), (0,)), width=5, pruned={})
+        features = BatchFeatures(matrix=matrix, layout=((), (0,)), width=5)
         path = tmp_path / "features.csv"
         write_features_csv(path, features)
         header = feature_column_names(features.layout, features.width)
@@ -234,7 +240,7 @@ class TestFeaturesCsv:
     def test_header_and_values(self, tmp_path, rng):
         data = DataMatrix(rng.standard_normal((4, 6)))
         model = cst_fit(sample_covariance(data), CstConfig(family=Diffusion(), J=2, L=2))
-        batch = cst_transform_batch(model, data)
+        batch = cst_transform_batch(model, data, decide_layout(model, data.values).paths)
         path = tmp_path / "features.csv"
         write_features_csv(path, batch)
         lines = path.read_text().strip().splitlines()

@@ -196,14 +196,14 @@ class TestBatch:
     def test_identical_columns_identical_rows(self):
         model = self._model()
         x = np.tile(np.arange(20, dtype=float)[:, None], (1, 8))
-        batch = cst_transform_batch(model, x)
+        batch = cst_transform_batch(model, x, decide_layout(model, x).paths)
         for row in batch.matrix:
             npt.assert_array_equal(row, batch.matrix[0])
 
     def test_tau_zero_matches_per_sample_layout(self, rng):
         model = self._model()
         x = rng.standard_normal((20, 12))
-        batch = cst_transform_batch(model, x)
+        batch = cst_transform_batch(model, x, decide_layout(model, x).paths)
         _, fv = cst_transform(model, x[:, 3])
         assert batch.layout == fv.layout
         npt.assert_allclose(batch.matrix[3], fv.coefficients, atol=1e-12)
@@ -213,7 +213,7 @@ class TestBatch:
         tau = 0.1
         config = CstConfig(family=Diffusion(), J=3, L=3, tau=tau)
         model = cst_fit(sample_covariance(ds.data.values), config)
-        batch = cst_transform_batch(model, ds.data.values)
+        batch = cst_transform_batch(model, ds.data, decide_layout(model, ds.data.values).paths)
 
         # oracle: full per-sample trees, then average child/parent ratios
         mats = model.matrices
@@ -247,7 +247,7 @@ class TestBatch:
         fresh = rng.standard_normal((20, 4))
         z = cst_transform_batch(model, fresh, layout=layout)
         assert z.matrix.shape == (4, len(layout) * 20)
-        assert z.layout == layout and z.pruned == {}
+        assert z.layout == layout
         # each retained path's block is that path's recursion on the fresh signals
         mats = model.matrices
         for k, path in enumerate(layout):
@@ -256,28 +256,11 @@ class TestBatch:
                 signals = np.abs(mats[j] @ signals)
             npt.assert_array_equal(z.matrix[:, k * 20 : (k + 1) * 20], signals.T)
 
-    def test_decide_layout_matches_batch_decision(self, rng):
-        model = self._model(tau=0.2)
-        x = rng.standard_normal((20, 30))
-        decided = decide_layout(model, x)
-        batch = cst_transform_batch(model, x)
-        assert decided.paths == batch.layout
-        assert decided.pruned == batch.pruned
-
-    def test_following_own_layout_is_bit_equal(self, rng):
-        model = self._model(tau=0.2)
-        x = rng.standard_normal((20, 30))
-        b = cst_transform_batch(model, x)
-        assert len(b.layout) < feature_count(3, 3)  # some paths were pruned
-        followed = cst_transform_batch(model, x, layout=b.layout)
-        npt.assert_array_equal(followed.matrix, b.matrix)
-        assert followed.layout == b.layout
-
     def test_following_layout_on_subset_is_bit_equal(self, rng):
         # train is a subset of the fit pool: its rows must not depend on the rest
         model = self._model(tau=0.2)
         x = rng.standard_normal((20, 30))
-        b = cst_transform_batch(model, x)
+        b = cst_transform_batch(model, x, decide_layout(model, x).paths)
         subset = np.array([1, 4, 5, 11, 17, 29])
         followed = cst_transform_batch(model, x[:, subset], layout=b.layout)
         npt.assert_array_equal(followed.matrix, b.matrix[subset])
@@ -286,10 +269,11 @@ class TestBatch:
         model = self._model(tau=0.3)
         x = rng.standard_normal((20, 30))
         tree, fv = cst_transform(model, x[:, 0])
-        batch = cst_transform_batch(model, x[:, :1])
+        decided = decide_layout(model, x[:, :1])
+        batch = cst_transform_batch(model, x[:, :1], decided.paths)
         assert tree.pruned_paths  # the threshold prunes something
         assert fv.layout == batch.layout
-        assert tree.pruned_paths == batch.pruned
+        assert tree.pruned_paths == decided.pruned
         npt.assert_array_equal(fv.coefficients, batch.matrix[0])
 
     def test_layout_outside_the_tree_rejected(self, rng):
@@ -373,7 +357,6 @@ class TestSpectralDecision:
         for path, ratio in decided.ratios.items():
             # a ratio near zero is only known to the explicit product's roundoff
             assert ratio == pytest.approx(explicit_ratio(model, x, path), rel=1e-12, abs=1e-15)
-        assert decided.paths == cst_transform_batch(model, x).layout
         for larger in (tau, tau + 0.05, 0.5):
             at_tau = dataclasses.replace(model, config=dataclasses.replace(config, tau=larger))
             fresh = decide_layout(at_tau, x)
@@ -413,10 +396,15 @@ class TestWorkCount:
         assert model.matrices.products == sum(len(path) == 1 for path in decided.paths)
 
     def test_pruned_child_is_never_formed(self, rng):
-        model = self._model(L=3, tau=0.2)
-        batch = cst_transform_batch(model, rng.standard_normal((20, 30)))
-        assert batch.pruned
-        assert model.matrices.products == len(batch.layout) - 1
+        # deciding forms the retained inner paths, following every retained path
+        model = self._model(L=4, tau=0.2)
+        x = rng.standard_normal((20, 30))
+        decided = decide_layout(model, x)
+        batch = cst_transform_batch(model, x, decided.paths)
+        assert decided.pruned
+        inner = sum(1 <= len(path) < model.config.L - 1 for path in decided.paths)
+        assert inner and any(len(path) == model.config.L - 1 for path in decided.paths)
+        assert model.matrices.products == inner + len(batch.layout) - 1
 
     def test_faulty_layout_rejected_before_any_product(self, rng):
         model = self._model(L=3)
@@ -501,7 +489,6 @@ class TestTraversal:
         try:
             ref = weakref.ref(model)
             layout = decide_layout(model, x).paths
-            cst_transform_batch(model, x)
             cst_transform_batch(model, x, layout=layout)
             del model
             assert ref() is None
