@@ -30,7 +30,6 @@ from .readout import (
     PcaModel,
     dual_ridge_predict,
     mae,
-    mse,
     pca_fit,
     pca_transform,
     ridge_fit,
@@ -186,6 +185,7 @@ class StabilityRow:
     mae: float | None
     embedding_mse: float | None
     delta_measured: float | None = None
+    embedding_dist_max: float | None = None  # largest test-sample ||z - z_hat||_2
     stability_bound: float | None = None
 
 
@@ -195,9 +195,9 @@ class StabilityReport:
     include_bounds: bool
 
     def header(self) -> list[str]:
-        """The row fields, without the two bound columns unless they were computed."""
+        """The row fields, without the three bound columns unless they were computed."""
         names = columns(StabilityRow)
-        return names if self.include_bounds else names[:-2]
+        return names if self.include_bounds else names[:-3]
 
 
 def _layer_counts(layout_paths, n_layers: int) -> list[int]:
@@ -224,7 +224,11 @@ def run_stability(
     random subsamples of the pool, recording the regression MAE under the
     frozen regressor and the embedding MSE against the clean embeddings.
     Every method's model is fitted on the pool before any refit, so a method
-    that cannot be fitted fails before the refits start.
+    that cannot be fitted fails before the refits start. With
+    ``include_bounds``, each CST row also records the measured wavelet
+    delta, the largest per-sample embedding distance ``||z - z_hat||_2``
+    over the test set, and :func:`bounds.cst_stability_bound` on that
+    distance at the largest test-sample norm.
     """
     x, y = _xy(data, targets)
     if not all(0.0 <= f <= 1.0 for f in subsample_fracs):
@@ -272,9 +276,13 @@ def run_stability(
             perturbed = _fit(method, cov, layout=clean.layout)
             embedded = perturbed.embed(x[:, split.test])
             row_mae = mae(ridge.predict(embedded), y[split.test])
-            row_mse = mse(embedded, clean_test)
-            delta = bound = None
+            # one squared difference gives both distances; in place, as the
+            # refitted embedding is a fresh array that is not read again
+            squared = np.square(np.subtract(embedded, clean_test, out=embedded), out=embedded)
+            row_mse = float(np.mean(squared))
+            delta = dist = bound = None
             if include_bounds and isinstance(method, CstMethod):
+                dist = float(np.sqrt(squared.sum(axis=0).max()))
                 delta = bounds_mod.measured_wavelet_delta(
                     clean.model.matrices, perturbed.model.matrices
                 )
@@ -291,7 +299,9 @@ def run_stability(
                     method.config.L,
                 )
             rows.append(
-                StabilityRow(method.name, fraction, seed, "ok", row_mae, row_mse, delta, bound)
+                StabilityRow(
+                    method.name, fraction, seed, "ok", row_mae, row_mse, delta, dist, bound
+                )
             )
     rows.sort(key=lambda r: (r.method, r.fraction, r.seed))
     return StabilityReport(rows=tuple(rows), include_bounds=include_bounds)
@@ -472,9 +482,10 @@ def grid_search(
     formed: :func:`dual_ridge_predict` sums the t x t dual kernel over the
     path blocks of one followed pass over train, then predicts from a
     second pass over train and valid as one batch (:func:`layout_blocks`).
-    Each pass walks the tree depth-first and holds at most L formed signal
-    batches of N x n, never a whole layer; both followed passes yield blocks
-    in ``sorted(layout)`` order. The dual rows equal the materialized
+    Each pass walks the tree depth-first and holds at most L - 1 formed
+    signal batches of N x n if the consumer keeps no block across the next
+    one, never a whole layer; both followed passes yield blocks in
+    ``sorted(layout)`` order. The dual rows equal the materialized
     solve's up to the order of the sums.
     """
     if not all(len(grid) for grid in (j_grid, l_grid, operator_grid, alpha_grid)):

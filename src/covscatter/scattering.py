@@ -259,10 +259,13 @@ def _scatter(model: CstModel, x: np.ndarray, layout: tuple[Path, ...] | None, ra
     only retained children that are parents of the next layer are formed.
     With ``layout`` the pass follows: a child is formed iff its path is in
     the layout, and no norm is computed. Only the current root-to-node
-    chain is held, so a caller that drops the yielded signals holds, besides
-    ``x``, at most L formed signal batches of (N, n): the chain's L - 1 and
-    the next sibling as it is formed; while deciding, also the (J, n) child
-    norms of each chain parent.
+    chain is held, and a finished child is dropped before its next sibling
+    is formed, so a caller that keeps no yielded signals across the next
+    one holds, besides ``x``, at most L - 1 formed signal batches of
+    (N, n): the chain above the node being formed, and that node. A
+    deciding pass, which forms no last-layer child, holds at most L - 2 of
+    them plus one (N, n) array of Fourier coefficients and the (J, n)
+    child norms of each chain parent.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != model.n_features:
@@ -308,6 +311,7 @@ def _walk(model: CstModel, path: Path, signals, norms, follow, ratios: dict):
         np.abs(children, out=children)
         child_norm = child_norms[j] if decide else None
         yield from _walk(model, child_path, children, child_norm, follow, ratios)
+        del children  # before the next sibling's product allocates
 
 
 def cst_transform(
@@ -371,7 +375,10 @@ def layout_blocks(model: CstModel, x: np.ndarray, layout: tuple[Path, ...]):
     that lies outside the model's tree raises :class:`ConfigError` here.
     The blocks then come depth-first, in ``sorted(layout)`` order, one path
     at a time, so a consumer that keeps only what it sums holds no feature
-    matrix, and the pass holds at most L formed signal batches of (N, n).
+    matrix. The iterator drops each node's signals once its block is made,
+    and the block once resumed, so the pass and a consumer that keeps no
+    block across the next one hold at most L - 1 formed signal batches of
+    (N, n) besides ``x``.
     """
     paths = tuple(layout)
     known = {()}
@@ -389,7 +396,21 @@ def layout_blocks(model: CstModel, x: np.ndarray, layout: tuple[Path, ...]):
             "layout must list paths of the tree from the root in breadth-first, "
             "lexicographic order, each after its parent"
         )
-    return (_aggregate(model, signals) for _, signals in _scatter(model, x, paths, {}))
+    return _blocks(model, _scatter(model, x, paths, {}))
+
+
+def _blocks(model: CstModel, nodes):
+    """Each yielded node's block, holding neither its signals nor the block once resumed.
+
+    A generator expression would keep the last signals in its loop variable
+    while the pass forms the next node. A module-level function, not a
+    closure, for the reason given at :func:`_walk`.
+    """
+    for _, signals in nodes:
+        block = _aggregate(model, signals)
+        del signals
+        yield block
+        del block
 
 
 def cst_transform_batch(model: CstModel, data, layout: tuple[Path, ...]) -> BatchFeatures:
@@ -397,16 +418,21 @@ def cst_transform_batch(model: CstModel, data, layout: tuple[Path, ...]) -> Batc
 
     Samples embedded apart share one feature layout. Each path's block from
     :func:`layout_blocks`, which come depth-first, is written into its
-    column slot of one preallocated matrix, and beside it the pass holds at
-    most L formed signal batches of (N, n).
+    column slot of one preallocated matrix and then dropped, so beside the
+    input and the matrix the pass holds at most L - 1 formed signal batches
+    of (N, n).
     """
     x = data.values if hasattr(data, "values") else data
     paths = tuple(layout)
     width = model.feature_width
     matrix = None
-    slots = sorted(range(len(paths)), key=paths.__getitem__)
-    for slot, block in zip(slots, layout_blocks(model, x, paths)):
+    slots = iter(sorted(range(len(paths)), key=paths.__getitem__))
+    # not zip or enumerate: each reuses its result tuple, which holds the
+    # last block (for identity, a view of its signals) until the next exists
+    for block in layout_blocks(model, x, paths):
         if matrix is None:  # the root: x has passed _scatter's checks
             matrix = np.empty((block.shape[0], len(paths) * width))
+        slot = next(slots)
         matrix[:, slot * width : (slot + 1) * width] = block
+        del block
     return BatchFeatures(matrix=matrix, layout=paths, width=width)

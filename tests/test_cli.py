@@ -180,6 +180,27 @@ class TestExperimentCommands:
         header = (out / "stability_mae.plotdata").read_text().splitlines()[0]
         assert header == "x,series,y,y_lo,y_hi"
 
+    def test_stability_bounds_hold_in_the_csv(self, tmp_path):
+        _, data_path, targets_path = make_data_files(tmp_path)
+        out = tmp_path / "s"
+        code = main(
+            ["stability", "--data", str(data_path), "--targets", str(targets_path),
+             "--seed", "1", "--families", "diffusion,hann,monic", "--pca-k", "4",
+             "--fractions", "0.3,0.7", "--runs", "3", "--j", "3", "--l", "3",
+             "--out", str(out), "--bounds"]
+        )
+        assert code == 0
+        header, *lines = (out / "stability.csv").read_text().splitlines()
+        names = header.split(",")
+        assert names[-3:] == ["delta_measured", "embedding_dist_max", "stability_bound"]
+        rows = [dict(zip(names, line.split(","))) for line in lines]
+        cst = [r for r in rows if r["method"].endswith("-cst") and r["status"] == "ok"]
+        assert len(cst) == 3 * 3 * 3
+        for row in cst:
+            assert 0.0 <= float(row["embedding_dist_max"]) <= float(row["stability_bound"])
+        # PCA has no bound, so its bound cells are empty
+        assert all(r["embedding_dist_max"] == "" for r in rows if r["method"] == "pca")
+
     def test_prune_sweep(self, tmp_path):
         _, data_path, targets_path = make_data_files(tmp_path)
         out = tmp_path / "p"

@@ -167,9 +167,10 @@ class TestStability:
             seeds=[0],
             include_bounds=True,
         )
-        assert report.header()[-2:] == ["delta_measured", "stability_bound"]
+        assert report.header()[-3:] == ["delta_measured", "embedding_dist_max", "stability_bound"]
         ok = [r for r in report.rows if r.fraction == 0.3]
         assert all(r.delta_measured is not None and r.stability_bound is not None for r in ok)
+        assert all(r.embedding_dist_max is not None for r in ok)
 
 
     def test_subsample_estimates_shared_across_methods(self, dataset, eig_calls):

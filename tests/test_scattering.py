@@ -481,6 +481,24 @@ class TestTraversal:
         assert deciding_peak < bound
         assert followed_peak < bound
 
+    @pytest.mark.parametrize("aggregation", ["identity", "mean"])
+    def test_followed_pass_holds_one_batch_per_depth(self, rng, aggregation):
+        N, n, J, L = 20, 2000, 4, 4
+        config = CstConfig(family=Diffusion(), J=J, L=L, tau=0.0, aggregation=aggregation)
+        model = cst_fit(spd_covariance(N, 6), config)
+        x = rng.standard_normal((N, n))
+        layout = decide_layout(model, x).paths
+        assert len(layout) == feature_count(J, L)
+        tracemalloc.start()
+        try:
+            matrix = cst_transform_batch(model, x, layout).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the chain above the deepest node plus that node: L - 1 batches of
+        # N x n; a finished sibling still held would make it L
+        assert peak - matrix.nbytes < (L - 0.5) * N * n * 8
+
     def test_pass_leaves_no_reference_cycle(self, rng):
         # a cycle would keep every pass's model and signals until the collector runs
         model = self._model()
@@ -490,6 +508,8 @@ class TestTraversal:
             ref = weakref.ref(model)
             layout = decide_layout(model, x).paths
             cst_transform_batch(model, x, layout=layout)
+            for _ in layout_blocks(model, x, layout):
+                pass
             del model
             assert ref() is None
         finally:
