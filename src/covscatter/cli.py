@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import platform
 import sys
@@ -53,6 +54,11 @@ def _build_family(name, args):
         return Hann(R=args.hann_r, warp=not args.no_warp)
     return Monic(alpha=args.monic_alpha, beta=args.monic_beta, K=args.monic_k)
 
+
+# samples per followed chunk of `transform`. A multiple of 64 starts every
+# chunk on the GEMM's column blocking, so the chunks give the bits of one
+# whole-batch pass; some other widths move entries in their last bits
+_TRANSFORM_CHUNK = 256
 
 # what --j, --l and --operator default to; grid-search, whose grids set them,
 # keeps these in the base config it hands the search
@@ -205,16 +211,22 @@ def _cmd_transform(args):
     config = _build_config(args)
     model = cst_fit(sample_covariance(data), config)
     decision = decide_layout(model, data.values)
-    features = cst_transform_batch(model, data, decision.paths)
+    header = io.feature_column_names(decision.paths, model.feature_width)
+    # every check has run: the followed pass is written chunk by chunk, so no
+    # (samples x features) matrix is held
+    chunks = (
+        cst_transform_batch(model, data.values[:, i : i + _TRANSFORM_CHUNK], decision.paths).matrix
+        for i in range(0, data.n_samples, _TRANSFORM_CHUNK)
+    )
     out = _out_dir(args)
-    io.write_features_csv(out / "features.csv", features)
+    io.write_matrix_csv(out / "features.csv", header, itertools.chain.from_iterable(chunks))
     derived = model.filterbank.provenance()
-    derived["retained_paths"] = ";".join(path_name(p) for p in features.layout)
+    derived["retained_paths"] = ";".join(path_name(p) for p in decision.paths)
     derived["pruned_paths"] = ";".join(
         f"{path_name(p)}:{ratio!r}" for p, ratio in sorted(decision.pruned.items())
     )
     _write_provenance(args, out / "features.provenance.txt", derived)
-    print(f"wrote {out / 'features.csv'} ({features.matrix.shape[1]} columns)")
+    print(f"wrote {out / 'features.csv'} ({len(header)} columns)")
     return 0
 
 

@@ -31,18 +31,28 @@ def format_value(value) -> str:
     return str(value)
 
 
-def write_matrix_csv(path, header: list[str], matrix) -> None:
-    """Write a header row, then one row of ``repr`` floats per matrix row.
+def _float_list(row) -> list[float]:
+    return np.asarray(row, dtype=np.float64).tolist()
 
-    The rows are the bytes ``csv.writer`` gives for ``repr`` cells: a float's
-    ``repr`` holds no delimiter, quote or line break, so no cell is quoted and
-    every row ends in ``\\r\\n``.
+
+def write_matrix_csv(path, header: list[str], rows) -> None:
+    """Write a header row, then one row of ``repr`` floats per item of ``rows``.
+
+    ``rows`` is any iterable of rows, such as a 2-D array or a chain of
+    row chunks formed one at a time. It is read once, in order, and no row
+    is held once its line is written, so a chunk whose rows are views of it
+    can be freed before the next chunk is formed. The rows are the bytes
+    ``csv.writer`` gives for ``repr`` cells: a float's ``repr`` holds no
+    delimiter, quote or line break, so no cell is quoted and every row ends
+    in ``\\r\\n``.
     """
     with Path(path).open("w", newline="") as handle:
         csv.writer(handle).writerow(header)
-        # row by row: matrix.tolist() would hold every value as a Python float
-        for row in np.asarray(matrix, dtype=np.float64):
-            handle.write(",".join(map(repr, row.tolist())) + "\r\n")
+        # row by row: matrix.tolist() would hold every value as a Python float.
+        # Through map, not a loop over rows: a loop variable would hold the
+        # last row, and the chunk it views, while the next chunk is formed
+        for values in map(_float_list, rows):
+            handle.write(",".join(map(repr, values)) + "\r\n")
 
 
 @contextmanager

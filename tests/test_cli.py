@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,39 @@ class TestTransform:
         assert read_keyvalue(prov)["family"] == "diffusion"
         derived = read_derived(prov)
         assert "frame_upper" in derived and "retained_paths" in derived
+
+    @pytest.mark.parametrize("aggregation", ["identity", "mean"])
+    def test_chunked_output_matches_whole_batch(self, tmp_path, aggregation):
+        # two full 256-sample chunks and a 37-sample tail
+        ds, data_path, _ = make_data_files(tmp_path, t=2 * 256 + 37)
+        out = tmp_path / "feat"
+        code = main(
+            ["transform", "--data", str(data_path), "--out", str(out), "--j", "3", "--l", "3",
+             "--aggregation", aggregation]
+        )
+        assert code == 0
+        config = CstConfig(family=Diffusion(), J=3, L=3, aggregation=aggregation)
+        model = cst_fit(sample_covariance(ds.data), config)
+        expected = cst_transform_batch(model, ds.data, decide_layout(model, ds.data.values).paths)
+        lines = (out / "features.csv").read_text().strip().splitlines()
+        got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        npt.assert_array_equal(got, expected.matrix)
+
+    def test_holds_no_feature_matrix(self, tmp_path):
+        n, t = 5, 1500  # a 1.9 MB matrix, written in six chunks
+        _, data_path, _ = make_data_files(tmp_path, n=n, t=t)
+        out = tmp_path / "feat"
+        argv = ["transform", "--data", str(data_path), "--out", str(out), "--j", "5", "--l", "3"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with (out / "features.csv").open() as handle:
+            width = len(handle.readline().split(","))
+        assert width == (5**3 - 1) // 4 * n  # every path of the tree retained
+        assert peak < t * width * 8 / 2
 
     def test_width_matches_feature_count(self, tmp_path):
         _, data_path, _ = make_data_files(tmp_path)

@@ -1,5 +1,6 @@
 import csv
 import io as stdio
+import itertools
 import math
 
 import numpy as np
@@ -180,6 +181,18 @@ class TestWriterBytes:
         path = tmp_path / "m.csv"
         write_matrix_csv(path, header, matrix)
         assert path.read_bytes() == reference_csv_bytes(header, matrix)
+
+    def test_iterable_rows_match_matrix(self, tmp_path):
+        matrix = np.array([SPECIAL, SPECIAL[::-1], SPECIAL[3:] + SPECIAL[:3]])
+        header = [f"c{i}" for i in range(len(SPECIAL))]
+        write_matrix_csv(tmp_path / "m.csv", header, matrix)
+        expected = (tmp_path / "m.csv").read_bytes()
+        for name, rows in (
+            ("iter.csv", iter(matrix)),
+            ("chained.csv", itertools.chain.from_iterable([matrix[:2], matrix[2:]])),
+        ):
+            write_matrix_csv(tmp_path / name, header, rows)
+            assert (tmp_path / name).read_bytes() == expected
 
     def test_targets(self, tmp_path):
         path = tmp_path / "targets.csv"
