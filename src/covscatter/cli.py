@@ -215,7 +215,7 @@ def _cmd_transform(args):
     # every check has run: the followed pass is written chunk by chunk, so no
     # (samples x features) matrix is held
     chunks = (
-        cst_transform_batch(model, data.values[:, i : i + _TRANSFORM_CHUNK], decision.paths).matrix
+        cst_transform_batch(model, data.values[:, i : i + _TRANSFORM_CHUNK], decision.paths)
         for i in range(0, data.n_samples, _TRANSFORM_CHUNK)
     )
     out = _out_dir(args)

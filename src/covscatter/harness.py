@@ -97,11 +97,18 @@ class Split:
 
 
 def make_split(spec: SplitSpec, n_samples: int) -> Split:
-    """Exact partition of the index set by cumulative rounding."""
+    """Exact partition of the index set by cumulative rounding; the test set must not be empty.
+
+    The cuts do not depend on the seed, so a split that fails fails at every seed.
+    """
     perm = np.random.default_rng(spec.seed).permutation(n_samples)
     cuts = np.round(
         np.cumsum([spec.unlabeled_frac, spec.train_frac, spec.valid_frac]) * n_samples
     ).astype(int)
+    if cuts[2] >= n_samples:
+        raise ConfigError(
+            f"test fraction {spec.test_frac} of {n_samples} samples leaves an empty test set"
+        )
     return Split(
         unlabeled=perm[: cuts[0]],
         train=perm[cuts[0] : cuts[1]],
@@ -150,7 +157,7 @@ class _Embedding:
             return x
         if isinstance(self.model, PcaModel):
             return pca_transform(self.model, x)
-        return cst_transform_batch(self.model, x, layout=self.layout).matrix.T
+        return cst_transform_batch(self.model, x, layout=self.layout).T
 
 
 def _fit(method: Method, cov: SampleCovariance, pool_x=None, layout=None) -> _Embedding:
@@ -411,6 +418,7 @@ def run_labeled_sweep(
                 split_template, unlabeled_frac=max(unlabeled, 0.0), train_frac=train_frac
             )
         )
+        make_split(specs[-1], data.n_samples)  # an empty test set fails before any fit
     rows = []
     for seed in seeds:
         fits = {}  # sorted fit-pool indices -> each method's embedding
@@ -492,6 +500,11 @@ def grid_search(
         raise ConfigError("every grid needs at least one value")
     x, y = _xy(data, targets)
     split = make_split(split_spec, data.n_samples)
+    if not split.valid.size:
+        raise ConfigError(
+            f"valid fraction {split_spec.valid_frac} of {data.n_samples} samples "
+            "leaves an empty validation set"
+        )
     pool_x = x[:, split.fit_pool]
     cov = sample_covariance(pool_x)
     train_x, valid_x = x[:, split.train], x[:, split.valid]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidData
-from .scattering import BatchFeatures, path_name
+from .scattering import path_name
 from .spectral import DataMatrix
 
 
@@ -210,12 +210,6 @@ def feature_column_names(layout, width: int) -> list[str]:
         else:
             names.extend(f"{base}[{i}]" for i in range(width))
     return names
-
-
-def write_features_csv(path, features: BatchFeatures) -> None:
-    write_matrix_csv(
-        path, feature_column_names(features.layout, features.width), features.matrix
-    )
 
 
 def write_rows_csv(path, header: list[str], rows: list[list]) -> None:

@@ -178,13 +178,6 @@ def _threshold(ratios: dict, tau: float) -> ScatterLayout:
     return ScatterLayout(tau=tau, ratios=ratios, paths=tuple(paths), pruned=pruned)
 
 
-@dataclass(frozen=True)
-class BatchFeatures:
-    matrix: np.ndarray  # (n_samples, n_paths * width)
-    layout: tuple[Path, ...]
-    width: int
-
-
 def feature_count(J: int, L: int) -> int:
     """Path count of an unpruned tree with no zero-energy nodes: (J^L - 1)/(J - 1)."""
     if J < 2:
@@ -247,12 +240,14 @@ def _aggregate(model: CstModel, signals: np.ndarray) -> np.ndarray:
 def _scatter(model: CstModel, x: np.ndarray, layout: tuple[Path, ...] | None, ratios: dict):
     """The scattering recursion, run depth-first over a batch ``x`` of shape (N, n).
 
-    Yields ``(path, signals)`` for the root and then every child it forms in
-    pre-order, which is ``sorted`` path order: ``()``, ``(0,)``, ``(0, 0)``,
-    ..., ``(1,)``. Each child is formed at most once. Without ``layout`` the
-    pass decides: a child is retained iff the batch mean of its per-sample
-    norm ratio (zero where the parent has zero energy) passes :func:`_kept`
-    at ``model.config.tau``, and every child decided on is recorded in
+    ``x`` is checked for shape and finiteness at the call, before any
+    product. The returned iterator yields ``(path, signals)`` for the root
+    and then every child it forms in pre-order, which is ``sorted`` path
+    order: ``()``, ``(0,)``, ``(0, 0)``, ..., ``(1,)``. Each child is
+    formed at most once. Without ``layout`` the pass decides: a child is
+    retained iff the batch mean of its per-sample norm ratio (zero where
+    the parent has zero energy) passes :func:`_kept` at
+    ``model.config.tau``, and every child decided on is recorded in
     ``ratios``, from which :func:`_threshold` reads the decision. One
     product ``V^T s`` per parent, squared, times ``model.squared_responses``
     gives the energies of all J children, whose roots are their norms, so
@@ -274,7 +269,7 @@ def _scatter(model: CstModel, x: np.ndarray, layout: tuple[Path, ...] | None, ra
         raise InvalidData("signals contain non-finite entries")
     follow = None if layout is None else frozenset(layout)
     norms = np.linalg.norm(x, axis=0) if follow is None else None
-    yield from _walk(model, (), x, norms, follow, ratios)
+    return _walk(model, (), x, norms, follow, ratios)
 
 
 def _walk(model: CstModel, path: Path, signals, norms, follow, ratios: dict):
@@ -370,15 +365,15 @@ def layout_blocks(model: CstModel, x: np.ndarray, layout: tuple[Path, ...]):
     """Follow ``layout`` over a batch ``x`` (N, n): an iterator of (n, width) blocks.
 
     ``layout`` lists paths in layout order, such as ``decide_layout(...).paths``.
-    It is checked whole before any product: a layout that does not start at
-    the root, is out of order, or has a path whose parent is missing or
-    that lies outside the model's tree raises :class:`ConfigError` here.
+    The layout and the signals are checked at the call, before any product:
+    a layout that does not start at the root, is out of order, or has a
+    path whose parent is missing or that lies outside the model's tree
+    raises :class:`ConfigError`, and ``x`` raises as in :func:`_scatter`.
     The blocks then come depth-first, in ``sorted(layout)`` order, one path
     at a time, so a consumer that keeps only what it sums holds no feature
-    matrix. The iterator drops each node's signals once its block is made,
-    and the block once resumed, so the pass and a consumer that keeps no
-    block across the next one hold at most L - 1 formed signal batches of
-    (N, n) besides ``x``.
+    matrix. The iterator releases each node once its block is made, so the
+    pass and a consumer that keeps no block across the next one hold at
+    most L - 1 formed signal batches of (N, n) besides ``x``.
     """
     paths = tuple(layout)
     known = {()}
@@ -396,43 +391,24 @@ def layout_blocks(model: CstModel, x: np.ndarray, layout: tuple[Path, ...]):
             "layout must list paths of the tree from the root in breadth-first, "
             "lexicographic order, each after its parent"
         )
-    return _blocks(model, _scatter(model, x, paths, {}))
+    return map(lambda node: _aggregate(model, node[1]), _scatter(model, x, paths, {}))
 
 
-def _blocks(model: CstModel, nodes):
-    """Each yielded node's block, holding neither its signals nor the block once resumed.
+def cst_transform_batch(model: CstModel, data, layout: tuple[Path, ...]) -> np.ndarray:
+    """Embed a batch over ``layout``, such as ``decide_layout(...).paths``: (n_samples, D).
 
-    A generator expression would keep the last signals in its loop variable
-    while the pass forms the next node. A module-level function, not a
-    closure, for the reason given at :func:`_walk`.
-    """
-    for _, signals in nodes:
-        block = _aggregate(model, signals)
-        del signals
-        yield block
-        del block
-
-
-def cst_transform_batch(model: CstModel, data, layout: tuple[Path, ...]) -> BatchFeatures:
-    """Embed a batch over ``layout``, such as ``decide_layout(...).paths``; rows are samples.
-
-    Samples embedded apart share one feature layout. Each path's block from
-    :func:`layout_blocks`, which come depth-first, is written into its
-    column slot of one preallocated matrix and then dropped, so beside the
-    input and the matrix the pass holds at most L - 1 formed signal batches
-    of (N, n).
+    Rows are samples, and samples embedded apart share one feature layout.
+    The signals and the layout are checked at the call, by
+    :func:`layout_blocks`, whose blocks come depth-first; each is written
+    into its column slot of one preallocated matrix as it is made, so beside
+    the input and the matrix the pass holds at most L - 1 formed signal
+    batches of (N, n).
     """
     x = data.values if hasattr(data, "values") else data
     paths = tuple(layout)
     width = model.feature_width
-    matrix = None
-    slots = iter(sorted(range(len(paths)), key=paths.__getitem__))
-    # not zip or enumerate: each reuses its result tuple, which holds the
-    # last block (for identity, a view of its signals) until the next exists
-    for block in layout_blocks(model, x, paths):
-        if matrix is None:  # the root: x has passed _scatter's checks
-            matrix = np.empty((block.shape[0], len(paths) * width))
-        slot = next(slots)
-        matrix[:, slot * width : (slot + 1) * width] = block
-        del block
-    return BatchFeatures(matrix=matrix, layout=paths, width=width)
+    blocks = layout_blocks(model, x, paths)
+    matrix = np.empty((np.shape(x)[1], len(paths) * width))
+    for slot in sorted(range(len(paths)), key=paths.__getitem__):
+        matrix[:, slot * width : (slot + 1) * width] = next(blocks)
+    return matrix

@@ -84,7 +84,7 @@ class TestTransform:
         expected = cst_transform_batch(model, ds.data, layout)
         lines = (out / "features.csv").read_text().strip().splitlines()
         got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        npt.assert_array_equal(got, expected.matrix)
+        npt.assert_array_equal(got, expected)
         prov = out / "features.provenance.txt"
         assert read_keyvalue(prov)["family"] == "diffusion"
         derived = read_derived(prov)
@@ -105,7 +105,7 @@ class TestTransform:
         expected = cst_transform_batch(model, ds.data, decide_layout(model, ds.data.values).paths)
         lines = (out / "features.csv").read_text().strip().splitlines()
         got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        npt.assert_array_equal(got, expected.matrix)
+        npt.assert_array_equal(got, expected)
 
     def test_holds_no_feature_matrix(self, tmp_path):
         n, t = 5, 1500  # a 1.9 MB matrix, written in six chunks
@@ -473,6 +473,26 @@ class TestFlagValues:
 
     BOUNDS = ["bounds", "--data", "{data}"]
     GRID_SEARCH = ["grid-search", *SPLIT, "--grid-j", "2", "--grid-l", "2"]
+    # of 300 samples, a test fraction of 0.001 and a valid fraction of 0 round to none
+    NO_TEST = ["--test-frac", "0.001", "--unlabeled-frac", "0.699"]
+    EMPTY_EVALUATION = {
+        "stability": [*STABILITY, *NO_TEST],
+        "prune-sweep": [*PRUNE_SWEEP, *NO_TEST],
+        "labeled-sweep": [*LABELED_SWEEP, *NO_TEST],
+        "grid-search": [*GRID_SEARCH, "--valid-frac", "0", "--unlabeled-frac", "0.7"],
+    }
+
+    @pytest.mark.parametrize("argv", EMPTY_EVALUATION.values(), ids=EMPTY_EVALUATION.keys())
+    def test_empty_evaluation_set_is_usage_error(self, tmp_path, capsys, argv):
+        _, data_path, targets_path = make_data_files(tmp_path, n=8, t=300)
+        argv = [arg.format(data=data_path, targets=targets_path) for arg in argv]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Warning" not in err and "Traceback" not in err
+        assert "300 samples" in err
+        assert not (tmp_path / "o").exists()
     # the flags a command's run would ignore or override: stability never prunes,
     # --taus sets prune-sweep's tau, labeled-sweep runs both aggregations, no bound
     # reads tau, and grid-search's grids set J, L and the operator

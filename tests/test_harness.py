@@ -423,8 +423,8 @@ class TestGridSearch:
         split = make_split(DEFAULT_SPLIT, dataset.data.n_samples)
         model = cst_fit(sample_covariance(x[:, split.fit_pool]), config)
         layout = decide_layout(model, x[:, split.fit_pool]).paths
-        z_train = cst_transform_batch(model, x[:, split.train], layout=layout).matrix.T
-        z_valid = cst_transform_batch(model, x[:, split.valid], layout=layout).matrix.T
+        z_train = cst_transform_batch(model, x[:, split.train], layout=layout).T
+        z_valid = cst_transform_batch(model, x[:, split.valid], layout=layout).T
         assert (z_train.shape[0] > split.train.shape[0]) == (aggregation == "identity")
         expected = [
             mae(ridge_fit(z_train, y[split.train], alpha).predict(z_valid), y[split.valid])

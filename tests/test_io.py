@@ -18,14 +18,12 @@ from covscatter.io import (
     read_keyvalue,
     read_targets_csv,
     write_data_csv,
-    write_features_csv,
     write_matrix_csv,
     write_provenance,
     write_targets_csv,
 )
 from covscatter.readout import pca_fit, pca_transform
 from covscatter.scattering import (
-    BatchFeatures,
     CstConfig,
     cst_fit,
     cst_transform_batch,
@@ -201,10 +199,9 @@ class TestWriterBytes:
 
     def test_features(self, tmp_path):
         matrix = np.array([SPECIAL, SPECIAL[::-1], SPECIAL[3:] + SPECIAL[:3]])
-        features = BatchFeatures(matrix=matrix, layout=((), (0,)), width=5)
+        header = feature_column_names(((), (0,)), 5)
         path = tmp_path / "features.csv"
-        write_features_csv(path, features)
-        header = feature_column_names(features.layout, features.width)
+        write_matrix_csv(path, header, matrix)
         assert path.read_bytes() == reference_csv_bytes(header, matrix)
 
     def test_data(self, tmp_path):
@@ -253,14 +250,15 @@ class TestFeaturesCsv:
     def test_header_and_values(self, tmp_path, rng):
         data = DataMatrix(rng.standard_normal((4, 6)))
         model = cst_fit(sample_covariance(data), CstConfig(family=Diffusion(), J=2, L=2))
-        batch = cst_transform_batch(model, data, decide_layout(model, data.values).paths)
+        layout = decide_layout(model, data.values).paths
+        matrix = cst_transform_batch(model, data, layout)
         path = tmp_path / "features.csv"
-        write_features_csv(path, batch)
+        write_matrix_csv(path, feature_column_names(layout, model.feature_width), matrix)
         lines = path.read_text().strip().splitlines()
         assert lines[0].split(",")[0] == "p_root[0]"
         assert len(lines) == 1 + 6
         first_row = np.array([float(v) for v in lines[1].split(",")])
-        npt.assert_array_equal(first_row, batch.matrix[0])
+        npt.assert_array_equal(first_row, matrix[0])
 
     def test_mean_aggregation_names(self):
         names = feature_column_names([(), (0,), (1, 2)], width=1)

@@ -191,8 +191,8 @@ class TestDualRidgePredict:
         config = CstConfig(family=Diffusion(), J=3, L=3, aggregation=aggregation)
         model = cst_fit(sample_covariance(x), config)
         layout = layout or decide_layout(model, x).paths
-        z_train = cst_transform_batch(model, x[:, :n_train], layout=layout).matrix.T
-        z_valid = cst_transform_batch(model, x[:, n_train:], layout=layout).matrix.T
+        z_train = cst_transform_batch(model, x[:, :n_train], layout=layout).T
+        z_valid = cst_transform_batch(model, x[:, n_train:], layout=layout).T
         assert z_train.shape[0] > n_train
         width = model.feature_width
         cuts = range(0, z_train.shape[0], width)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covscatter.errors import ConfigError, ShapeError
+from covscatter.errors import ConfigError, InvalidData, ShapeError
 from covscatter.scattering import (
     CstConfig,
     _aggregate,
@@ -196,24 +196,25 @@ class TestBatch:
     def test_identical_columns_identical_rows(self):
         model = self._model()
         x = np.tile(np.arange(20, dtype=float)[:, None], (1, 8))
-        batch = cst_transform_batch(model, x, decide_layout(model, x).paths)
-        for row in batch.matrix:
-            npt.assert_array_equal(row, batch.matrix[0])
+        matrix = cst_transform_batch(model, x, decide_layout(model, x).paths)
+        for row in matrix:
+            npt.assert_array_equal(row, matrix[0])
 
     def test_tau_zero_matches_per_sample_layout(self, rng):
         model = self._model()
         x = rng.standard_normal((20, 12))
-        batch = cst_transform_batch(model, x, decide_layout(model, x).paths)
+        layout = decide_layout(model, x).paths
+        matrix = cst_transform_batch(model, x, layout)
         _, fv = cst_transform(model, x[:, 3])
-        assert batch.layout == fv.layout
-        npt.assert_allclose(batch.matrix[3], fv.coefficients, atol=1e-12)
+        assert layout == fv.layout
+        npt.assert_allclose(matrix[3], fv.coefficients, atol=1e-12)
 
     def test_batch_pruning_matches_energy_oracle(self):
         ds = synth_generate(SynthSpec(n_features=20, n_samples=200, tail=0.5, seed=9))
         tau = 0.1
         config = CstConfig(family=Diffusion(), J=3, L=3, tau=tau)
         model = cst_fit(sample_covariance(ds.data.values), config)
-        batch = cst_transform_batch(model, ds.data, decide_layout(model, ds.data.values).paths)
+        layout = decide_layout(model, ds.data.values).paths
 
         # oracle: full per-sample trees, then average child/parent ratios
         mats = model.matrices
@@ -238,7 +239,7 @@ class TestBatch:
         for path in sorted(ratios, key=lambda p: (len(p), p)):
             if path[:-1] in retained_oracle and ratios[path] > tau:
                 retained_oracle.add(path)
-        assert set(batch.layout) == retained_oracle
+        assert set(layout) == retained_oracle
 
     def test_fixed_layout_reembedding(self, rng):
         model = self._model(tau=0.2)
@@ -246,35 +247,36 @@ class TestBatch:
         layout = decide_layout(model, pool).paths
         fresh = rng.standard_normal((20, 4))
         z = cst_transform_batch(model, fresh, layout=layout)
-        assert z.matrix.shape == (4, len(layout) * 20)
-        assert z.layout == layout
+        assert isinstance(z, np.ndarray)
+        assert z.shape == (4, len(layout) * 20)
         # each retained path's block is that path's recursion on the fresh signals
         mats = model.matrices
         for k, path in enumerate(layout):
             signals = fresh
             for j in path:
                 signals = np.abs(mats[j] @ signals)
-            npt.assert_array_equal(z.matrix[:, k * 20 : (k + 1) * 20], signals.T)
+            npt.assert_array_equal(z[:, k * 20 : (k + 1) * 20], signals.T)
 
     def test_following_layout_on_subset_is_bit_equal(self, rng):
         # train is a subset of the fit pool: its rows must not depend on the rest
         model = self._model(tau=0.2)
         x = rng.standard_normal((20, 30))
-        b = cst_transform_batch(model, x, decide_layout(model, x).paths)
+        layout = decide_layout(model, x).paths
+        whole = cst_transform_batch(model, x, layout)
         subset = np.array([1, 4, 5, 11, 17, 29])
-        followed = cst_transform_batch(model, x[:, subset], layout=b.layout)
-        npt.assert_array_equal(followed.matrix, b.matrix[subset])
+        followed = cst_transform_batch(model, x[:, subset], layout=layout)
+        npt.assert_array_equal(followed, whole[subset])
 
     def test_single_signal_is_batch_of_one(self, rng):
         model = self._model(tau=0.3)
         x = rng.standard_normal((20, 30))
         tree, fv = cst_transform(model, x[:, 0])
         decided = decide_layout(model, x[:, :1])
-        batch = cst_transform_batch(model, x[:, :1], decided.paths)
+        matrix = cst_transform_batch(model, x[:, :1], decided.paths)
         assert tree.pruned_paths  # the threshold prunes something
-        assert fv.layout == batch.layout
+        assert fv.layout == decided.paths
         assert tree.pruned_paths == decided.pruned
-        npt.assert_array_equal(fv.coefficients, batch.matrix[0])
+        npt.assert_array_equal(fv.coefficients, matrix[0])
 
     def test_layout_outside_the_tree_rejected(self, rng):
         model = self._model()
@@ -299,9 +301,9 @@ class TestBatch:
         blocks = {path: _aggregate(model, s) for path, s in _scatter(model, x, layout, {})}
         assert list(blocks) != list(layout)  # depth-first yields differ from layout order
         reference = np.concatenate([blocks[path] for path in layout], axis=1)
-        assert followed.matrix.shape == (7, len(layout) * model.feature_width)
-        assert followed.matrix.flags.c_contiguous
-        assert np.array_equal(followed.matrix, reference)
+        assert followed.shape == (7, len(layout) * model.feature_width)
+        assert followed.flags.c_contiguous
+        assert np.array_equal(followed, reference)
 
 
 class CountingMatrices:
@@ -400,11 +402,11 @@ class TestWorkCount:
         model = self._model(L=4, tau=0.2)
         x = rng.standard_normal((20, 30))
         decided = decide_layout(model, x)
-        batch = cst_transform_batch(model, x, decided.paths)
+        cst_transform_batch(model, x, decided.paths)
         assert decided.pruned
         inner = sum(1 <= len(path) < model.config.L - 1 for path in decided.paths)
         assert inner and any(len(path) == model.config.L - 1 for path in decided.paths)
-        assert model.matrices.products == inner + len(batch.layout) - 1
+        assert model.matrices.products == inner + len(decided.paths) - 1
 
     def test_faulty_layout_rejected_before_any_product(self, rng):
         model = self._model(L=3)
@@ -423,6 +425,14 @@ class TestWorkCount:
         for layout in faulty:
             with pytest.raises(ConfigError):
                 layout_blocks(model, x, layout)
+        # faulty signals over a sound layout raise at the call too
+        layout = ((), (0,), (0, 0))
+        bad_signals = ((np.full((20, 3), np.nan), InvalidData), (np.ones((19, 3)), ShapeError))
+        for signals, error in bad_signals:
+            with pytest.raises(error):
+                layout_blocks(model, signals, layout)
+            with pytest.raises(error):
+                cst_transform_batch(model, signals, layout)
         assert model.matrices.products == 0
 
     def test_followed_pass_forms_each_path_once(self, rng):
@@ -491,7 +501,7 @@ class TestTraversal:
         assert len(layout) == feature_count(J, L)
         tracemalloc.start()
         try:
-            matrix = cst_transform_batch(model, x, layout).matrix
+            matrix = cst_transform_batch(model, x, layout)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
