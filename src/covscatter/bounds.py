@@ -152,6 +152,84 @@ def signal_stability_bound(
     return agg_norm * delta_norm * math.sqrt(total)
 
 
+def _layer_counts(model, layout=None) -> list[int]:
+    """Path counts for layers 0 .. L-1: of ``layout``, or of the unpruned tree (J**ell)."""
+    if layout is None:
+        return [model.config.J**ell for ell in range(model.config.L)]
+    counts = [0] * model.config.L
+    for path in layout:
+        counts[len(path)] += 1
+    return counts
+
+
+def measured_stability_bound(clean, perturbed, layout, x_norm: float) -> tuple[float, float]:
+    """The measured delta between two CST fits of one config, and the bound at ``x_norm``.
+
+    ``clean`` and ``perturbed`` are models fitted on two covariance estimates
+    and ``layout`` is the clean model's retained paths. The bound is
+    :func:`cst_stability_bound` at the measured delta, the larger of the two
+    frame upper bounds and the layout's path counts.
+    """
+    delta = measured_wavelet_delta(clean.matrices, perturbed.matrices)
+    frame_upper = max(clean.filterbank.frame_upper, perturbed.filterbank.frame_upper)
+    counts = _layer_counts(clean, layout)[1:]
+    bound = cst_stability_bound(
+        delta, frame_upper, clean.aggregation_norm_bound, x_norm, counts, clean.config.L
+    )
+    return delta, bound
+
+
+def bound_table(cov, model, constants: BoundConstants, pca_k: int | None = None) -> list[list]:
+    """The ``[quantity, value]`` rows of the ``bounds`` report for ``model`` fitted on ``cov``.
+
+    In order: ``k_max``, the probability, the frame bounds, each wavelet's
+    Lipschitz constant and Delta formula, the covariance bound at a unit
+    signal and the signal bound at a unit perturbation, both on the unpruned
+    tree; with ``pca_k``, the PCA gap scale comes last. A value that overflows
+    float64 raises :class:`ConfigError` naming it, except the gap scale,
+    whose inf is the documented sentinel of a repeated eigenvalue.
+    """
+    bank, config = model.filterbank, model.config
+    w1 = float(cov.decomposition.eigenvalues[0])
+    n, t, gamma = cov.n_features, cov.sample_count, model.operator.gamma
+    deltas = [wavelet_delta(float(p), n, t, constants, gamma, w1, w1) for p in bank.lipschitz]
+    counts = _layer_counts(model)
+    agg = model.aggregation_norm_bound
+    rows = [
+        ["k_max", constants.k_max],
+        ["probability", bound_probability(constants)],
+        ["frame_lower", bank.frame_lower],
+        ["frame_upper", bank.frame_upper],
+        *([f"lipschitz_{j}", float(p)] for j, p in enumerate(bank.lipschitz)),
+        *([f"wavelet_delta_{j}", d] for j, d in enumerate(deltas)),
+        [
+            "cst_stability_bound_unit_signal",
+            cst_stability_bound(max(deltas), bank.frame_upper, agg, 1.0, counts[1:], config.L),
+        ],
+        [
+            "signal_stability_bound_unit_perturbation",
+            signal_stability_bound(bank.frame_upper, agg, 1.0, counts, config.L),
+        ],
+    ]
+    overflowed = [name for name, value in rows if not np.isfinite(value)]
+    from_constants = [name for name in overflowed if name.startswith(("wavelet_delta_", "cst_"))]
+    if from_constants:
+        raise ConfigError(
+            f"float64 overflow in {', '.join(from_constants)} with Q={constants.Q:g}, "
+            f"G={constants.G:g}, k_max={constants.k_max:g}, epsilon={constants.epsilon:g}, "
+            f"u={constants.u:g}; use smaller constants"
+        )
+    if overflowed:
+        raise ConfigError(
+            f"float64 overflow in {', '.join(overflowed)} with frame upper bound "
+            f"{bank.frame_upper:g}, J={config.J} and {config.L} layers; "
+            f"use a smaller kernel or fewer layers"
+        )
+    if pca_k is not None:
+        rows.append(["pca_gap_scale", pca_gap_scale(cov.decomposition.eigenvalues, pca_k)])
+    return rows
+
+
 def pca_gap_scale(eigenvalues: np.ndarray, k: int) -> float:
     """Inverse of the smallest eigengap among the top k eigenvalues.
 

@@ -258,33 +258,11 @@ def _cmd_stability(args):
     _write_report(out / "stability.csv", report.rows, report.header())
     _write_provenance(args, out / "stability.provenance.txt")
     if args.plotdata:
-        _write_plotdata(out, report)
+        for metric in ("mae", "embedding_mse"):
+            header = ["x", "series", "y", "y_lo", "y_hi"]
+            io.write_rows_csv(out / f"stability_{metric}.plotdata", header, report.plotdata(metric))
     print(f"wrote {out / 'stability.csv'} ({len(report.rows)} rows)")
     return 0
-
-
-def _write_plotdata(out, report):
-    by_series = {}
-    for row in report.rows:
-        if row.status != "ok":
-            continue
-        by_series.setdefault((row.method, row.fraction), []).append(row)
-    for metric in ("mae", "embedding_mse"):
-        lines = []
-        for (method, fraction), rows in sorted(by_series.items()):
-            values = np.array([getattr(r, metric) for r in rows])
-            lines.append(
-                [
-                    fraction,
-                    method,
-                    float(np.median(values)),
-                    float(np.quantile(values, 0.25)),
-                    float(np.quantile(values, 0.75)),
-                ]
-            )
-        io.write_rows_csv(
-            out / f"stability_{metric}.plotdata", ["x", "series", "y", "y_lo", "y_hi"], lines
-        )
 
 
 def _cmd_prune_sweep(args):
@@ -324,9 +302,8 @@ def _cmd_labeled_sweep(args):
 
 def _cmd_bounds(args):
     data, _ = _load_dataset(args, need_targets=False)
-    config = _build_config(args)
     cov = sample_covariance(data)
-    model = cst_fit(cov, config)
+    model = cst_fit(cov, _build_config(args))
     if args.k_max is not None:
         k_max = args.k_max
     else:
@@ -336,64 +313,7 @@ def _cmd_bounds(args):
     constants = bounds_mod.BoundConstants(
         Q=args.q, G=args.g, k_max=k_max, epsilon=args.epsilon, u=args.u
     )
-    w1 = float(cov.decomposition.eigenvalues[0])
-    deltas = [
-        bounds_mod.wavelet_delta(
-            float(p), data.n_features, data.n_samples, constants, model.operator.gamma, w1, w1
-        )
-        for p in model.filterbank.lipschitz
-    ]
-    counts = [config.J**ell for ell in range(1, config.L)]
-    rows = [
-        ["k_max", k_max],
-        ["probability", bounds_mod.bound_probability(constants)],
-        ["frame_lower", model.filterbank.frame_lower],
-        ["frame_upper", model.filterbank.frame_upper],
-    ]
-    rows += [[f"lipschitz_{j}", float(p)] for j, p in enumerate(model.filterbank.lipschitz)]
-    rows += [[f"wavelet_delta_{j}", d] for j, d in enumerate(deltas)]
-    rows.append(
-        [
-            "cst_stability_bound_unit_signal",
-            bounds_mod.cst_stability_bound(
-                max(deltas),
-                model.filterbank.frame_upper,
-                model.aggregation_norm_bound,
-                1.0,
-                counts,
-                config.L,
-            ),
-        ]
-    )
-    rows.append(
-        [
-            "signal_stability_bound_unit_perturbation",
-            bounds_mod.signal_stability_bound(
-                model.filterbank.frame_upper,
-                model.aggregation_norm_bound,
-                1.0,
-                [config.J**ell for ell in range(config.L)],
-                config.L,
-            ),
-        ]
-    )
-    overflowed = [name for name, value in rows if not np.isfinite(value)]
-    from_constants = [n for n in overflowed if n.startswith(("wavelet_delta_", "cst_"))]
-    if from_constants:
-        raise ConfigError(
-            f"float64 overflow in {', '.join(from_constants)} with Q={constants.Q:g}, "
-            f"G={constants.G:g}, k_max={constants.k_max:g}, epsilon={constants.epsilon:g}, "
-            f"u={constants.u:g}; use smaller constants"
-        )
-    if overflowed:
-        raise ConfigError(
-            f"float64 overflow in {', '.join(overflowed)} with frame upper bound "
-            f"{model.filterbank.frame_upper:g}, J={config.J} and {config.L} layers; "
-            f"use a smaller kernel or fewer layers"
-        )
-    # the gap scale's documented sentinel for a repeated eigenvalue is inf
-    if args.pca_k is not None:
-        rows.append(["pca_gap_scale", bounds_mod.pca_gap_scale(cov.decomposition.eigenvalues, args.pca_k)])
+    rows = bounds_mod.bound_table(cov, model, constants, args.pca_k)
     out = _out_dir(args)
     io.write_rows_csv(out / "bounds.csv", ["quantity", "value"], rows)
     _write_provenance(args, out / "bounds.provenance.txt")

@@ -206,13 +206,20 @@ class StabilityReport:
         names = columns(StabilityRow)
         return names if self.include_bounds else names[:-3]
 
+    def plotdata(self, metric: str) -> list[list]:
+        """``[fraction, method, median, lower quartile, upper quartile]`` of ``metric``.
 
-def _layer_counts(layout_paths, n_layers: int) -> list[int]:
-    """Retained path counts for layers 1 .. n_layers - 1."""
-    counts = [0] * n_layers
-    for path in layout_paths:
-        counts[len(path)] += 1
-    return counts[1:]
+        One row per (method, fraction) in sorted order, over its ``ok`` rows.
+        """
+        series = {}
+        for row in self.rows:
+            if row.status == "ok":
+                series.setdefault((row.method, row.fraction), []).append(getattr(row, metric))
+        rows = []
+        for (method, fraction), values in sorted(series.items()):
+            lower, upper = np.quantile(values, [0.25, 0.75])
+            rows.append([fraction, method, float(np.median(values)), float(lower), float(upper)])
+        return rows
 
 
 def run_stability(
@@ -232,10 +239,10 @@ def run_stability(
     frozen regressor and the embedding MSE against the clean embeddings.
     Every method's model is fitted on the pool before any refit, so a method
     that cannot be fitted fails before the refits start. With
-    ``include_bounds``, each CST row also records the measured wavelet
-    delta, the largest per-sample embedding distance ``||z - z_hat||_2``
-    over the test set, and :func:`bounds.cst_stability_bound` on that
-    distance at the largest test-sample norm.
+    ``include_bounds``, each CST row also records the largest per-sample
+    embedding distance ``||z - z_hat||_2`` over the test set, and the
+    measured wavelet delta and the bound on that distance at the largest
+    test-sample norm (:func:`bounds.measured_stability_bound`).
     """
     x, y = _xy(data, targets)
     if not all(0.0 <= f <= 1.0 for f in subsample_fracs):
@@ -290,20 +297,8 @@ def run_stability(
             delta = dist = bound = None
             if include_bounds and isinstance(method, CstMethod):
                 dist = float(np.sqrt(squared.sum(axis=0).max()))
-                delta = bounds_mod.measured_wavelet_delta(
-                    clean.model.matrices, perturbed.model.matrices
-                )
-                frame_upper = max(
-                    clean.model.filterbank.frame_upper,
-                    perturbed.model.filterbank.frame_upper,
-                )
-                bound = bounds_mod.cst_stability_bound(
-                    delta,
-                    frame_upper,
-                    clean.model.aggregation_norm_bound,
-                    test_norm_max,
-                    _layer_counts(clean.layout, method.config.L),
-                    method.config.L,
+                delta, bound = bounds_mod.measured_stability_bound(
+                    clean.model, perturbed.model, clean.layout, test_norm_max
                 )
             rows.append(
                 StabilityRow(

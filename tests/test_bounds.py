@@ -8,6 +8,7 @@ import pytest
 from covscatter.bounds import (
     BoundConstants,
     bound_probability,
+    bound_table,
     cst_stability_bound,
     estimate_kmax,
     measured_wavelet_delta,
@@ -206,3 +207,29 @@ class TestMeasuredWaveletDelta:
         b = np.stack([random_spd(6, s + 10) for s in range(3)])
         expected = max(np.linalg.norm(a[j] - b[j], 2) for j in range(3))
         assert measured_wavelet_delta(a, b) == pytest.approx(expected, rel=1e-8)
+
+
+class TestBoundTable:
+    def test_matches_the_bounds_report(self, tmp_path):
+        # README's `bounds` example, on README's synthetic data
+        from covscatter.cli import main
+        from covscatter.io import read_data_csv
+
+        data_dir, out = tmp_path / "data", tmp_path / "bounds"
+        synth = ["synth", "--out", str(data_dir), "--seed", "7", "--n", "20", "--t", "1000"]
+        assert main([*synth, "--tail", "0.9"]) == 0
+        flags = ["--family", "diffusion", "--j", "4", "--l", "3", "--pca-k", "5"]
+        assert main(["bounds", "--data", str(data_dir / "data.csv"), "--out", str(out), *flags]) == 0
+        data = read_data_csv(data_dir / "data.csv")
+        cov = sample_covariance(data)
+        model = cst_fit(cov, CstConfig(family=Diffusion(), J=4, L=3))
+        constants = BoundConstants(k_max=estimate_kmax(data, cov.decomposition))
+        rows = bound_table(cov, model, constants, pca_k=5)
+        header, *lines = (out / "bounds.csv").read_text().splitlines()
+        assert header == "quantity,value"
+        assert [f"{name},{value!r}" for name, value in rows] == lines
+        assert [name for name, _ in rows][-3:] == [
+            "cst_stability_bound_unit_signal",
+            "signal_stability_bound_unit_perturbation",
+            "pca_gap_scale",
+        ]
