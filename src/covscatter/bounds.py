@@ -63,15 +63,17 @@ def estimate_kmax(data: DataMatrix | np.ndarray, decomposition: SpectralDecompos
 
     For each eigenvector v_j, k_j^2 is the mean over samples of
     ``|x|^2 (x . v_j)^2`` minus the squared eigenvalue, clamped at zero
-    before the square root; the maximum over j is returned.
+    before the square root; the maximum over j is returned. Data whose
+    fourth moments overflow float64 give a non-finite value, and no warning.
     """
     x = data.values if isinstance(data, DataMatrix) else np.asarray(data, dtype=np.float64)
-    centered = x - x.mean(axis=1)[:, None]
-    proj = decomposition.eigenvectors.T @ centered  # (N, T)
-    sq_norms = np.sum(centered * centered, axis=0)  # (T,)
-    moments = np.mean(sq_norms * proj * proj, axis=1)
-    k_sq = np.clip(moments - decomposition.eigenvalues**2, 0.0, None)
-    return float(np.sqrt(k_sq.max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=1)[:, None]
+        proj = decomposition.eigenvectors.T @ centered  # (N, T)
+        sq_norms = np.sum(centered * centered, axis=0)  # (T,)
+        moments = np.mean(sq_norms * proj * proj, axis=1)
+        k_sq = np.clip(moments - decomposition.eigenvalues**2, 0.0, None)
+        return float(np.sqrt(k_sq.max()))
 
 
 def wavelet_delta(

@@ -117,6 +117,15 @@ def make_split(spec: SplitSpec, n_samples: int) -> Split:
     )
 
 
+def _require_samples(indices: np.ndarray, role: str, fraction: float, n_samples: int) -> None:
+    """Raise :class:`ConfigError` when the ``role`` set ("train" or "valid") has no samples."""
+    if not indices.size:
+        name = "validation" if role == "valid" else role
+        raise ConfigError(
+            f"{role} fraction {fraction} of {n_samples} samples leaves an empty {name} set"
+        )
+
+
 # ---------------------------------------------------------------------------
 # methods
 
@@ -250,6 +259,7 @@ def run_stability(
     if not seeds:
         raise ConfigError("at least one seed is needed")
     split = make_split(split_spec, data.n_samples)
+    _require_samples(split.train, "train", split_spec.train_frac, data.n_samples)
     pool = split.fit_pool
     fractions = sorted(set(float(f) for f in subsample_fracs) | {1.0})
     # protocol: no thresholding during the stability runs
@@ -348,6 +358,7 @@ def run_pruning_sweep(
     rows = []
     for seed in seeds:
         split = make_split(dataclasses.replace(split_spec, seed=seed), data.n_samples)
+        _require_samples(split.train, "train", split_spec.train_frac, data.n_samples)
         pool_x = x[:, split.fit_pool]
         model = cst_fit(sample_covariance(pool_x), config)
         decided = decide_layout(model, pool_x)
@@ -495,11 +506,8 @@ def grid_search(
         raise ConfigError("every grid needs at least one value")
     x, y = _xy(data, targets)
     split = make_split(split_spec, data.n_samples)
-    if not split.valid.size:
-        raise ConfigError(
-            f"valid fraction {split_spec.valid_frac} of {data.n_samples} samples "
-            "leaves an empty validation set"
-        )
+    _require_samples(split.train, "train", split_spec.train_frac, data.n_samples)
+    _require_samples(split.valid, "valid", split_spec.valid_frac, data.n_samples)
     pool_x = x[:, split.fit_pool]
     cov = sample_covariance(pool_x)
     train_x, valid_x = x[:, split.train], x[:, split.valid]

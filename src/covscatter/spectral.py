@@ -34,6 +34,20 @@ def _readonly(arr):
     return out
 
 
+def _asymmetric(m: np.ndarray, rtol: float) -> bool:
+    """Whether ``||m - m.T||_F > rtol * max(1, ||m||_F)``; a non-finite ``m`` passes.
+
+    Both norms are taken of ``m / max|m|``, so that no square overflows or
+    underflows, and the scale is multiplied back only where it cannot.
+    """
+    scale = float(np.abs(m).max(initial=0.0))
+    if not 0.0 < scale < np.inf:
+        return False
+    unit = m / scale
+    asym, size = float(np.linalg.norm(unit - unit.T)), float(np.linalg.norm(unit))
+    return asym > rtol * size if size * scale >= 1.0 else asym * scale > rtol
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """N x T data: rows are features, columns are observations."""
@@ -83,8 +97,7 @@ class SampleCovariance:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"covariance must be square, got shape {m.shape}")
-        scale = max(1.0, float(np.linalg.norm(m)))
-        if float(np.linalg.norm(m - m.T)) > 1e-12 * scale:
+        if _asymmetric(m, 1e-12):
             raise NotSymmetric("covariance matrix is not symmetric")
         mean = np.asarray(self.mean, dtype=np.float64)
         if mean.shape != (m.shape[0],):
@@ -142,16 +155,22 @@ def sample_covariance(data: DataMatrix | np.ndarray) -> SampleCovariance:
     """Mean-removed covariance with 1/T normalization.
 
     The accumulated matrix is symmetrized by averaging with its transpose so
-    the result is exactly symmetric.
+    the result is exactly symmetric. Finite data whose covariance overflows
+    float64 raise :class:`InvalidData`.
     """
     if not isinstance(data, DataMatrix):
         data = DataMatrix(np.asarray(data))
     x = data.values
     t = data.n_samples
-    mean = x.mean(axis=1)
-    centered = x - mean[:, None]
-    cov = (centered @ centered.T) / t
-    cov = (cov + cov.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=1)
+        centered = x - mean[:, None]
+        cov = (centered @ centered.T) / t
+        cov = (cov + cov.T) / 2.0
+    if not np.all(np.isfinite(cov)):
+        raise InvalidData(
+            f"the covariance of data of magnitude up to {np.abs(x).max():g} overflows float64"
+        )
     return SampleCovariance(matrix=cov, mean=mean, sample_count=t)
 
 
@@ -172,8 +191,7 @@ def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
         shown = ", ".join(f"({i}, {j})" for i, j in bad[:5])
         more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
         raise NoConvergence(f"matrix has non-finite entries at {shown}{more}")
-    fro = float(np.linalg.norm(a))
-    if float(np.linalg.norm(a - a.T)) > 1e-10 * max(1.0, fro):
+    if _asymmetric(a, 1e-10):
         raise NotSymmetric("matrix is not symmetric to 1e-10 relative")
     try:
         values, vectors = np.linalg.eigh((a + a.T) / 2.0)

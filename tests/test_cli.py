@@ -309,8 +309,7 @@ class TestExperimentCommands:
         write_data_csv(data_path, DataMatrix(ds.data.values * 1e80))
         out = tmp_path / "b"
         capsys.readouterr()
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["bounds", "--data", str(data_path), "--out", str(out)])
+        code = main(["bounds", "--data", str(data_path), "--out", str(out)])
         assert code == 3
         assert "k_max" in capsys.readouterr().err
         assert not out.exists()
@@ -493,6 +492,29 @@ class TestFlagValues:
         assert "Warning" not in err and "Traceback" not in err
         assert "300 samples" in err
         assert not (tmp_path / "o").exists()
+
+    # labeled-sweep is left out: its train fraction is the swept quantity, and a
+    # train set under 2 samples gives `skipped` rows
+    NO_TRAIN = ["--train-frac", "0", "--unlabeled-frac", "0.6"]
+    EMPTY_TRAIN = {
+        "stability": [*STABILITY, *NO_TRAIN],
+        "prune-sweep": [*PRUNE_SWEEP, *NO_TRAIN],
+        "grid-search": [*GRID_SEARCH, *NO_TRAIN],
+    }
+
+    @pytest.mark.parametrize("argv", EMPTY_TRAIN.values(), ids=EMPTY_TRAIN.keys())
+    def test_empty_train_set_is_usage_error(self, tmp_path, capsys, argv, monkeypatch):
+        _, data_path, targets_path = make_data_files(tmp_path, n=6, t=300, seed=1)
+        argv = [arg.format(data=data_path, targets=targets_path) for arg in argv]
+        # the check comes before any fit
+        monkeypatch.setattr("covscatter.harness.cst_fit", None)
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Warning" not in err and "Traceback" not in err
+        assert "train fraction 0.0 of 300 samples" in err
+        assert not (tmp_path / "o").exists()
     # the flags a command's run would ignore or override: stability never prunes,
     # --taus sets prune-sweep's tau, labeled-sweep runs both aggregations, no bound
     # reads tau, and grid-search's grids set J, L and the operator
@@ -628,3 +650,33 @@ class TestConfigFile:
         default = (tmp_path / "d" / "features.csv").read_text().splitlines()[0].split(",")
         assert len(header) == 4  # root plus J=3 first-layer means
         assert header != default
+
+
+class TestLargeMagnitudes:
+    # one CST family, whose 24 features a 30-sample train set can fit: at 1e150
+    # an alpha of 1 regularizes nothing, so a rank-deficient primal would exit 4
+    COMMANDS = {
+        "pca": ["pca", "--k", "2"],
+        "transform": ["transform"],
+        "bounds": ["bounds"],
+        "stability": ["stability", "--targets", "{targets}", "--seed", "0",
+                      "--families", "diffusion", "--j", "3", "--runs", "1", "--bounds"],
+    }
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160])
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_exit_without_warning(self, tmp_path, capsys, argv, scale):
+        ds, _, targets_path = make_data_files(tmp_path, n=6, t=300, seed=1)
+        scaled = ds.data.values * scale
+        data_path = tmp_path / "scaled.csv"
+        write_data_csv(data_path, DataMatrix(scaled))
+        command, *flags = [arg.format(targets=targets_path) for arg in argv]
+        capsys.readouterr()
+        code = main([command, "--data", str(data_path), *flags, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code in (0, 3)
+        assert "Warning" not in err and "Traceback" not in err
+        if scale == 1e160:
+            # the covariance overflows although the data are finite
+            assert code == 3 and len(err.splitlines()) == 1
+            assert f"magnitude up to {np.abs(scaled).max():g} overflows float64" in err

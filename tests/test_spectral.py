@@ -135,6 +135,19 @@ class TestEigSym:
         with pytest.raises(NotSymmetric):
             eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e300])
+    def test_symmetry_check_holds_at_any_scale(self, scale):
+        # the squares of entries above 1e154 overflow, so the norms are taken scaled
+        m = random_spd(4, 3) * scale
+        SampleCovariance(m, np.zeros(4), 10)
+        eig_sym(m)
+        skewed = m.copy()
+        skewed[0, 1] *= 1.0 + 1e-6
+        with pytest.raises(NotSymmetric):
+            SampleCovariance(skewed, np.zeros(4), 10)
+        with pytest.raises(NotSymmetric):
+            eig_sym(skewed)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_no_convergence(self, bad):
         m = random_spd(5, 1)
