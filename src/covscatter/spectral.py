@@ -35,10 +35,11 @@ def _readonly(arr):
 
 
 def _asymmetric(m: np.ndarray, rtol: float) -> bool:
-    """Whether ``||m - m.T||_F > rtol * max(1, ||m||_F)``; a non-finite ``m`` passes.
+    """Whether ``||m - m.T||_F > rtol * max(1, ||m||_F)``.
 
-    Both norms are taken of ``m / max|m|``, so that no square overflows or
-    underflows, and the scale is multiplied back only where it cannot.
+    Both norms are taken of ``m / max|m|``, so that no square overflows, and
+    the scale is multiplied back only where the product cannot overflow. A
+    non-finite ``m`` passes: :func:`eig_sym` reports its entries.
     """
     scale = float(np.abs(m).max(initial=0.0))
     if not 0.0 < scale < np.inf:

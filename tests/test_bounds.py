@@ -17,7 +17,9 @@ from covscatter.bounds import (
     signal_stability_bound,
     wavelet_delta,
 )
+from covscatter.cli import main
 from covscatter.errors import ConfigError, InvalidK
+from covscatter.io import read_data_csv
 from covscatter.scattering import CstConfig, cst_fit, cst_transform
 from covscatter.spectral import SampleCovariance, eig_sym, sample_covariance
 from covscatter.synthdata import SynthSpec, eigenvalue_profile, synth_generate
@@ -212,9 +214,6 @@ class TestMeasuredWaveletDelta:
 class TestBoundTable:
     def test_matches_the_bounds_report(self, tmp_path):
         # README's `bounds` example, on README's synthetic data
-        from covscatter.cli import main
-        from covscatter.io import read_data_csv
-
         data_dir, out = tmp_path / "data", tmp_path / "bounds"
         synth = ["synth", "--out", str(data_dir), "--seed", "7", "--n", "20", "--t", "1000"]
         assert main([*synth, "--tail", "0.9"]) == 0
