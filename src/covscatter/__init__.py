@@ -17,12 +17,11 @@ from .bounds import (
 )
 from .readout import (
     PcaModel,
-    RidgeModel,
+    RidgePath,
     mae,
     mse,
     pca_fit,
     pca_transform,
-    ridge_fit,
     ridge_path,
 )
 from .scattering import (
@@ -72,7 +71,7 @@ __all__ = [
     "Hann",
     "Monic",
     "PcaModel",
-    "RidgeModel",
+    "RidgePath",
     "SampleCovariance",
     "ScatterTree",
     "SpectralDecomposition",
@@ -99,7 +98,6 @@ __all__ = [
     "pca_gap_scale",
     "pca_transform",
     "pruning_preserved",
-    "ridge_fit",
     "ridge_path",
     "sample_covariance",
     "signal_stability_bound",

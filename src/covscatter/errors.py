@@ -50,7 +50,7 @@ class DegenerateSpectrum(NumericalError):
 
 
 class SingularSystem(NumericalError):
-    """Singular normal equations; suggests a positive ridge penalty."""
+    """Singular normal equations: a zero ridge penalty, or one below the Gram matrix's rounding."""
 
 
 class InvalidScaleCount(UsageError):

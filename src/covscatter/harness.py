@@ -26,24 +26,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .readout import (
-    PcaModel,
-    dual_ridge_predict,
-    mae,
-    pca_fit,
-    pca_transform,
-    ridge_fit,
-    ridge_path,
-)
-from .scattering import (
-    CstConfig,
-    CstModel,
-    Path,
-    cst_fit,
-    cst_transform_batch,
-    decide_layout,
-    layout_blocks,
-)
+from .readout import PcaModel, mae, pca_fit, pca_transform, ridge_path
+from .scattering import CstConfig, CstModel, Path, cst_fit, decide_layout, layout_blocks
 from .spectral import DataMatrix, SampleCovariance, sample_covariance
 from .wavelets import family_name
 from . import bounds as bounds_mod
@@ -153,6 +137,18 @@ class RawMethod:
 Method = Union[CstMethod, PcaMethod, RawMethod]
 
 
+@dataclass(frozen=True, eq=False)
+class _Followed:
+    """The path blocks of ``x``: each iteration is a fresh :func:`layout_blocks` pass."""
+
+    model: CstModel
+    x: np.ndarray
+    layout: tuple[Path, ...]
+
+    def __iter__(self):
+        return layout_blocks(self.model, self.x, self.layout)
+
+
 @dataclass(frozen=True)
 class _Embedding:
     """A method's unsupervised embedding, fitted on one covariance estimate."""
@@ -160,13 +156,22 @@ class _Embedding:
     model: CstModel | PcaModel | None  # None: the raw features
     layout: tuple[Path, ...] | None = None  # a CST model's retained paths
 
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        """Features as columns: (D, n_samples)."""
-        if self.model is None:
-            return x
+    def blocks(self, x: np.ndarray):
+        """The features of the signals ``x`` (N, n) as re-iterable (n, width) blocks.
+
+        A CST model gives one block per retained path, in ``sorted(layout)``
+        order, from a followed pass per iteration, so no feature matrix is
+        held; PCA and the raw features give one (n, D) block.
+        """
+        if isinstance(self.model, CstModel):
+            return _Followed(self.model, x, self.layout)
         if isinstance(self.model, PcaModel):
-            return pca_transform(self.model, x)
-        return cst_transform_batch(self.model, x, layout=self.layout).T
+            return (pca_transform(self.model, x).T,)
+        return (x.T,)
+
+    def embed(self, x: np.ndarray) -> np.ndarray:
+        """The blocks of ``x`` as one (n, D) matrix."""
+        return np.concatenate(list(self.blocks(x)), axis=1)
 
 
 def _fit(method: Method, cov: SampleCovariance, pool_x=None, layout=None) -> _Embedding:
@@ -290,7 +295,7 @@ def run_stability(
 
     rows = []
     for method, clean in zip(methods, clean_fits):
-        ridge = ridge_fit(clean.embed(x[:, split.train]), y[split.train], method.alpha)
+        ridge = ridge_path(clean.blocks(x[:, split.train]), y[split.train], [method.alpha])
         clean_test = clean.embed(x[:, split.test])
         for (fraction, seed), cov in subsample_covs.items():
             if cov is None:
@@ -299,14 +304,14 @@ def run_stability(
             # the frozen regressor needs the clean feature schema
             perturbed = _fit(method, cov, layout=clean.layout)
             embedded = perturbed.embed(x[:, split.test])
-            row_mae = mae(ridge.predict(embedded), y[split.test])
+            row_mae = mae(ridge.predict([embedded])[0], y[split.test])
             # one squared difference gives both distances; in place, as the
             # refitted embedding is a fresh array that is not read again
             squared = np.square(np.subtract(embedded, clean_test, out=embedded), out=embedded)
             row_mse = float(np.mean(squared))
             delta = dist = bound = None
             if include_bounds and isinstance(method, CstMethod):
-                dist = float(np.sqrt(squared.sum(axis=0).max()))
+                dist = float(np.sqrt(squared.sum(axis=1).max()))
                 delta, bound = bounds_mod.measured_stability_bound(
                     clean.model, perturbed.model, clean.layout, test_norm_max
                 )
@@ -364,14 +369,13 @@ def run_pruning_sweep(
         decided = decide_layout(model, pool_x)
         for tau in taus:
             embedding = _Embedding(model, decided.tightened(tau).paths)
-            z_train = embedding.embed(x[:, split.train])
-            ridge = ridge_fit(z_train, y[split.train], method.alpha)
+            ridge = ridge_path(embedding.blocks(x[:, split.train]), y[split.train], [method.alpha])
             rows.append(
                 PruningRow(
                     tau=tau,
                     seed=seed,
-                    mae=mae(ridge.predict(embedding.embed(x[:, split.test])), y[split.test]),
-                    feature_count=z_train.shape[0],
+                    mae=mae(ridge.predict(embedding.blocks(x[:, split.test]))[0], y[split.test]),
+                    feature_count=ridge.weights.shape[1],
                 )
             )
     rows.sort(key=lambda r: (r.tau, r.seed))
@@ -443,18 +447,21 @@ def run_labeled_sweep(
                 fits[pool] = [_fit(method, cov, pool_x) for method in methods]
             tested = (pool, split.test.tobytes())
             if tested not in z_tests:
-                z_tests[tested] = [embedding.embed(x[:, split.test]) for embedding in fits[pool]]
+                z_tests[tested] = [
+                    tuple(embedding.blocks(x[:, split.test])) for embedding in fits[pool]
+                ]
             for method, embedding, z_test in zip(methods, fits[pool], z_tests[tested]):
-                z_train = embedding.embed(x[:, split.train])
-                ridge = ridge_fit(z_train, y[split.train], method.alpha)
+                ridge = ridge_path(
+                    embedding.blocks(x[:, split.train]), y[split.train], [method.alpha]
+                )
                 rows.append(
                     LabeledRow(
                         method.name,
                         train_frac,
                         seed,
                         "ok",
-                        mae(ridge.predict(z_test), y[split.test]),
-                        z_train.shape[0],
+                        mae(ridge.predict(z_test)[0], y[split.test]),
+                        ridge.weights.shape[1],
                     )
                 )
     rows.sort(key=lambda r: (r.method, r.train_frac, r.seed))
@@ -489,18 +496,16 @@ def grid_search(
     """Validation-MAE grid search; ties go to the smaller feature count.
 
     Every configuration is fitted on one covariance of the fit pool and
-    decides its layout there. The readout then takes one of two branches,
-    chosen once the layout gives the feature count D. With D at most the
-    train count t, the train and valid feature matrices are embedded and
-    :func:`ridge_path` solves the primal. With D > t, no feature matrix is
-    formed: :func:`dual_ridge_predict` sums the t x t dual kernel over the
-    path blocks of one followed pass over train, then predicts from a
-    second pass over train and valid as one batch (:func:`layout_blocks`).
-    Each pass walks the tree depth-first and holds at most L - 1 formed
-    signal batches of N x n if the consumer keeps no block across the next
-    one, never a whole layer; both followed passes yield blocks in
-    ``sorted(layout)`` order. The dual rows equal the materialized
-    solve's up to the order of the sums.
+    decides its layout there. One :func:`ridge_path` call then fits every
+    alpha on the path blocks of followed passes over train
+    (:func:`layout_blocks`), and the fitted path predicts valid from one
+    more followed pass. The solver keeps train's blocks and solves the
+    primal while the feature count D is at most the train count t; past
+    that it sums the t x t dual kernel over one pass and takes the weights
+    from a second, so train is followed once or twice and valid once. Each
+    pass walks the tree depth-first, yields blocks in ``sorted(layout)``
+    order and holds at most L - 1 formed signal batches of N x n, never a
+    whole layer; in the dual no feature matrix is formed.
     """
     if not all(len(grid) for grid in (j_grid, l_grid, operator_grid, alpha_grid)):
         raise ConfigError("every grid needs at least one value")
@@ -511,7 +516,6 @@ def grid_search(
     pool_x = x[:, split.fit_pool]
     cov = sample_covariance(pool_x)
     train_x, valid_x = x[:, split.train], x[:, split.valid]
-    joint_x = np.concatenate([train_x, valid_x], axis=1)
     y_train, y_valid = y[split.train], y[split.valid]
     rows: list[GridRow] = []
     for j in j_grid:
@@ -521,20 +525,9 @@ def grid_search(
                     base_config, J=int(j), L=int(layers), operator_kind=kind
                 )
                 model = cst_fit(cov, config)
-                layout = decide_layout(model, pool_x).paths
-                d = len(layout) * model.feature_width
-                if d > y_train.shape[0]:
-                    predictions = dual_ridge_predict(
-                        layout_blocks(model, train_x, layout),
-                        layout_blocks(model, joint_x, layout),
-                        y_train,
-                        alpha_grid,
-                    )
-                else:
-                    embedding = _Embedding(model, layout)
-                    z_valid = embedding.embed(valid_x)
-                    ridges = ridge_path(embedding.embed(train_x), y_train, alpha_grid)
-                    predictions = [ridge.predict(z_valid) for ridge in ridges]
+                embedding = _Embedding(model, decide_layout(model, pool_x).paths)
+                ridge = ridge_path(embedding.blocks(train_x), y_train, alpha_grid)
+                predictions = ridge.predict(embedding.blocks(valid_x))
                 for alpha, prediction in zip(alpha_grid, predictions):
                     rows.append(
                         GridRow(
@@ -544,7 +537,7 @@ def grid_search(
                             operator=kind,
                             alpha=float(alpha),
                             valid_mae=mae(prediction, y_valid),
-                            feature_count=d,
+                            feature_count=ridge.weights.shape[1],
                         )
                     )
     best = min(rows, key=lambda r: (r.valid_mae, r.feature_count, r.J, r.L, r.operator, r.alpha))

@@ -19,21 +19,6 @@ class PcaModel:
     mean: np.ndarray
 
 
-@dataclass(frozen=True)
-class RidgeModel:
-    weights: np.ndarray
-    intercept: float
-    alpha: float
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        z = np.asarray(features, dtype=np.float64)
-        if z.shape[0] != self.weights.shape[0]:
-            raise ShapeError(
-                f"model fitted with {self.weights.shape[0]} features, got {z.shape[0]}"
-            )
-        return self.weights @ z + self.intercept
-
-
 def pca_fit(cov: SampleCovariance, k: int) -> PcaModel:
     """Leading ``k`` eigenvectors of ``cov.decomposition``, with every eigenvalue."""
     n = cov.n_features
@@ -60,26 +45,88 @@ def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
 
 
 def _ridge_solve(gram, rhs, alphas) -> np.ndarray:
-    """The (m, n_alphas) solutions of ``(gram + alpha I) s = rhs``, one alpha at a time.
+    """The (n_alphas, m) solutions of ``(gram + alpha I) s = rhs``, one alpha at a time.
 
     Each system's Cholesky factor checks that it is positive definite.
     """
-    solutions = np.empty((gram.shape[0], len(alphas)))
+    solutions = np.empty((len(alphas), gram.shape[0]))
     for i, alpha in enumerate(alphas):
         system = gram + alpha * np.eye(gram.shape[0])
         try:
             np.linalg.cholesky(system)
         except np.linalg.LinAlgError as exc:
-            raise SingularSystem("normal equations are singular; use a positive alpha_R") from exc
-        solutions[:, i] = np.linalg.solve(system, rhs)
+            if alpha > 0:
+                message = (
+                    f"normal equations are singular at alpha_R {alpha:g}, which regularizes "
+                    f"nothing at the Gram matrix's scale of {np.diagonal(gram).max():.3g}"
+                )
+            else:
+                message = "normal equations are singular; use a positive alpha_R"
+            raise SingularSystem(message) from exc
+        solutions[i] = np.linalg.solve(system, rhs)
     return solutions
 
 
-def _checked(targets, alphas) -> tuple[np.ndarray, list]:
-    """The targets as a float vector and the alpha grid as a list, checked for a ridge solve.
+def _train_block(block, t: int) -> np.ndarray:
+    """``block`` as a float (t, width) array, checked for its row count and finite values."""
+    b = np.asarray(block, dtype=np.float64)
+    if b.ndim != 2 or b.shape[0] != t:
+        raise ShapeError(f"expected blocks of {t} train rows, got shape {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise InvalidData("features contain non-finite entries")
+    return b
 
-    Both solvers share this: at least one target, every target finite, and
-    every alpha in [0, inf).
+
+@dataclass(frozen=True)
+class RidgePath:
+    """One ridge fit per alpha of a grid: predictions ``weights[i] @ z + intercepts[i]``."""
+
+    weights: np.ndarray  # (n_alphas, D), alpha-major
+    intercepts: np.ndarray  # (n_alphas,)
+
+    def predict(self, blocks) -> np.ndarray:
+        """The (n_alphas, n) predictions for features given as (n, width) column blocks.
+
+        The blocks take the weights' columns in order, so they must list the
+        D features in the order of the train blocks, in any widths.
+        """
+        d = self.weights.shape[1]
+        predictions = None
+        start = 0
+        for block in blocks:
+            b = np.asarray(block, dtype=np.float64)
+            if b.ndim != 2 or start + b.shape[1] > d:
+                raise ShapeError(f"model fitted with {d} features, got a block of shape {b.shape}")
+            if predictions is not None and b.shape[0] != predictions.shape[1]:
+                raise ShapeError("the blocks must share one sample count")
+            stop = start + b.shape[1]
+            part = self.weights[:, start:stop] @ b.T
+            predictions = part if predictions is None else predictions + part
+            start = stop
+        if predictions is None or start != d:
+            raise ShapeError(f"model fitted with {d} features, got {start}")
+        return predictions + self.intercepts[:, None]
+
+
+def ridge_path(blocks, targets, alphas) -> RidgePath:
+    """Closed-form ridge on centred features and targets, fitted for every alpha of a grid.
+
+    ``blocks`` yields the features of the t train samples as (t, width)
+    column blocks, such as one scattering path each (:func:`layout_blocks`),
+    one row per target. Each block is checked for finite values and centred
+    on its own mean. While the feature count D is at most t the centred
+    blocks are kept, and the D x D normal equations are solved. Once D
+    exceeds t the kept blocks are folded into the t x t dual kernel and
+    dropped, each later block is added to it as it comes, and a second
+    iteration over ``blocks``, which must yield the same blocks again, gives
+    each block's weights from the dual solutions (Saunders, Gammerman &
+    Vovk, "Ridge Regression Learning Algorithm in Dual Variables", ICML
+    1998). Either way each solve is cubic in min(D, t), and past the switch
+    the dual holds one block at a time besides the t x t kernel.
+
+    Targets must be finite and every alpha in [0, inf). Each alpha's system
+    is factored and solved apart, and its weights and intercept come from
+    one product each, so a grid's fits equal one-alpha fits bit for bit.
     """
     y = np.asarray(targets, dtype=np.float64)
     if y.ndim != 1:
@@ -91,110 +138,48 @@ def _checked(targets, alphas) -> tuple[np.ndarray, list]:
     alphas = list(alphas)
     if not all(0.0 <= alpha < math.inf for alpha in alphas):
         raise ConfigError("alpha_R must be finite and non-negative")
-    return y, alphas
 
-
-def ridge_path(features: np.ndarray, targets: np.ndarray, alphas) -> list[RidgeModel]:
-    """Closed-form ridge on centered features and targets, one model per alpha.
-
-    Validates, centres and forms the Gram matrix once for the whole grid, then
-    factors and solves ``gram + alpha * I`` for each alpha in turn. Solves
-    the D x D normal equations when D <= T and the equivalent T x T dual
-    otherwise, keeping each solve cubic in min(D, T).
-    """
-    y, alphas = _checked(targets, alphas)
-    z = np.asarray(features, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[None, :]
-    if z.ndim != 2 or z.shape[1] != y.shape[0]:
-        raise ShapeError(f"incompatible shapes {z.shape} and {y.shape}")
-    if not np.all(np.isfinite(z)):
-        raise InvalidData("features contain non-finite entries")
-
-    d, t = z.shape
-    z_bar = z.mean(axis=1)
-    y_bar = float(y.mean())
-    zc = z - z_bar[:, None]
-    yc = y - y_bar
-    primal = d <= t
-    gram = zc @ zc.T if primal else zc.T @ zc
-    rhs = zc @ yc if primal else yc
-    models = []
-    for alpha, solution in zip(alphas, _ridge_solve(gram, rhs, alphas).T):
-        weights = solution if primal else zc @ solution
-        models.append(
-            RidgeModel(
-                weights=weights, intercept=y_bar - float(weights @ z_bar), alpha=float(alpha)
-            )
-        )
-    return models
-
-
-def dual_ridge_predict(train_blocks, joint_blocks, targets, alphas) -> np.ndarray:
-    """Dual ridge predictions for every alpha, from feature blocks taken one at a time.
-
-    The dual solve of :func:`ridge_path` (Saunders, Gammerman & Vovk,
-    "Ridge Regression Learning Algorithm in Dual Variables", ICML 1998)
-    without a feature matrix: the features come as blocks of columns, such
-    as one scattering path each, and no more than one block and its weights
-    are held at a time. It pays when the feature count D is above the train
-    count t, where it needs only a t x t kernel.
-
-    ``train_blocks`` yields each block's train rows, (t, width), one row
-    per target; it is consumed first. Each block is checked for finite
-    values and centred on its own train mean, and the sum of the centred
-    blocks' products is the kernel K, so that ``(K + alpha I) s = y_c`` is
-    solved for every alpha at once. ``joint_blocks`` then yields the same
-    blocks in the same order, each for the t train samples followed by the
-    samples to predict; a block's weights are its centred train rows
-    transposed times the solutions.
-
-    Returns the (n_alphas, n_predicted) predictions, equal to
-    ``ridge_path(z_train, targets, alphas)[i].predict(z)`` up to the order of
-    the sums.
-    """
-    y, alphas = _checked(targets, alphas)
     t = y.shape[0]
-    kernel = np.zeros((t, t))
-    means = []
-    for block in train_blocks:
-        b = np.asarray(block, dtype=np.float64)
-        if b.ndim != 2 or b.shape[0] != t:
-            raise ShapeError(f"expected blocks of {t} train rows, got shape {b.shape}")
-        if not np.all(np.isfinite(b)):
-            raise InvalidData("features contain non-finite entries")
-        b_mean = b.mean(axis=0)
-        centred = b - b_mean
-        kernel += centred @ centred.T
-        means.append(b_mean)
+    y_bar = float(y.mean())
+    yc = y - y_bar
+    kept, means = [], []
+    kernel = None
+    d = 0
+    for block in blocks:
+        b = _train_block(block, t)
+        means.append(b.mean(axis=0))
+        kept.append(b - means[-1])
+        d += b.shape[1]
+        if d > t:
+            if kernel is None:
+                kernel = np.zeros((t, t))
+            for centred in kept:
+                kernel += centred @ centred.T
+            kept = []
     if not means:
         raise ShapeError("need at least one feature block")
-    y_bar = float(y.mean())
-    yc = y - y_bar
-    solutions = _ridge_solve(kernel, yc, alphas)
-
-    mismatch = ShapeError("the joint blocks must repeat the train blocks over one set of rows")
-    predictions = offset = 0.0
-    rows = None
-    count = 0
-    for block in joint_blocks:
-        b = np.asarray(block, dtype=np.float64)
-        if rows is None:
-            rows = b.shape[0] if b.ndim == 2 else -1
-        if count == len(means) or rows < t or b.shape != (rows, means[count].shape[0]):
+    mean = np.concatenate(means)
+    if kernel is None:
+        zc = np.concatenate(kept, axis=1)
+        weights = _ridge_solve(zc.T @ zc, zc.T @ yc, alphas)
+    else:
+        solutions = _ridge_solve(kernel, yc, alphas)
+        weights = np.empty((len(alphas), d))
+        mismatch = ShapeError("a second iteration over the blocks must repeat the first")
+        start = count = 0
+        for block in blocks:
+            b = _train_block(block, t)
+            if count == len(means) or b.shape[1] != means[count].shape[0]:
+                raise mismatch
+            centred = b - means[count]
+            stop = start + b.shape[1]
+            for i, solution in enumerate(solutions):
+                weights[i, start:stop] = centred.T @ solution
+            start, count = stop, count + 1
+        if count != len(means):
             raise mismatch
-        weights = (b[:t] - means[count]).T @ solutions
-        predictions = predictions + b[t:] @ weights
-        offset = offset + means[count] @ weights
-        count += 1
-    if count != len(means):
-        raise mismatch
-    return (predictions + (y_bar - offset)).T
-
-
-def ridge_fit(features: np.ndarray, targets: np.ndarray, alpha: float) -> RidgeModel:
-    """Closed-form ridge at one alpha: the one-point case of :func:`ridge_path`."""
-    return ridge_path(features, targets, [alpha])[0]
+    intercepts = np.array([y_bar - float(w @ mean) for w in weights])
+    return RidgePath(weights=weights, intercepts=intercepts)
 
 
 def mae(predictions: np.ndarray, truth: np.ndarray) -> float:

@@ -157,7 +157,8 @@ def sample_covariance(data: DataMatrix | np.ndarray) -> SampleCovariance:
 
     The accumulated matrix is symmetrized by averaging with its transpose so
     the result is exactly symmetric. Finite data whose covariance overflows
-    float64 raise :class:`InvalidData`.
+    float64, or non-constant data whose covariance underflows to all zeros,
+    raise :class:`InvalidData`.
     """
     if not isinstance(data, DataMatrix):
         data = DataMatrix(np.asarray(data))
@@ -171,6 +172,11 @@ def sample_covariance(data: DataMatrix | np.ndarray) -> SampleCovariance:
     if not np.all(np.isfinite(cov)):
         raise InvalidData(
             f"the covariance of data of magnitude up to {np.abs(x).max():g} overflows float64"
+        )
+    if not cov.any() and centered.any():
+        raise InvalidData(
+            f"the covariance of data that deviate from their mean by at most "
+            f"{np.abs(centered).max():g} underflows float64 to zero"
         )
     return SampleCovariance(matrix=cov, mean=mean, sample_count=t)
 

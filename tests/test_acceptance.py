@@ -17,7 +17,7 @@ from covscatter.bounds import (
     signal_stability_bound,
 )
 from covscatter.harness import CstMethod, PcaMethod, SplitSpec, run_pruning_sweep, run_stability
-from covscatter.readout import ridge_fit
+from covscatter.readout import ridge_path
 from covscatter.scattering import CstConfig, cst_fit, cst_transform, feature_count
 from covscatter.spectral import (
     NORMALIZED,
@@ -304,9 +304,9 @@ def test_criterion_10_oracle_suite():
     rng = np.random.default_rng(9)
     z = rng.standard_normal((5, 50))
     y = rng.standard_normal(50)
-    model = ridge_fit(z, y, 1.0)
+    weights = ridge_path([z.T], y, [1.0]).weights[0]
     w_oracle, _ = ridge_gradient_descent(z, y, 1.0)
-    assert np.max(np.abs(model.weights - w_oracle)) <= 1e-6
+    assert np.max(np.abs(weights - w_oracle)) <= 1e-6
 
     # recursive scattering vs brute-force path enumeration
     cst = cst_fit(spd_covariance(16, 2), CstConfig(family=Diffusion(), J=3, L=3))

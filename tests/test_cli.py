@@ -1,5 +1,6 @@
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -663,9 +664,8 @@ class TestLargeMagnitudes:
                       "--families", "diffusion", "--j", "3", "--runs", "1", "--bounds"],
     }
 
-    @pytest.mark.parametrize("scale", [1e150, 1e160])
-    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
-    def test_exit_without_warning(self, tmp_path, capsys, argv, scale):
+    def run_scaled(self, tmp_path, capsys, argv, scale):
+        """Exit code and stderr of ``argv`` on the 6 x 300 data scaled by ``scale``."""
         ds, _, targets_path = make_data_files(tmp_path, n=6, t=300, seed=1)
         scaled = ds.data.values * scale
         data_path = tmp_path / "scaled.csv"
@@ -674,9 +674,31 @@ class TestLargeMagnitudes:
         capsys.readouterr()
         code = main([command, "--data", str(data_path), *flags, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
-        assert code in (0, 3)
         assert "Warning" not in err and "Traceback" not in err
+        return code, err, scaled
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e-150, 1e-200])
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_exit_without_warning(self, tmp_path, capsys, argv, scale):
+        code, err, scaled = self.run_scaled(tmp_path, capsys, argv, scale)
+        assert code in (0, 3)
         if scale == 1e160:
             # the covariance overflows although the data are finite
             assert code == 3 and len(err.splitlines()) == 1
             assert f"magnitude up to {np.abs(scaled).max():g} overflows float64" in err
+        elif scale == 1e-200:
+            # the covariance underflows to zero although the data vary; the
+            # protocols estimate it on their fit pool, whose spread is named
+            assert code == 3 and len(err.splitlines()) == 1
+            match = re.search(r"deviate from their mean by at most (\S+) underflows float64", err)
+            assert match and 0.0 < float(match[1]) <= 2.0 * np.abs(scaled).max()
+        elif scale == 1e-150:
+            assert code == 0
+
+    def test_default_families_singular_at_positive_alpha(self, tmp_path, capsys):
+        # at 1e150 an alpha_R of 1 is below the rounding of the Gram matrix, so a
+        # rank-deficient primal is singular; the message says why, not "use a positive alpha_R"
+        argv = ["stability", "--targets", "{targets}", "--seed", "0", "--runs", "1"]
+        code, err, _ = self.run_scaled(tmp_path, capsys, argv, 1e150)
+        assert code == 4 and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "alpha_R 1," in err and "use a positive alpha_R" not in err

@@ -7,7 +7,7 @@ import pytest
 
 from covscatter import harness
 from covscatter.errors import ConfigError, InvalidK, ShapeError
-from covscatter.readout import mae, ridge_fit
+from covscatter.readout import mae, ridge_path
 from covscatter.harness import (
     CstMethod,
     PcaMethod,
@@ -349,14 +349,15 @@ class TestLabeledSweep:
         assert len(eig_calls) == 2 and len(decisions) == 2 * 2
 
     def test_test_set_embedded_once_per_method_and_seed(self, dataset, monkeypatch):
+        # every embedding of a CST method is a followed pass
         calls = []
-        transform = harness.cst_transform_batch
+        follow = harness.layout_blocks
 
-        def counting_transform(model, data, layout=None):
-            calls.append(np.array(data))
-            return transform(model, data, layout=layout)
+        def counting_follow(model, x, layout):
+            calls.append(np.array(x))
+            return follow(model, x, layout)
 
-        monkeypatch.setattr(harness, "cst_transform_batch", counting_transform)
+        monkeypatch.setattr(harness, "layout_blocks", counting_follow)
         methods = [
             CstMethod(f"cst-{agg}", CstConfig(Diffusion(), J=3, L=2, aggregation=agg), alpha=1.0)
             for agg in ("identity", "mean")
@@ -369,8 +370,22 @@ class TestLabeledSweep:
             split = make_split(dataclasses.replace(DEFAULT_SPLIT, seed=seed), 300)
             test_x = dataset.data.values[:, split.test]
             assert sum(np.array_equal(c, test_x) for c in calls) == len(methods)
-        # and every other call embeds one row's train set
-        assert len(calls) == sum(r.status == "ok" for r in rows) + 2 * len(methods)
+        # and every other call follows one row's train set: once for a primal
+        # readout (D <= t), twice for a dual one
+        train_passes = 0
+        for row in rows:
+            if row.status == "ok":
+                spec = dataclasses.replace(
+                    DEFAULT_SPLIT,
+                    unlabeled_frac=1.0 - DEFAULT_SPLIT.valid_frac - DEFAULT_SPLIT.test_frac
+                    - row.train_frac,
+                    train_frac=row.train_frac,
+                    seed=row.seed,
+                )
+                t = make_split(spec, 300).train.shape[0]
+                train_passes += 1 + (row.feature_width > t)
+        assert 0 < sum(r.status == "ok" for r in rows) < train_passes
+        assert len(calls) == train_passes + 2 * len(methods)
 
     def test_every_fraction_checked_before_any_fit(self, dataset, eig_calls):
         with pytest.raises(ConfigError, match="train fraction 0.7"):
@@ -418,16 +433,28 @@ class TestGridSearch:
             alpha_grid=alphas,
             split_spec=DEFAULT_SPLIT,
         )
-        # reference: the same pipeline with one ridge_fit per alpha
+        # reference: one ridge_path per alpha on the materialized features, cut
+        # into the followed passes' path blocks, which come in sorted path order
         x, y = dataset.data.values, dataset.targets
         split = make_split(DEFAULT_SPLIT, dataset.data.n_samples)
         model = cst_fit(sample_covariance(x[:, split.fit_pool]), config)
         layout = decide_layout(model, x[:, split.fit_pool]).paths
-        z_train = cst_transform_batch(model, x[:, split.train], layout=layout).T
-        z_valid = cst_transform_batch(model, x[:, split.valid], layout=layout).T
-        assert (z_train.shape[0] > split.train.shape[0]) == (aggregation == "identity")
+        width = model.feature_width
+
+        slots = sorted(range(len(layout)), key=layout.__getitem__)
+
+        def path_blocks(signals):
+            z = cst_transform_batch(model, signals, layout=layout)
+            return [z[:, s * width : (s + 1) * width] for s in slots]
+
+        train_blocks, valid_blocks = path_blocks(x[:, split.train]), path_blocks(x[:, split.valid])
+        d = len(layout) * width
+        assert (d > split.train.shape[0]) == (aggregation == "identity")
         expected = [
-            mae(ridge_fit(z_train, y[split.train], alpha).predict(z_valid), y[split.valid])
+            mae(
+                ridge_path(train_blocks, y[split.train], [alpha]).predict(valid_blocks)[0],
+                y[split.valid],
+            )
             for alpha in alphas
         ]
         assert [r.alpha for r in rows] == alphas
@@ -435,7 +462,7 @@ class TestGridSearch:
             assert [r.valid_mae for r in rows] == expected
         else:
             assert [r.valid_mae for r in rows] == pytest.approx(expected, rel=rel, abs=0.0)
-        assert all(r.feature_count == z_train.shape[0] for r in rows)
+        assert all(r.feature_count == d for r in rows)
 
     def test_repeated_runs_equal(self, dataset):
         # L=1 keeps the root alone, 12 features for 30 train samples (primal); L=3 more (dual)

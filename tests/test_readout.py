@@ -1,19 +1,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covscatter.errors import ConfigError, InvalidData, InvalidK, ShapeError, SingularSystem
-from covscatter.readout import (
-    dual_ridge_predict,
-    mae,
-    mse,
-    pca_fit,
-    pca_transform,
-    ridge_fit,
-    ridge_path,
-)
+from covscatter.readout import mae, mse, pca_fit, pca_transform, ridge_path
 from covscatter.scattering import CstConfig, cst_fit, cst_transform_batch, decide_layout
 from covscatter.spectral import SampleCovariance, eig_sym, sample_covariance
 from covscatter.wavelets import Diffusion
@@ -88,96 +80,158 @@ class TestPca:
         assert medians[0] < medians[1] < medians[2]
 
 
-def ridge_per_alpha(z, y, alpha):
+def ridge_per_alpha(x, y, alpha):
     """Reference: centre, form and factor the normal equations afresh for one alpha."""
-    d, t = z.shape
-    z_bar = z.mean(axis=1)
+    t, d = x.shape
+    x_bar = x.mean(axis=0)
     y_bar = float(y.mean())
-    zc = z - z_bar[:, None]
+    xc = x - x_bar
     yc = y - y_bar
     if d <= t:
-        weights = np.linalg.solve(zc @ zc.T + alpha * np.eye(d), zc @ yc)
+        weights = np.linalg.solve(xc.T @ xc + alpha * np.eye(d), xc.T @ yc)
     else:
-        weights = zc @ np.linalg.solve(zc.T @ zc + alpha * np.eye(t), yc)
-    return weights, y_bar - float(weights @ z_bar)
+        weights = xc.T @ np.linalg.solve(xc @ xc.T + alpha * np.eye(t), yc)
+    return weights, y_bar - float(weights @ x_bar)
+
+
+class Passes:
+    """Re-iterable blocks: the first iteration yields ``first``, every later one ``later``."""
+
+    def __init__(self, first, later):
+        self.first, self.later = first, later
+        self.count = 0
+
+    def __iter__(self):
+        self.count += 1
+        return iter(self.first if self.count == 1 else self.later)
+
+
+@st.composite
+def blocked_matrices(draw):
+    """(t, D, column cuts, seed), with D on both sides of t."""
+    t = draw(st.integers(2, 8))
+    d = draw(st.integers(1, 2 * t + 2))
+    cuts = draw(st.sets(st.integers(1, d - 1), max_size=4)) if d > 1 else set()
+    return t, d, sorted(cuts), draw(st.integers(0, 2**32 - 1))
+
+
+def assert_close(got, want, rel=1e-12):
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
 
 class TestRidge:
     def test_heavy_regularization_shrinks_weights(self, rng):
-        z = rng.standard_normal((4, 60))
+        x = rng.standard_normal((60, 4))
         y = rng.standard_normal(60)
-        model = ridge_fit(z, y, 1e9)
-        assert np.linalg.norm(model.weights) <= 1e-6 * np.linalg.norm(z) * np.linalg.norm(y)
+        weights = ridge_path([x], y, [1e9]).weights[0]
+        assert np.linalg.norm(weights) <= 1e-6 * np.linalg.norm(x) * np.linalg.norm(y)
 
     def test_exact_line(self):
-        z = np.array([[0.0, 1.0, 2.0, 3.0]])
-        model = ridge_fit(z, 3.0 * z[0], 0.0)
-        assert model.weights[0] == pytest.approx(3.0, abs=1e-12)
-        assert model.intercept == pytest.approx(0.0, abs=1e-12)
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        path = ridge_path([x], 3.0 * x[:, 0], [0.0])
+        assert path.weights[0, 0] == pytest.approx(3.0, abs=1e-12)
+        assert path.intercepts[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_gradient_descent_oracle(self):
         rng = np.random.default_rng(9)
         z = rng.standard_normal((5, 50))
         y = rng.standard_normal(50)
-        model = ridge_fit(z, y, 1.0)
+        path = ridge_path([z.T], y, [1.0])
         w_oracle, b_oracle = ridge_gradient_descent(z, y, 1.0)
-        npt.assert_allclose(model.weights, w_oracle, atol=1e-6)
-        assert model.intercept == pytest.approx(b_oracle, abs=1e-6)
+        npt.assert_allclose(path.weights[0], w_oracle, atol=1e-6)
+        assert path.intercepts[0] == pytest.approx(b_oracle, abs=1e-6)
 
     def test_affine_equivariance_in_targets(self, rng):
-        z = rng.standard_normal((4, 30))
+        x = rng.standard_normal((30, 4))
         y = rng.standard_normal(30)
-        base = ridge_fit(z, y, 2.0)
-        scaled = ridge_fit(z, 2.5 * y - 1.75, 2.0)
+        base = ridge_path([x], y, [2.0])
+        scaled = ridge_path([x], 2.5 * y - 1.75, [2.0])
         npt.assert_allclose(scaled.weights, 2.5 * base.weights, atol=1e-10)
-        assert scaled.intercept == pytest.approx(2.5 * base.intercept - 1.75, abs=1e-10)
+        assert scaled.intercepts[0] == pytest.approx(2.5 * base.intercepts[0] - 1.75, abs=1e-10)
 
     def test_singular_without_regularization(self):
-        z = np.vstack([np.arange(5.0), np.arange(5.0)])  # duplicated feature
-        with pytest.raises(SingularSystem):
-            ridge_fit(z, np.arange(5.0), 0.0)
+        x = np.vstack([np.arange(5.0), np.arange(5.0)]).T  # duplicated feature
+        with pytest.raises(SingularSystem, match="use a positive alpha_R"):
+            ridge_path([x], np.arange(5.0), [0.0])
         # one singular alpha in a grid fails the whole path
         with pytest.raises(SingularSystem):
-            ridge_path(z, np.arange(5.0), [1.0, 0.0])
+            ridge_path([x], np.arange(5.0), [1.0, 0.0])
+
+    def test_singular_at_a_positive_alpha_names_the_scale(self):
+        # a duplicated feature whose Gram entries are 2**1002: adding 1 to them
+        # changes no bit, so the system is exactly singular at alpha 1
+        column = np.array([0.0, 0.0, 2.0**501, 2.0**501])
+        with pytest.raises(SingularSystem) as excinfo:
+            ridge_path([np.stack([column, column], axis=1)], np.arange(4.0), [1.0])
+        message = str(excinfo.value)
+        assert "alpha_R 1," in message and f"scale of {2.0**1002:.3g}" in message
+        assert "use a positive alpha_R" not in message
 
     def test_dual_solve_matches_primal(self, rng):
-        # d > t takes the dual path; check it against the primal normal equations
-        z = rng.standard_normal((40, 8))
+        # D > t takes the dual path; check it against the primal normal equations
+        x = rng.standard_normal((8, 40))
         y = rng.standard_normal(8)
-        dual = ridge_fit(z, y, 3.0)
-        zc = z - z.mean(axis=1)[:, None]
-        weights = np.linalg.solve(zc @ zc.T + 3.0 * np.eye(40), zc @ (y - y.mean()))
-        npt.assert_allclose(dual.weights, weights, atol=1e-8)
-        assert dual.intercept == pytest.approx(y.mean() - weights @ z.mean(axis=1), abs=1e-8)
+        dual = ridge_path([x], y, [3.0])
+        xc = x - x.mean(axis=0)
+        weights = np.linalg.solve(xc.T @ xc + 3.0 * np.eye(40), xc.T @ (y - y.mean()))
+        npt.assert_allclose(dual.weights[0], weights, atol=1e-8)
+        assert dual.intercepts[0] == pytest.approx(y.mean() - weights @ x.mean(axis=0), abs=1e-8)
 
-    @pytest.mark.parametrize("shape", [(6, 40), (40, 8)], ids=["primal", "dual"])
+    @pytest.mark.parametrize("shape", [(40, 6), (8, 40)], ids=["primal", "dual"])
     def test_path_is_bit_equal_to_single_fits(self, rng, shape):
-        z = rng.standard_normal(shape)
-        y = rng.standard_normal(shape[1])
+        x = rng.standard_normal(shape)
+        y = rng.standard_normal(shape[0])
         alphas = [0.5, 3.0, 100.0]
-        path = ridge_path(z, y, alphas)
-        assert [m.alpha for m in path] == alphas
-        for model, alpha in zip(path, alphas):
-            single = ridge_fit(z, y, alpha)
-            weights, intercept = ridge_per_alpha(z, y, alpha)
-            assert np.array_equal(model.weights, single.weights)
-            assert np.array_equal(model.weights, weights)
-            assert model.intercept == single.intercept == intercept
+        path = ridge_path([x], y, alphas)
+        assert path.weights.shape == (len(alphas), shape[1])
+        for i, alpha in enumerate(alphas):
+            single = ridge_path([x], y, [alpha])
+            weights, intercept = ridge_per_alpha(x, y, alpha)
+            assert np.array_equal(path.weights[i], single.weights[0])
+            assert np.array_equal(path.weights[i], weights)
+            assert path.intercepts[i] == single.intercepts[0] == intercept
+
+    @given(blocked_matrices())
+    # three features kept, then the second block passes t and starts the kernel
+    @example((5, 9, [3, 7], 0))
+    @settings(max_examples=25, deadline=None)
+    def test_blocked_fit_equals_one_block(self, drawn):
+        t, d, cuts, seed = drawn
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((t, d))
+        y = rng.standard_normal(t)
+        new = rng.standard_normal((3, d))
+        alphas = [0.5, 3.0]
+        blocks = np.split(x, cuts, axis=1)
+        one = ridge_path([x], y, alphas)
+        blocked = ridge_path(blocks, y, alphas)
+        assert_close(blocked.weights, one.weights)
+        assert_close(blocked.intercepts, one.intercepts)
+        assert_close(blocked.predict(np.split(new, cuts, axis=1)), one.predict([new]))
+        if d > t:
+            # the weights come from a second iteration, which must repeat the first
+            for later in (blocks[:-1], [np.hstack([b, b[:, :1]]) for b in blocks]):
+                with pytest.raises(ShapeError):
+                    ridge_path(Passes(blocks, later), y, alphas)
 
     @pytest.mark.parametrize("alphas", [[-1.0], [1.0, -0.5], [1.0, 10.0, -1e-12]])
     def test_path_rejects_any_negative_alpha(self, rng, alphas):
         with pytest.raises(ConfigError):
-            ridge_path(rng.standard_normal((3, 20)), rng.standard_normal(20), alphas)
+            ridge_path([rng.standard_normal((20, 3))], rng.standard_normal(20), alphas)
 
     def test_predict_shape_check(self, rng):
-        model = ridge_fit(rng.standard_normal((3, 20)), rng.standard_normal(20), 1.0)
-        with pytest.raises(ShapeError):
-            model.predict(np.ones((4, 5)))
+        path = ridge_path([rng.standard_normal((20, 3))], rng.standard_normal(20), [1.0])
+        assert path.predict([np.ones((5, 1)), np.ones((5, 2))]).shape == (1, 5)
+        bad = ([np.ones((5, 4))], [np.ones((5, 2))], [], [np.ones((5, 2)), np.ones((4, 1))])
+        for blocks in bad:
+            with pytest.raises(ShapeError):
+                path.predict(blocks)
 
 
 class TestDualRidgePredict:
-    # every case has more features than train samples: 13 paths of 12 features
-    # for 20 samples, 13 path means for 8, and the root's 12 features for 8
+    # ridge_path's dual on streamed blocks: every case has more features than
+    # train samples, 13 paths of 12 features for 20 samples, 13 path means
+    # for 8, and the root's 12 features for 8
     CASES = {
         "identity": ("identity", None, 20),
         "mean": ("mean", None, 8),
@@ -191,48 +245,44 @@ class TestDualRidgePredict:
         config = CstConfig(family=Diffusion(), J=3, L=3, aggregation=aggregation)
         model = cst_fit(sample_covariance(x), config)
         layout = layout or decide_layout(model, x).paths
-        z_train = cst_transform_batch(model, x[:, :n_train], layout=layout).T
-        z_valid = cst_transform_batch(model, x[:, n_train:], layout=layout).T
-        assert z_train.shape[0] > n_train
+        z_train = cst_transform_batch(model, x[:, :n_train], layout=layout)
+        z_valid = cst_transform_batch(model, x[:, n_train:], layout=layout)
+        assert z_train.shape[1] > n_train
         width = model.feature_width
-        cuts = range(0, z_train.shape[0], width)
-        train_blocks = [z_train[i : i + width].T for i in cuts]
-        joint_blocks = [np.vstack([z_train[i : i + width].T, z_valid[i : i + width].T]) for i in cuts]
+        cuts = range(width, z_train.shape[1], width)
         alphas = [0.5, 3.0, 100.0]
-        streamed = dual_ridge_predict(train_blocks, joint_blocks, y, alphas)
-        assert streamed.shape == (len(alphas), z_valid.shape[1])
-        for prediction, ridge in zip(streamed, ridge_path(z_train, y, alphas)):
-            expected = ridge.predict(z_valid)
-            assert np.abs(prediction - expected).max() <= 1e-12 * np.abs(expected).max()
+        streamed = ridge_path(np.split(z_train, cuts, axis=1), y, alphas)
+        prediction = streamed.predict(np.split(z_valid, cuts, axis=1))
+        assert prediction.shape == (len(alphas), z_valid.shape[0])
+        assert_close(prediction, ridge_path([z_train], y, alphas).predict([z_valid]))
 
     def test_checks(self, rng):
+        # 12 features for 10 train rows: the dual
         blocks = [rng.standard_normal((10, 3)) for _ in range(4)]
-        joint = [np.vstack([b, rng.standard_normal((5, 3))]) for b in blocks]
         y = rng.standard_normal(10)
-        # shared with ridge_path: alphas in [0, inf) and finite targets
         for alphas in ([1.0, -0.5], [np.inf]):
             with pytest.raises(ConfigError):
-                dual_ridge_predict(blocks, joint, y, alphas)
+                ridge_path(blocks, y, alphas)
         with pytest.raises(InvalidData):
-            dual_ridge_predict(blocks, joint, np.r_[y[:-1], np.nan], [1.0])
+            ridge_path(blocks, np.r_[y[:-1], np.nan], [1.0])
         # every train block is checked
         with pytest.raises(InvalidData):
-            dual_ridge_predict([*blocks[:3], np.full((10, 3), np.inf)], joint, y, [1.0])
-        with pytest.raises(ShapeError):
-            dual_ridge_predict([*blocks[:3], blocks[3][:9]], joint, y, [1.0])
-        # the second pass must repeat the first
-        for mismatched in (joint[:3], [*joint, joint[0]], [j[:, :2] for j in joint]):
+            ridge_path([*blocks[:3], np.full((10, 3), np.inf)], y, [1.0])
+        for bad in ([*blocks[:3], blocks[3][:9]], [], [np.ones(10)]):
             with pytest.raises(ShapeError):
-                dual_ridge_predict(blocks, mismatched, y, [1.0])
+                ridge_path(bad, y, [1.0])
+        # the second iteration must repeat the first
+        for later in (blocks[:3], [*blocks, blocks[0]], [b[:, :2] for b in blocks]):
+            with pytest.raises(ShapeError):
+                ridge_path(Passes(blocks, later), y, [1.0])
 
     def test_singular_without_regularization(self):
-        # one block of width 1 for 4 train rows: a rank-one kernel, exact in floats
-        block = np.arange(4.0)[:, None]
-        joint = np.vstack([block, [[4.0]]])
-        y = np.arange(4.0)
-        assert dual_ridge_predict([block], [joint], y, [1.0]).shape == (1, 1)
-        with pytest.raises(SingularSystem):
-            dual_ridge_predict([block], [joint], y, [1.0, 0.0])
+        # four features for two train rows: a centred kernel of rank one, exact in floats
+        block = np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 2.0, 2.0, 2.0]])
+        y = np.array([0.0, 1.0])
+        assert ridge_path([block], y, [1.0]).predict([np.ones((1, 4))]).shape == (1, 1)
+        with pytest.raises(SingularSystem, match="use a positive alpha_R"):
+            ridge_path([block], y, [1.0, 0.0])
 
 
 class TestMetrics:

@@ -54,6 +54,13 @@ class TestSampleCovariance:
         cov = sample_covariance(x)
         npt.assert_array_equal(cov.matrix, np.zeros((3, 3)))
 
+    def test_underflow_to_zero_rejected(self):
+        # products of 1e-200 deviations are below the smallest subnormal
+        x = np.array([[1e-200, -1e-200, 0.0], [0.0, 2e-200, -2e-200]])
+        with pytest.raises(InvalidData, match="at most 2e-200 underflows float64 to zero"):
+            sample_covariance(x)
+        assert sample_covariance(x * 1e50).matrix.any()
+
     def test_matches_two_pass_oracle(self):
         x = np.random.default_rng(7).standard_normal((5, 50))
         cov = sample_covariance(x)
