@@ -19,7 +19,6 @@ from .readout import (
     PcaModel,
     RidgePath,
     mae,
-    mse,
     pca_fit,
     pca_transform,
     ridge_path,
@@ -93,7 +92,6 @@ __all__ = [
     "localization_profile",
     "mae",
     "measured_wavelet_delta",
-    "mse",
     "pca_fit",
     "pca_gap_scale",
     "pca_transform",

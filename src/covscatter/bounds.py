@@ -193,7 +193,7 @@ def bound_table(cov, model, constants: BoundConstants, pca_k: int | None = None)
     """
     bank, config = model.filterbank, model.config
     w1 = float(cov.decomposition.eigenvalues[0])
-    n, t, gamma = cov.n_features, cov.sample_count, model.operator.gamma
+    n, t, gamma = cov.n_features, cov.sample_count, bank.gamma
     deltas = [wavelet_delta(float(p), n, t, constants, gamma, w1, w1) for p in bank.lipschitz]
     counts = _layer_counts(model)
     agg = model.aggregation_norm_bound

@@ -136,8 +136,6 @@ def _write_provenance(args, path, derived=None):
     for dest, value in vars(args).items():
         if dest in ("command", "func", "config", "out") or value is None:
             continue
-        if isinstance(value, list):
-            value = ",".join(io.format_value(v) for v in value)
         settings[dest.replace("_", "-")] = value
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     environment = {
@@ -237,8 +235,8 @@ def _cmd_pca(args):
     embedded = pca_transform(model, data.values).T
     out = _out_dir(args)
     io.write_matrix_csv(out / "pca.csv", [f"pc{i + 1}" for i in range(args.k)], embedded)
-    eigenvalues = ",".join(repr(float(w)) for w in model.source_eigenvalues)
-    _write_provenance(args, out / "pca.provenance.txt", {"eigenvalues": eigenvalues})
+    derived = {"eigenvalues": cov.decomposition.eigenvalues}
+    _write_provenance(args, out / "pca.provenance.txt", derived)
     print(f"wrote {out / 'pca.csv'}")
     return 0
 

@@ -21,9 +21,14 @@ from .spectral import DataMatrix
 
 
 def format_value(value) -> str:
-    """One CSV or provenance cell: ``repr`` for floats, ``true``/``false``, blank for None."""
+    """One CSV or provenance cell: ``repr`` for floats, ``true``/``false``, blank for None.
+
+    A list, tuple or array is its items' cells joined by commas.
+    """
     if value is None:
         return ""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return ",".join(map(format_value, value))
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):

@@ -1,4 +1,4 @@
-"""PCA baseline transform, closed-form ridge readout and regression metrics."""
+"""PCA baseline transform, closed-form ridge readout and the MAE metric."""
 
 from __future__ import annotations
 
@@ -14,23 +14,19 @@ from .spectral import SampleCovariance
 @dataclass(frozen=True)
 class PcaModel:
     components: np.ndarray  # (N, k) leading eigenvector columns
-    k: int
-    source_eigenvalues: np.ndarray
     mean: np.ndarray
 
 
 def pca_fit(cov: SampleCovariance, k: int) -> PcaModel:
-    """Leading ``k`` eigenvectors of ``cov.decomposition``, with every eigenvalue."""
+    """Leading ``k`` eigenvectors of ``cov.decomposition`` and the sample mean.
+
+    The eigenvalues stay with ``cov.decomposition``, their one owner.
+    """
     n = cov.n_features
     if not 1 <= k <= n:
         raise InvalidK(f"k must be in [1, {n}], got {k}")
-    dec = cov.decomposition
-    return PcaModel(
-        components=dec.eigenvectors[:, :k].copy(),
-        k=k,
-        source_eigenvalues=dec.eigenvalues.copy(),
-        mean=cov.mean.copy(),
-    )
+    components = cov.decomposition.eigenvectors[:, :k].copy()
+    return PcaModel(components=components, mean=cov.mean.copy())
 
 
 def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
@@ -188,11 +184,3 @@ def mae(predictions: np.ndarray, truth: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
     return float(np.mean(np.abs(a - b)))
-
-
-def mse(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))

@@ -1,12 +1,13 @@
 """Pruned covariance scattering transforms.
 
-A model holds one wavelet operator with its filterbank, dense wavelet
-matrices and squared kernel responses. One depth-first recursion
-(:func:`_scatter`) applies every kernel followed by an absolute-value
-nonlinearity to a batch of signals. A pass decides or follows, never both:
-a deciding pass (:func:`decide_layout`) discards branches whose norm ratio
-to their parent does not exceed the pruning threshold ``CstConfig.tau``,
-and a followed pass (:func:`layout_blocks`) embeds over a decided layout.
+A model holds one filterbank, which holds its wavelet operator, and the
+dense wavelet matrices and squared kernel responses computed from it. One
+depth-first recursion (:func:`_scatter`) applies every kernel followed by
+an absolute-value nonlinearity to a batch of signals. A pass decides or
+follows, never both: a deciding pass (:func:`decide_layout`) discards
+branches whose norm ratio to their parent does not exceed the pruning
+threshold ``CstConfig.tau``, and a followed pass (:func:`layout_blocks`)
+embeds over a decided layout.
 Since ``H_j = V h_j(Lambda) V^T``, a child's energy (squared norm)
 ``||H_j s||^2 = sum_k h_j(lambda_k)^2 (v_k^T s)^2`` is read from its
 parent's covariance Fourier coefficients, so a decision takes one product
@@ -74,23 +75,22 @@ class CstConfig:
 
 @dataclass(frozen=True)
 class CstModel:
-    """Reusable operator + filterbank + wavelet matrices bundle.
+    """Reusable filterbank + wavelet matrices bundle.
 
+    The operator is ``filterbank.operator``, with its ``gamma``.
     ``matrices`` is the read-only (J, N, N) array of :func:`wavelet_matrices`;
-    ``squared_responses`` is the read-only (J, N) array of ``h_j(lambda_k)^2``
-    on the operator's eigenvalues, in the order of its eigenvectors, from
-    which a deciding pass reads child energies; gamma is ``operator.gamma``.
+    ``squared_responses`` is the read-only (J, N) square of
+    ``filterbank.responses``, from which a deciding pass reads child energies.
     """
 
     config: CstConfig
-    operator: object
     filterbank: Filterbank
     matrices: np.ndarray
     squared_responses: np.ndarray
 
     @property
     def n_features(self) -> int:
-        return self.operator.n_features
+        return self.filterbank.operator.n_features
 
     @property
     def feature_width(self) -> int:
@@ -197,7 +197,7 @@ def path_name(path: Path) -> str:
 
 
 def cst_fit(cov: SampleCovariance, config: CstConfig) -> CstModel:
-    """Build the operator, filterbank, wavelet matrices and squared responses once for reuse.
+    """Build the operator, its filterbank, wavelet matrices and squared responses once for reuse.
 
     The operator comes from ``cov.decomposition``, so models fitted on one
     estimate share its eigensolve. A filterbank whose frame upper bound
@@ -218,15 +218,13 @@ def cst_fit(cov: SampleCovariance, config: CstConfig) -> CstModel:
             f"frame upper bound {filterbank.frame_upper:g} overflows float64 over "
             f"{config.L} layers; use a smaller kernel or fewer layers"
         ) from None
-    responses = filterbank.kernel_values(operator.decomposition.eigenvalues)
-    np.square(responses, out=responses)
-    responses.flags.writeable = False
+    squared = np.square(filterbank.responses)
+    squared.flags.writeable = False
     return CstModel(
         config=config,
-        operator=operator,
         filterbank=filterbank,
-        matrices=wavelet_matrices(filterbank, operator),
-        squared_responses=responses,
+        matrices=wavelet_matrices(filterbank),
+        squared_responses=squared,
     )
 
 
@@ -287,7 +285,7 @@ def _walk(model: CstModel, path: Path, signals, norms, follow, ratios: dict):
     if decide:
         # squared in place and dropped before any H_j product, so no second
         # (N, n) array lives beside the children
-        coeffs = model.operator.decomposition.eigenvectors.T @ signals
+        coeffs = model.filterbank.operator.decomposition.eigenvectors.T @ signals
         np.square(coeffs, out=coeffs)
         child_norms = np.sqrt(model.squared_responses @ coeffs)
         del coeffs

@@ -142,7 +142,6 @@ class WaveletOperator:
     discriminate at the low end of the spectrum.
     """
 
-    kind: str
     gamma: float
     matrix: np.ndarray
     decomposition: SpectralDecomposition
@@ -157,8 +156,9 @@ def sample_covariance(data: DataMatrix | np.ndarray) -> SampleCovariance:
 
     The accumulated matrix is symmetrized by averaging with its transpose so
     the result is exactly symmetric. Finite data whose covariance overflows
-    float64, or non-constant data whose covariance underflows to all zeros,
-    raise :class:`InvalidData`.
+    float64, or non-constant data whose covariance underflows to zeros and
+    subnormal values (no entry of magnitude ``np.finfo(np.float64).tiny`` or
+    more, where float64 has lost precision), raise :class:`InvalidData`.
     """
     if not isinstance(data, DataMatrix):
         data = DataMatrix(np.asarray(data))
@@ -173,10 +173,10 @@ def sample_covariance(data: DataMatrix | np.ndarray) -> SampleCovariance:
         raise InvalidData(
             f"the covariance of data of magnitude up to {np.abs(x).max():g} overflows float64"
         )
-    if not cov.any() and centered.any():
+    if np.abs(cov).max() < np.finfo(np.float64).tiny and centered.any():
         raise InvalidData(
             f"the covariance of data that deviate from their mean by at most "
-            f"{np.abs(centered).max():g} underflows float64 to zero"
+            f"{np.abs(centered).max():g} underflows float64 to zero or to subnormal values"
         )
     return SampleCovariance(matrix=cov, mean=mean, sample_count=t)
 
@@ -240,8 +240,7 @@ def wavelet_operator(cov: SampleCovariance, kind: str, gamma: float) -> WaveletO
     matrix = (matrix + matrix.T) / 2.0
     values = np.clip(values, 0.0, gamma)
     return WaveletOperator(
-        kind=kind,
         gamma=float(gamma),
         matrix=_readonly(matrix),
-        decomposition=SpectralDecomposition(vectors.copy(), values),
+        decomposition=SpectralDecomposition(vectors, values),
     )

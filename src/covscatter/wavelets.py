@@ -100,28 +100,28 @@ def default_gamma(family: KernelFamily, J: int) -> float:
 
 @dataclass(frozen=True)
 class Filterbank:
-    """J kernels of one family with frame bounds and Lipschitz constants attached.
+    """J kernels of one family, built on one operator, with their responses on its spectrum.
 
-    ``frame_lower``/``frame_upper`` bound the total filterbank response on
-    the spectrum the bank was built from; ``lipschitz[j]`` bounds the
-    variation of kernel ``j`` over the whole domain [0, gamma].
+    ``responses`` is the read-only (J, N) array of ``h_j(lambda_k)`` on the
+    operator's eigenvalues, in the order of its eigenvectors: the one
+    evaluation of the kernels that the frame bounds, the wavelet matrices
+    and a model's pruning energies all read. ``frame_lower``/``frame_upper``
+    bound the total filterbank response on that spectrum; ``lipschitz[j]``
+    bounds the variation of kernel ``j`` over the whole domain [0, gamma].
     """
 
     family: KernelFamily
     J: int
-    gamma: float
+    operator: WaveletOperator = field(repr=False)
     scales: dict = field(repr=False)
     frame_lower: float
     frame_upper: float
     lipschitz: np.ndarray
-    n_eigenvalues: int
+    responses: np.ndarray = field(repr=False)
 
-    def kernel_values(self, lams: np.ndarray) -> np.ndarray:
-        """Evaluate all J kernels on an array of eigenvalues; returns (J, len)."""
-        lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
-        return np.stack(
-            [_evaluate(self.family, self.J, self.gamma, self.scales, j, lams) for j in range(self.J)]
-        )
+    @property
+    def gamma(self) -> float:
+        return self.operator.gamma
 
     def provenance(self) -> dict:
         """What building the bank computed, as flat key-value pairs for experiment logs.
@@ -132,14 +132,14 @@ class Filterbank:
             "gamma": self.gamma,
             "frame_lower": self.frame_lower,
             "frame_upper": self.frame_upper,
-            "lipschitz": ",".join(repr(float(p)) for p in self.lipschitz),
+            "lipschitz": self.lipschitz,
         }
         if isinstance(self.family, Hann):
-            out["hann.translations"] = ",".join(repr(float(t)) for t in self.scales["translations"])
+            out["hann.translations"] = self.scales["translations"]
         elif isinstance(self.family, Monic):
             out["monic.lambda_bar1"] = self.scales["lambda_bar1"]
             out["monic.lambda_bar2"] = self.scales["lambda_bar2"]
-            out["monic.scales"] = ",".join(repr(float(t)) for t in self.scales["t"])
+            out["monic.scales"] = self.scales["t"]
         return out
 
 
@@ -147,8 +147,6 @@ class Filterbank:
 class LocalizationProfile:
     """Wavelet column centered on one feature plus its covariance-distance bound."""
 
-    center: int
-    scale: int
     values: np.ndarray
     bound: np.ndarray | None
     distances: dict | None
@@ -333,11 +331,13 @@ def _hann_warp_derivative_sup(gamma, scales):
 def build_filterbank(operator: WaveletOperator, family: KernelFamily, J: int) -> Filterbank:
     """Build the J-kernel filterbank for one operator.
 
-    Frame bounds follow the family: diffusion uses the analytic pair
-    ``B = 1``, ``A = 1 - gamma``; the other families take the min/max of the
-    summed squared kernel response over the actual operator spectrum. A
-    spectrum with eigenvalues outside every kernel support yields a frame
-    lower bound near zero, which is reported rather than rejected.
+    Each kernel is evaluated once on the operator's spectrum, into the
+    bank's ``responses``. Frame bounds follow the family: diffusion uses
+    the analytic pair ``B = 1``, ``A = 1 - gamma``; the other families take
+    the min/max of the summed squared kernel response over the actual
+    operator spectrum. A spectrum with eigenvalues outside every kernel
+    support yields a frame lower bound near zero, which is reported rather
+    than rejected.
 
     Parameters that push a kernel, a Lipschitz constant or the frame response
     out of float64 on this spectrum (steep monic exponents: ``lambda_bar1 **
@@ -365,7 +365,6 @@ def _build_filterbank(operator: WaveletOperator, family: KernelFamily, J: int) -
             raise ConfigError("diffusion kernels require gamma <= 1")
         scales: dict = {}
         lipschitz = np.array([1.0] + [2.0 ** (j - 1) for j in range(1, J)])
-        lower, upper = 1.0 - gamma, 1.0
     elif isinstance(family, Hann):
         if not family.R < J + 1:
             raise ConfigError(f"Hann requires R < J + 1, got R={family.R}, J={J}")
@@ -378,50 +377,47 @@ def _build_filterbank(operator: WaveletOperator, family: KernelFamily, J: int) -
         if family.warp:
             # kernels act on warped eigenvalues; chain the warp slope
             lipschitz = lipschitz * _hann_warp_derivative_sup(gamma, scales)
-        lower, upper = None, None
     elif isinstance(family, Monic):
         if not np.any(spectrum > 0.0):
             raise DegenerateSpectrum("operator spectrum is all zeros")
         scales = _monic_scales(family, J, gamma, spectrum)
         lipschitz = _monic_lipschitz(family, gamma, scales)
-        lower, upper = None, None
     else:
         raise ConfigError(f"unknown kernel family {family!r}")
 
-    if lower is None:
-        response = np.stack(
-            [_evaluate(family, J, gamma, scales, j, spectrum) for j in range(J)]
-        )
-        g = np.sum(response * response, axis=0)
+    responses = np.stack([_evaluate(family, J, gamma, scales, j, spectrum) for j in range(J)])
+    responses.flags.writeable = False
+    if isinstance(family, Diffusion):
+        lower, upper = 1.0 - gamma, 1.0
+    else:
+        g = np.sum(responses * responses, axis=0)
         lower = float(np.sqrt(max(float(g.min()), 0.0)))
         upper = float(np.sqrt(float(g.max())))
 
     return Filterbank(
         family=family,
         J=J,
-        gamma=gamma,
+        operator=operator,
         scales=scales,
         frame_lower=float(lower),
         frame_upper=float(upper),
         lipschitz=lipschitz,
-        n_eigenvalues=spectrum.shape[0],
+        responses=responses,
     )
 
 
-def wavelet_matrices(filterbank: Filterbank, operator: WaveletOperator) -> np.ndarray:
-    """Materialize H_j = V diag(h_j(lambda_i)) V^T for every scale.
+def wavelet_matrices(filterbank: Filterbank) -> np.ndarray:
+    """Materialize H_j = V diag(h_j(lambda_i)) V^T for every scale of the bank's operator.
 
-    Returns a read-only (J, N, N) array whose ``j``-th slice is ``H_j``.
+    ``V`` is the operator's eigenvectors and ``h_j(lambda_i)`` the bank's
+    ``responses``. Returns a read-only (J, N, N) array whose ``j``-th slice
+    is ``H_j``.
     """
-    if operator.n_features != filterbank.n_eigenvalues:
-        raise ShapeError(
-            f"filterbank built for N={filterbank.n_eigenvalues}, operator has N={operator.n_features}"
-        )
-    vectors = operator.decomposition.eigenvectors
-    values = filterbank.kernel_values(operator.decomposition.eigenvalues)
-    mats = np.empty((filterbank.J, operator.n_features, operator.n_features))
+    vectors = filterbank.operator.decomposition.eigenvectors
+    n = vectors.shape[0]
+    mats = np.empty((filterbank.J, n, n))
     for j in range(filterbank.J):
-        h = (vectors * values[j]) @ vectors.T
+        h = (vectors * filterbank.responses[j]) @ vectors.T
         mats[j] = (h + h.T) / 2.0
     mats.flags.writeable = False
     return mats
@@ -455,9 +451,7 @@ def diffusion_apply(operator_matrix: np.ndarray, x: np.ndarray, J: int) -> list[
     return out
 
 
-def localization_profile(
-    filterbank: Filterbank, operator: WaveletOperator, center: int, scale: int
-) -> LocalizationProfile:
+def localization_profile(filterbank: Filterbank, center: int, scale: int) -> LocalizationProfile:
     """Wavelet centered on one feature, with the covariance-distance decay bound.
 
     The values are column ``center`` of ``H_scale`` (:func:`wavelet_matrices`).
@@ -466,14 +460,15 @@ def localization_profile(
     inverse magnitude of the s-step operator entry; the bound is evaluated
     and checked here.
     """
+    operator = filterbank.operator
     n = operator.n_features
     if not 0 <= center < n:
         raise IndexError(f"center {center} outside 0..{n - 1}")
     if not 0 <= scale < filterbank.J:
         raise IndexError(f"scale {scale} outside 0..{filterbank.J - 1}")
-    values = wavelet_matrices(filterbank, operator)[scale][:, center].copy()
+    values = wavelet_matrices(filterbank)[scale][:, center].copy()
     if not isinstance(filterbank.family, Diffusion):
-        return LocalizationProfile(center, scale, values, None, None)
+        return LocalizationProfile(values, None, None)
 
     s1 = 2 ** (scale - 1) if scale >= 1 else 0
     s2 = 2**scale
@@ -490,4 +485,4 @@ def localization_profile(
         raise NumericalError("localization bound violated; operator state is inconsistent")
     with np.errstate(divide="ignore"):
         distances = {s1: 1.0 / np.abs(cols[s1]), s2: 1.0 / np.abs(cols[s2])}
-    return LocalizationProfile(center, scale, values, bound, distances)
+    return LocalizationProfile(values, bound, distances)

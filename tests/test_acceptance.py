@@ -60,7 +60,7 @@ def test_criterion_01_frame_property():
             cov = spd_covariance(n, 100 * idx + n)
             operator = wavelet_operator(cov, NORMALIZED, default_gamma(family, J))
             fb = build_filterbank(operator, family, J)
-            mats = wavelet_matrices(fb, operator)
+            mats = wavelet_matrices(fb)
             x = rng.standard_normal((n, 100))
             x /= np.linalg.norm(x, axis=0)
             total = sum(np.sum((mats[j] @ x) ** 2, axis=0) for j in range(J))
@@ -81,7 +81,7 @@ def test_criterion_02_diffusion_spectral_polynomial_equivalence():
     for n in (16, 48, 64):
         cov = spd_covariance(n, n)
         operator = wavelet_operator(cov, NORMALIZED, default_gamma(Diffusion(), J))
-        mats = wavelet_matrices(build_filterbank(operator, Diffusion(), J), operator)
+        mats = wavelet_matrices(build_filterbank(operator, Diffusion(), J))
         x = rng.standard_normal((n, 50))
         poly = diffusion_apply(operator.matrix, x, J)
         for j in range(J):
@@ -328,6 +328,6 @@ def test_criterion_11_localization_bound():
     operator = wavelet_operator(cov, NORMALIZED, default_gamma(Diffusion(), J))
     filterbank = build_filterbank(operator, Diffusion(), J)
     for center, scale in itertools.product(range(8), (1, 2, 3)):
-        profile = localization_profile(filterbank, operator, center, scale)
+        profile = localization_profile(filterbank, center, scale)
         assert np.all(np.abs(profile.values) <= profile.bound + 1e-12)
     _passed(11, "diffusion localization bound holds at every center for j in {1,2,3}")

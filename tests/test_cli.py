@@ -677,7 +677,7 @@ class TestLargeMagnitudes:
         assert "Warning" not in err and "Traceback" not in err
         return code, err, scaled
 
-    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e-150, 1e-200])
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e-150, 1e-158, 1e-200])
     @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
     def test_exit_without_warning(self, tmp_path, capsys, argv, scale):
         code, err, scaled = self.run_scaled(tmp_path, capsys, argv, scale)
@@ -686,9 +686,10 @@ class TestLargeMagnitudes:
             # the covariance overflows although the data are finite
             assert code == 3 and len(err.splitlines()) == 1
             assert f"magnitude up to {np.abs(scaled).max():g} overflows float64" in err
-        elif scale == 1e-200:
-            # the covariance underflows to zero although the data vary; the
-            # protocols estimate it on their fit pool, whose spread is named
+        elif scale in (1e-158, 1e-200):
+            # the covariance underflows to subnormal values (1e-158) or to zero
+            # (1e-200) although the data vary; the protocols estimate it on
+            # their fit pool, whose spread is named
             assert code == 3 and len(err.splitlines()) == 1
             match = re.search(r"deviate from their mean by at most (\S+) underflows float64", err)
             assert match and 0.0 < float(match[1]) <= 2.0 * np.abs(scaled).max()

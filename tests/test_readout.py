@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covscatter.errors import ConfigError, InvalidData, InvalidK, ShapeError, SingularSystem
-from covscatter.readout import mae, mse, pca_fit, pca_transform, ridge_path
+from covscatter.readout import mae, pca_fit, pca_transform, ridge_path
 from covscatter.scattering import CstConfig, cst_fit, cst_transform_batch, decide_layout
 from covscatter.spectral import SampleCovariance, eig_sym, sample_covariance
 from covscatter.wavelets import Diffusion
@@ -289,23 +289,15 @@ class TestMetrics:
     def test_identical_inputs(self):
         x = np.arange(5.0)
         assert mae(x, x) == 0.0
-        assert mse(x, x) == 0.0
 
     def test_unit_errors(self):
         assert mae(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
-        assert mse(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
 
     @given(st.floats(-1e3, 1e3))
     @settings(max_examples=100, deadline=None)
     def test_constant_offset(self, c):
         x = np.linspace(-1.0, 1.0, 7)
         assert mae(x + c, x) == pytest.approx(abs(c), rel=1e-12, abs=1e-12)
-        assert mse(x + c, x) == pytest.approx(c * c, rel=1e-9, abs=1e-12)
-
-    def test_matrix_inputs(self):
-        a = np.zeros((3, 4))
-        b = np.full((3, 4), 2.0)
-        assert mse(a, b) == 4.0
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covscatter import wavelets
 from covscatter.errors import ConfigError, InvalidData, ShapeError
 from covscatter.scattering import (
     CstConfig,
@@ -25,7 +26,7 @@ from covscatter.scattering import (
 )
 from covscatter.spectral import INVERTED, NORMALIZED, SampleCovariance, sample_covariance
 from covscatter.synthdata import SynthSpec, synth_generate
-from covscatter.wavelets import Diffusion, Hann, Monic
+from covscatter.wavelets import Diffusion, Hann, Monic, kernel_eval
 
 from conftest import spd_covariance
 
@@ -48,10 +49,30 @@ class TestCstFit:
         cov = SampleCovariance(np.eye(5), np.zeros(5), 10)
         config = CstConfig(family=Diffusion(), J=3, L=2, operator_kind=INVERTED)
         model = cst_fit(cov, config)
-        npt.assert_allclose(model.operator.matrix, np.zeros((5, 5)), atol=1e-12)
+        npt.assert_allclose(model.filterbank.operator.matrix, np.zeros((5, 5)), atol=1e-12)
         npt.assert_array_equal(model.matrices[0], np.eye(5))
         npt.assert_array_equal(model.matrices[1], np.zeros((5, 5)))
         npt.assert_array_equal(model.matrices[2], np.zeros((5, 5)))
+
+    @pytest.mark.parametrize("family", [Diffusion(), Hann(), Monic()], ids=repr)
+    def test_each_kernel_evaluated_once(self, family, monkeypatch):
+        calls = []
+        evaluate = wavelets._evaluate
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(wavelets, "_evaluate", counted)
+        J = 4
+        model = cst_fit(spd_covariance(9, 4), CstConfig(family=family, J=J, L=3))
+        assert len(calls) == J
+        bank = model.filterbank
+        assert not bank.responses.flags.writeable
+        eigenvalues = bank.operator.decomposition.eigenvalues
+        expected = np.stack([kernel_eval(bank, j, eigenvalues) for j in range(J)])
+        npt.assert_array_equal(bank.responses, expected)
+        npt.assert_array_equal(model.squared_responses, np.square(expected))
 
     def test_brain_shaped_model_builds(self):
         rng = np.random.default_rng(68)

@@ -61,6 +61,17 @@ class TestSampleCovariance:
             sample_covariance(x)
         assert sample_covariance(x * 1e50).matrix.any()
 
+    def test_underflow_to_subnormal_rejected(self):
+        # products of 1e-158 deviations are nonzero but subnormal, below the
+        # smallest normal float64, so they have lost most of their digits
+        x = np.array([[1e-158, -1e-158, 0.0], [0.0, 2e-158, -2e-158]])
+        centered = x - x.mean(axis=1)[:, None]
+        assert 0.0 < np.abs(centered @ centered.T).max() < np.finfo(np.float64).tiny
+        message = "at most 2e-158 underflows float64 to zero or to subnormal values"
+        with pytest.raises(InvalidData, match=message):
+            sample_covariance(x)
+        assert np.abs(sample_covariance(x * 1e8).matrix).max() >= np.finfo(np.float64).tiny
+
     def test_matches_two_pass_oracle(self):
         x = np.random.default_rng(7).standard_normal((5, 50))
         cov = sample_covariance(x)

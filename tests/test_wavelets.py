@@ -7,7 +7,6 @@ from covscatter.errors import (
     DegenerateSpectrum,
     DomainError,
     InvalidScaleCount,
-    ShapeError,
 )
 from covscatter.spectral import (
     INVERTED,
@@ -46,7 +45,6 @@ def diag_operator(eigenvalues, gamma):
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     return WaveletOperator(
-        kind=NORMALIZED,
         gamma=gamma,
         matrix=np.diag(lam),
         decomposition=SpectralDecomposition(np.eye(lam.shape[0]), lam),
@@ -176,7 +174,7 @@ class TestFrameProperty:
         J = 4
         op = make_operator(14, 3, family, J)
         fb = build_filterbank(op, family, J)
-        mats = wavelet_matrices(fb, op)
+        mats = wavelet_matrices(fb)
         x = rng.standard_normal((14, 100))
         x /= np.linalg.norm(x, axis=0)
         total = sum(np.sum((mats[j] @ x) ** 2, axis=0) for j in range(J))
@@ -205,16 +203,14 @@ class TestDiffusionAdmissibility:
         for j in range(1, 6):
             assert kernel_eval(fb, j, 0.0) == 0.0
             assert kernel_eval(fb, j, 1.0) == 0.0
-        vals = fb.kernel_values(np.array([0.0]))
-        npt.assert_array_equal(vals[1:, 0], 0.0)
-        assert vals[0, 0] == 1.0
+        assert kernel_eval(fb, 0, 0.0) == 1.0
 
 
 class TestWaveletMatrices:
     def test_zero_operator_diffusion(self):
         op = diag_operator(np.zeros(5), 0.5)
         fb = build_filterbank(op, Diffusion(), 3)
-        mats = wavelet_matrices(fb, op)
+        mats = wavelet_matrices(fb)
         npt.assert_array_equal(mats[0], np.eye(5))
         npt.assert_array_equal(mats[1], np.zeros((5, 5)))
         npt.assert_array_equal(mats[2], np.zeros((5, 5)))
@@ -222,7 +218,7 @@ class TestWaveletMatrices:
     def test_identity_operator_diffusion(self):
         op = diag_operator(np.ones(4), 1.0)
         fb = build_filterbank(op, Diffusion(), 3)
-        mats = wavelet_matrices(fb, op)
+        mats = wavelet_matrices(fb)
         for j in range(3):
             npt.assert_allclose(mats[j], np.zeros((4, 4)), atol=1e-15)
 
@@ -231,7 +227,7 @@ class TestWaveletMatrices:
         cov = spd_covariance(12, 11)
         op = wavelet_operator(cov, NORMALIZED, diffusion_gamma(J))
         fb = build_filterbank(op, Diffusion(), J)
-        mats = wavelet_matrices(fb, op)
+        mats = wavelet_matrices(fb)
         x = rng.standard_normal(12)
         poly = diffusion_apply(op.matrix, x, J)
         for j in range(J):
@@ -243,25 +239,18 @@ class TestWaveletMatrices:
         cov = spd_covariance(n, n)
         op = wavelet_operator(cov, NORMALIZED, diffusion_gamma(J))
         fb = build_filterbank(op, Diffusion(), J)
-        mats = wavelet_matrices(fb, op)
+        mats = wavelet_matrices(fb)
         x = rng.standard_normal((n, 5))
         poly = diffusion_apply(op.matrix, x, J)
         for j in range(J):
             err = np.linalg.norm(mats[j] @ x - poly[j])
             assert err <= 1e-8 * np.linalg.norm(x)
 
-    def test_dimension_mismatch(self):
-        op_small = make_operator(6, 1, Diffusion(), 3)
-        op_large = make_operator(8, 1, Diffusion(), 3)
-        fb = build_filterbank(op_small, Diffusion(), 3)
-        with pytest.raises(ShapeError):
-            wavelet_matrices(fb, op_large)
-
     def test_matrices_symmetric(self):
         for family in FAMILIES:
             op = make_operator(9, 2, family, 4)
             fb = build_filterbank(op, family, 4)
-            mats = wavelet_matrices(fb, op)
+            mats = wavelet_matrices(fb)
             for j in range(4):
                 npt.assert_array_equal(mats[j], mats[j].T)
 
@@ -305,7 +294,7 @@ class TestLocalization:
     def test_diagonal_operator_profile(self):
         op = diag_operator([0.9, 0.5, 0.2, 0.1], 0.9)
         fb = build_filterbank(op, Diffusion(), 3)
-        prof = localization_profile(fb, op, 1, 2)
+        prof = localization_profile(fb, 1, 2)
         mask = np.ones(4, dtype=bool)
         mask[1] = False
         npt.assert_allclose(prof.values[mask], 0.0, atol=1e-15)
@@ -313,13 +302,13 @@ class TestLocalization:
     def test_center_bound_trivial(self):
         op = make_operator(6, 3, Diffusion(), 4)
         fb = build_filterbank(op, Diffusion(), 4)
-        prof = localization_profile(fb, op, 2, 2)
+        prof = localization_profile(fb, 2, 2)
         assert abs(prof.values[2]) <= prof.bound[2] + 1e-12
 
     def test_random_operator_bound_everywhere(self):
         op = make_operator(8, 5, Diffusion(), 4)
         fb = build_filterbank(op, Diffusion(), 4)
-        prof = localization_profile(fb, op, 0, 2)
+        prof = localization_profile(fb, 0, 2)
         assert np.all(np.abs(prof.values) <= prof.bound + 1e-12)
         assert set(prof.distances) == {2, 4}
 
@@ -327,4 +316,4 @@ class TestLocalization:
         op = make_operator(6, 3, Diffusion(), 3)
         fb = build_filterbank(op, Diffusion(), 3)
         with pytest.raises(IndexError):
-            localization_profile(fb, op, 6, 1)
+            localization_profile(fb, 6, 1)
