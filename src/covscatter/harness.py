@@ -12,6 +12,11 @@ serves every method and configuration fitted on it. The full-pool refit
 is estimated apart from the clean fit, so its bit-identity is measured,
 not assumed.
 
+Every protocol fits and predicts on a method's feature blocks, one per
+retained path of a CST method, so none forms a test feature matrix: the
+stability protocol compares each refitted block with its clean block as the
+block passes to the frozen regressor.
+
 Each protocol returns frozen row dataclasses; a report's columns are its row
 class's fields, in order (:func:`columns`).
 """
@@ -169,9 +174,17 @@ class _Embedding:
             return (pca_transform(self.model, x).T,)
         return (x.T,)
 
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        """The blocks of ``x`` as one (n, D) matrix."""
-        return np.concatenate(list(self.blocks(x)), axis=1)
+
+def _compared(blocks, clean_blocks, squared: np.ndarray):
+    """Yield ``blocks`` as they come, adding into ``squared`` (n,) each one's
+    per-sample squared distance to the matching block of ``clean_blocks``.
+
+    Neither block is written: a root or raw block is a view of its signals.
+    """
+    for block, clean_block in zip(blocks, clean_blocks):
+        difference = block - clean_block
+        squared += np.square(difference, out=difference).sum(axis=1)
+        yield block
 
 
 def _fit(method: Method, cov: SampleCovariance, pool_x=None, layout=None) -> _Embedding:
@@ -257,6 +270,14 @@ def run_stability(
     embedding distance ``||z - z_hat||_2`` over the test set, and the
     measured wavelet delta and the bound on that distance at the largest
     test-sample norm (:func:`bounds.measured_stability_bound`).
+
+    No test feature matrix is formed. Each method's clean test embedding is
+    held as its blocks (one per retained path for CST, one for PCA and the
+    raw features). Each refit embeds the test set in one followed pass whose
+    blocks go straight to the frozen regressor's ``predict``; as each block
+    passes, its per-sample squared distance to the matching clean block is
+    added into one length-n_test sum, which gives the embedding MSE (its
+    total over n_test * D) and the largest distance (the root of its max).
     """
     x, y = _xy(data, targets)
     if not all(0.0 <= f <= 1.0 for f in subsample_fracs):
@@ -291,27 +312,27 @@ def run_stability(
                 )
             )
             subsample_covs[fraction, seed] = sample_covariance(x[:, subsample])
-    test_norm_max = float(np.linalg.norm(x[:, split.test], axis=0).max())
+    test_x, y_test = x[:, split.test], y[split.test]
+    test_norm_max = float(np.linalg.norm(test_x, axis=0).max())
 
     rows = []
     for method, clean in zip(methods, clean_fits):
         ridge = ridge_path(clean.blocks(x[:, split.train]), y[split.train], [method.alpha])
-        clean_test = clean.embed(x[:, split.test])
+        clean_test = tuple(clean.blocks(test_x))
         for (fraction, seed), cov in subsample_covs.items():
             if cov is None:
                 rows.append(StabilityRow(method.name, fraction, seed, "skipped", None, None))
                 continue
             # the frozen regressor needs the clean feature schema
             perturbed = _fit(method, cov, layout=clean.layout)
-            embedded = perturbed.embed(x[:, split.test])
-            row_mae = mae(ridge.predict([embedded])[0], y[split.test])
-            # one squared difference gives both distances; in place, as the
-            # refitted embedding is a fresh array that is not read again
-            squared = np.square(np.subtract(embedded, clean_test, out=embedded), out=embedded)
-            row_mse = float(np.mean(squared))
+            # one pass predicts and sums each test sample's ||z - z_hat||^2
+            squared = np.zeros(test_x.shape[1])
+            predicted = ridge.predict(_compared(perturbed.blocks(test_x), clean_test, squared))
+            row_mae = mae(predicted[0], y_test)
+            row_mse = float(squared.sum() / (squared.size * ridge.weights.shape[1]))
             delta = dist = bound = None
             if include_bounds and isinstance(method, CstMethod):
-                dist = float(np.sqrt(squared.sum(axis=1).max()))
+                dist = float(np.sqrt(squared.max()))
                 delta, bound = bounds_mod.measured_stability_bound(
                     clean.model, perturbed.model, clean.layout, test_norm_max
                 )

@@ -187,8 +187,10 @@ def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     Eigenvalues are returned in descending order (stable sort, so repeated
     eigenvalues keep the order LAPACK returns them in) and each eigenvector
     is scaled so its largest-magnitude entry is positive, first such entry
-    winning ties. Non-finite input and a LAPACK failure raise
-    :class:`NoConvergence`.
+    winning ties. Non-finite input, a LAPACK failure and a non-finite
+    result (eigenvalues past float64's range) raise :class:`NoConvergence`.
+    The input is symmetrized as ``a + (a.T - a) / 2``, which cannot overflow
+    near float64's maximum and leaves an exactly symmetric ``a`` bit for bit.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -201,9 +203,11 @@ def eig_sym(matrix: np.ndarray) -> SpectralDecomposition:
     if _asymmetric(a, 1e-10):
         raise NotSymmetric("matrix is not symmetric to 1e-10 relative")
     try:
-        values, vectors = np.linalg.eigh((a + a.T) / 2.0)
+        values, vectors = np.linalg.eigh(a + (a.T - a) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))):
+        raise NoConvergence("symmetric eigensolver returned non-finite values")
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]

@@ -5,9 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from covscatter import harness
+from covscatter import bounds, harness
 from covscatter.errors import ConfigError, InvalidK, ShapeError
-from covscatter.readout import mae, ridge_path
+from covscatter.readout import mae, pca_fit, pca_transform, ridge_path
 from covscatter.harness import (
     CstMethod,
     PcaMethod,
@@ -96,6 +96,68 @@ def _methods():
         PcaMethod("pca", k=6, alpha=1.0),
         RawMethod("raw", alpha=1.0),
     ]
+
+
+def _reference_fit(method, cov):
+    """``method``'s model on ``cov``, as the stability protocol fits it (CST at tau 0)."""
+    if isinstance(method, CstMethod):
+        return cst_fit(cov, dataclasses.replace(method.config, tau=0.0))
+    if isinstance(method, PcaMethod):
+        return pca_fit(cov, method.k)
+    return None
+
+
+def _reference_matrix(model, xs, layout):
+    """The (n, D) feature matrix of the signals ``xs``."""
+    if model is None:
+        return xs.T
+    if layout is None:
+        return pca_transform(model, xs).T
+    return cst_transform_batch(model, xs, layout)
+
+
+def _reference_stability_rows(data, targets, methods, split_spec, subsample_fracs, seeds):
+    """The stability rows with bounds, recomputed from (n, D) feature matrices
+    and one-block ridge fits, in the harness's row order."""
+    x, y = data.values, np.asarray(targets, dtype=np.float64)
+    split = make_split(split_spec, data.n_samples)
+    pool, test_x = split.fit_pool, x[:, split.test]
+    norm_max = float(np.linalg.norm(test_x, axis=0).max())
+    fractions = sorted(set(subsample_fracs) | {1.0})
+    pool_cov = sample_covariance(x[:, pool])
+    rows = []
+    for method in methods:
+        clean = _reference_fit(method, pool_cov)
+        is_cst = isinstance(method, CstMethod)
+        layout = decide_layout(clean, x[:, pool]).paths if is_cst else None
+        train = _reference_matrix(clean, x[:, split.train], layout)
+        ridge = ridge_path([train], y[split.train], [method.alpha])
+        z = _reference_matrix(clean, test_x, layout)
+        for fraction in fractions:
+            for seed in seeds:
+                size = int(round(fraction * pool.shape[0]))
+                if size < 2:
+                    rows.append(
+                        harness.StabilityRow(method.name, fraction, seed, "skipped", None, None)
+                    )
+                    continue
+                rng = derived_rng(seed, "subsample", fractions.index(fraction))
+                subsample = np.sort(rng.choice(pool, size=size, replace=False))
+                refit = _reference_fit(method, sample_covariance(x[:, subsample]))
+                z_hat = _reference_matrix(refit, test_x, layout)
+                delta = dist = bound = None
+                if is_cst:
+                    dist = float(np.linalg.norm(z_hat - z, axis=1).max())
+                    delta, bound = bounds.measured_stability_bound(clean, refit, layout, norm_max)
+                row_mae = mae(ridge.predict([z_hat])[0], y[split.test])
+                row_mse = float(np.mean(np.square(z_hat - z)))
+                rows.append(
+                    harness.StabilityRow(
+                        method.name, fraction, seed, "ok", row_mae, row_mse, delta, dist, bound
+                    )
+                )
+    rows.sort(key=lambda r: (r.method, r.fraction, r.seed))
+    return rows
 
 
 class TestStability:
@@ -216,6 +278,57 @@ class TestStability:
         ]
         apart.sort(key=lambda r: (r.method, r.fraction, r.seed))
         assert together.rows == tuple(apart)
+
+    def test_rows_equal_a_materialized_reference(self, dataset):
+        # 30 train samples: diff-cst's 48 features take the dual, the others the primal
+        methods = [
+            CstMethod("diff-cst", CstConfig(family=Diffusion(), J=3, L=2), alpha=1.0),
+            CstMethod(
+                "hann-mean", CstConfig(family=Hann(), J=3, L=3, aggregation="mean"), alpha=1.0
+            ),
+            PcaMethod("pca", k=6, alpha=1.0),
+            RawMethod("raw", alpha=1.0),
+        ]
+        kwargs = dict(split_spec=DEFAULT_SPLIT, subsample_fracs=[0.001, 0.3, 1.0], seeds=[0, 1])
+        report = run_stability(
+            dataset.data, dataset.targets, methods, include_bounds=True, **kwargs
+        )
+        reference = _reference_stability_rows(dataset.data, dataset.targets, methods, **kwargs)
+        assert len(report.rows) == len(reference) == 4 * 3 * 2
+        floats = ("mae", "embedding_mse", "embedding_dist_max")
+        for row, expected in zip(report.rows, reference):
+            # every other field, the measured delta and the bound included, exactly
+            assert row == dataclasses.replace(expected, **{n: getattr(row, n) for n in floats})
+            for name in floats:
+                got, want = getattr(row, name), getattr(expected, name)
+                assert (got is None) == (want is None), name
+                if want is not None:
+                    npt.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
+
+    def test_holds_no_test_feature_matrix(self, dataset):
+        # J=4 and L=4 keep 85 paths of 12 features, D = 1,020, for 180 test samples
+        spec = SplitSpec(0.2, 0.2, 0.0, 0.6, seed=0)
+        n_test = make_split(spec, dataset.data.n_samples).test.shape[0]
+        method = CstMethod("diff-cst", CstConfig(family=Diffusion(), J=4, L=4), alpha=1.0)
+        d = feature_count(4, 4) * dataset.data.n_features
+        tracemalloc.start()
+        try:
+            report = run_stability(
+                dataset.data,
+                dataset.targets,
+                [method],
+                spec,
+                subsample_fracs=[0.5],
+                seeds=[0],
+                include_bounds=True,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.status == "ok" for r in report.rows)
+        # the clean test blocks are one (n_test, D) matrix's worth; a refit
+        # that concatenated its blocks would hold at least two more
+        assert peak < 2 * n_test * d * 8
 
 
 class TestPruningSweep:

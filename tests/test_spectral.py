@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -165,6 +167,35 @@ class TestEigSym:
             SampleCovariance(skewed, np.zeros(4), 10)
         with pytest.raises(NotSymmetric):
             eig_sym(skewed)
+
+    def test_near_float_max_symmetrized_without_overflow(self):
+        # the sum a + a.T of these entries overflows float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = eig_sym(np.array([[1e308, 5e307], [5e307, 1e308]]))
+        npt.assert_allclose(dec.eigenvalues, [1.5e308, 5e307], rtol=1e-15)
+        assert np.all(np.isfinite(dec.eigenvectors))
+
+    def test_eigenvalue_past_float_max_no_convergence(self):
+        # finite entries whose largest eigenvalue, 3.4e308, is past float64's range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match="non-finite"):
+                eig_sym(np.full((2, 2), 1.7e308))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    def test_symmetric_input_keeps_its_bits(self, scale, monkeypatch):
+        seen = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a):
+            seen.append(a.copy())
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        m = random_spd(6, 8) * scale
+        eig_sym(m)
+        assert seen[0].tobytes() == m.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_no_convergence(self, bad):
