@@ -65,11 +65,14 @@ _TRANSFORM_CHUNK = 256
 _DEFAULT_J, _DEFAULT_L = 4, 2
 
 
-def _build_config(args):
-    """The config of the family flags; one a command does not take keeps its default."""
+def _build_config(args, family=None):
+    """The config of the family flags; one a command does not take keeps its default.
+
+    ``family`` names the kernel family where the command takes no ``--family``.
+    """
     given = vars(args)
     return CstConfig(
-        family=_build_family(args.family, args),
+        family=_build_family(family or args.family, args),
         J=given.get("j", _DEFAULT_J),
         L=given.get("l", _DEFAULT_L),
         operator_kind=given.get("operator", NORMALIZED),
@@ -99,21 +102,17 @@ def _add_family_flags(parser, without=()):
     add("monic-k", type=float, default=20.0)
 
 
-def _add_split_flags(parser):
-    parser.add_argument("--unlabeled-frac", type=float, default=0.5)
-    parser.add_argument("--train-frac", type=float, default=0.1)
+def _add_split_flags(parser, sweeps_train=False):
+    """The split's fractions; a sweep over the train fraction takes only the valid and test ones."""
+    if not sweeps_train:
+        parser.add_argument("--unlabeled-frac", type=float, default=0.5)
+        parser.add_argument("--train-frac", type=float, default=0.1)
     parser.add_argument("--valid-frac", type=float, default=0.2)
     parser.add_argument("--test-frac", type=float, default=0.2)
 
 
-def _load_dataset(args, need_targets=True):
-    data = io.read_data_csv(args.data)
-    targets = None
-    if need_targets:
-        if not args.targets:
-            raise ConfigError("--targets is required for this command")
-        targets = io.read_targets_csv(args.targets)
-    return data, targets
+def _load_dataset(args):
+    return io.read_data_csv(args.data), io.read_targets_csv(args.targets)
 
 
 def _out_dir(args):
@@ -160,14 +159,10 @@ def _split_spec(args):
 
 def _methods_from_flags(args):
     methods = []
-    config = _build_config(args)
     for name in args.families:
         if name not in FAMILY_NAMES:
             raise ConfigError(f"unknown family {name!r}")
-        family = _build_family(name, args)
-        methods.append(
-            harness.CstMethod(f"{name}-cst", dataclasses.replace(config, family=family), args.alpha)
-        )
+        methods.append(harness.CstMethod(f"{name}-cst", _build_config(args, name), args.alpha))
     if args.pca_k is not None:
         methods.append(harness.PcaMethod(name="pca", k=args.pca_k, alpha=args.alpha))
     if args.raw:
@@ -205,7 +200,7 @@ def _cmd_synth(args):
 
 
 def _cmd_transform(args):
-    data, _ = _load_dataset(args, need_targets=False)
+    data = io.read_data_csv(args.data)
     config = _build_config(args)
     model = cst_fit(sample_covariance(data), config)
     decision = decide_layout(model, data.values)
@@ -229,7 +224,7 @@ def _cmd_transform(args):
 
 
 def _cmd_pca(args):
-    data, _ = _load_dataset(args, need_targets=False)
+    data = io.read_data_csv(args.data)
     cov = sample_covariance(data)
     model = pca_fit(cov, args.k)
     embedded = pca_transform(model, data.values).T
@@ -288,8 +283,12 @@ def _cmd_labeled_sweep(args):
     if args.pca_k is not None:
         methods.append(harness.PcaMethod(name="pca", k=args.pca_k, alpha=args.alpha))
     methods.append(harness.RawMethod(name="raw", alpha=args.alpha))
+    # the sweep sets the train fraction, and the unlabeled fraction takes the rest
+    template = harness.SplitSpec(
+        1.0 - args.valid_frac - args.test_frac, 0.0, args.valid_frac, args.test_frac, args.seed
+    )
     rows = harness.run_labeled_sweep(
-        data, targets, methods, args.train_fracs, _split_spec(args), seeds=list(range(args.runs))
+        data, targets, methods, args.train_fracs, template, seeds=list(range(args.runs))
     )
     out = _out_dir(args)
     _write_report(out / "labeled.csv", rows, harness.columns(harness.LabeledRow))
@@ -299,7 +298,7 @@ def _cmd_labeled_sweep(args):
 
 
 def _cmd_bounds(args):
-    data, _ = _load_dataset(args, need_targets=False)
+    data = io.read_data_csv(args.data)
     cov = sample_covariance(data)
     model = cst_fit(cov, _build_config(args))
     if args.k_max is not None:
@@ -346,24 +345,39 @@ def _cmd_grid_search(args):
 # parser
 
 
+class _Command(argparse.ArgumentParser):
+    """One command's parser; ``flags`` maps each flag's dest to the action ``add_argument`` made."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags = {}  # first: ArgumentParser.__init__ adds --help through add_argument
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covscatter",
         description="Covariance wavelet scattering transforms and experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    parser.commands = sub.choices  # the registry: each command's _Command, by name
 
     def command(name, help):
         # exact flag names only: ``--conf`` must not pass for ``--config``, which
         # _apply_config_file reads from argv before argparse sees it
         return sub.add_parser(name, help=help, allow_abbrev=False)
 
-    def common(p, data=True, seed=False):
+    def common(p, data=True, targets=False, seed=False):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", default=None, help="key=value config file")
         if data:
             p.add_argument("--data", required=True, help="data CSV")
-            p.add_argument("--targets", default=None, help="targets CSV")
+        if targets:
+            p.add_argument("--targets", required=True, help="targets CSV")
         if seed:
             p.add_argument("--seed", type=int, required=True)
 
@@ -387,8 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pca)
 
     p = command("stability", "covariance-perturbation stability experiment")
-    common(p, seed=True)
-    _add_family_flags(p, without=("tau",))  # the protocol never prunes
+    common(p, targets=True, seed=True)
+    # the protocol never prunes, and --families names the families
+    _add_family_flags(p, without=("tau", "family"))
     _add_split_flags(p)
     p.add_argument("--families", type=_comma_strings, default=["diffusion", "hann", "monic"])
     p.add_argument("--pca-k", type=int, default=None)
@@ -403,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stability)
 
     p = command("prune-sweep", "pruning-threshold sweep")
-    common(p, seed=True)
+    common(p, targets=True, seed=True)
     _add_family_flags(p, without=("tau",))  # --taus sets it
     _add_split_flags(p)
     p.add_argument("--alpha", type=float, default=1.0)
@@ -412,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_prune_sweep)
 
     p = command("labeled-sweep", "labeled-set-size sweep")
-    common(p, seed=True)
+    common(p, targets=True, seed=True)
     _add_family_flags(p, without=("aggregation",))  # both aggregations always run
-    _add_split_flags(p)
+    _add_split_flags(p, sweeps_train=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--pca-k", type=int, default=None)
     p.add_argument(
@@ -435,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = command("grid-search", "grid search over transform configurations")
-    common(p, seed=True)
+    common(p, targets=True, seed=True)
     _add_family_flags(p, without=("j", "l", "operator"))  # the grids set them
     _add_split_flags(p)
     p.add_argument("--grid-j", type=_comma_ints, default=[4, 5, 6, 7])
@@ -452,7 +467,7 @@ _CONFIG_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": F
 
 def _config_value(path, key, raw, action):
     """Parse one config value as its flag's argument would be: type, then choices."""
-    if isinstance(action, argparse._StoreTrueAction):
+    if action.nargs == 0:  # a boolean flag
         if raw not in _CONFIG_BOOLEANS:
             raise ConfigError(
                 f"{path}: config key {key!r} takes true/false/1/0/yes/no, got {raw!r}"
@@ -483,28 +498,21 @@ def _apply_config_file(parser, argv):
         elif token.startswith("--config="):
             path = token[len("--config="):]
     if path is None:
-        return argv
+        return
     values = io.read_keyvalue(path)
     command = argv[0]
-    sub_actions = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    sub = sub_actions.choices.get(command)
+    sub = parser.commands.get(command)
     if sub is None:
-        return argv
-    known = {action.dest: action for action in sub._actions}
+        return
     defaults = {}
     for key, raw in values.items():
         dest = key.replace("-", "_")
-        if dest not in known or dest in ("help", "config"):
+        if dest not in sub.flags or dest in ("help", "config"):
             raise ConfigError(f"{path}: unknown config key {key!r} for command {command!r}")
-        defaults[dest] = _config_value(path, key, raw, known[dest])
+        defaults[dest] = _config_value(path, key, raw, sub.flags[dest])
+        # a required flag the config file satisfies must not be re-demanded
+        sub.flags[dest].required = False
     sub.set_defaults(**defaults)
-    # required flags satisfied by the config file must not be re-demanded
-    for action in sub._actions:
-        if action.dest in defaults:
-            action.required = False
-    return argv
 
 
 def main(argv=None) -> int:
@@ -512,7 +520,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         if argv and not argv[0].startswith("-"):
-            argv = _apply_config_file(parser, argv)
+            _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
     except CovScatterError as exc:

@@ -426,8 +426,9 @@ def run_labeled_sweep(
 ) -> list[LabeledRow]:
     """Re-train the readout at several labeled-set sizes.
 
-    Validation and test fractions come from the template; the training
-    fraction varies and the unlabeled fraction absorbs the remainder. Every
+    Of ``split_template`` it reads only the validation and test fractions:
+    the training fraction varies, the unlabeled fraction absorbs the
+    remainder, and each of ``seeds`` replaces the template's seed. Every
     fraction is checked before any fit. At one seed the fit pool (unlabeled
     plus train) is usually the same index set for every fraction, so each
     method is fitted once per distinct pool and only the readout is refitted

@@ -141,6 +141,15 @@ class TestTransform:
         header = (out / "features.csv").read_text().splitlines()[0].split(",")
         assert len(header) == 4
 
+    def test_gamma_override_is_recorded(self, tmp_path):
+        _, data_path, _ = make_data_files(tmp_path)
+        out = tmp_path / "feat"
+        argv = ["transform", "--data", str(data_path), "--out", str(out), "--family", "hann",
+                "--gamma", "2"]
+        assert main(argv) == 0
+        assert read_keyvalue(out / "features.provenance.txt")["gamma"] == "2.0"
+        assert read_derived(out / "features.provenance.txt")["gamma"] == "2.0"
+
     def test_constant_data_is_numerical_failure(self, tmp_path):
         data = DataMatrix(np.ones((3, 8)))
         path = tmp_path / "flat.csv"
@@ -215,6 +224,55 @@ class TestExperimentCommands:
         header = (out / "stability_mae.plotdata").read_text().splitlines()[0]
         assert header == "x,series,y,y_lo,y_hi"
 
+    def test_stability_raw_rows(self, tmp_path):
+        _, data_path, targets_path = make_data_files(tmp_path)
+        out = tmp_path / "s"
+        code = main(
+            ["stability", "--data", str(data_path), "--targets", str(targets_path),
+             "--seed", "1", "--families", "diffusion", "--fractions", "0.5", "--runs", "2",
+             "--j", "3", "--l", "2", "--out", str(out), "--raw"]
+        )
+        assert code == 0
+        header, *lines = (out / "stability.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        raw = [row for row in rows if row["method"] == "raw"]
+        # fractions 0.5 and 1.0 at two seeds
+        assert len(raw) == 4 and all(row["status"] == "ok" for row in raw)
+        # a refit leaves the raw features as they are
+        assert all(float(row["embedding_mse"]) == 0.0 for row in raw)
+
+    STABILITY_METHODS = {
+        "no-methods": ("--families=", "no methods selected"),
+        "unknown-family": ("--families=bogus", "unknown family 'bogus'"),
+    }
+
+    @pytest.mark.parametrize(
+        "families, message", STABILITY_METHODS.values(), ids=STABILITY_METHODS.keys()
+    )
+    def test_stability_method_choice_is_usage_error(self, tmp_path, capsys, families, message):
+        _, data_path, targets_path = make_data_files(tmp_path)
+        out = tmp_path / "s"
+        capsys.readouterr()
+        code = main(
+            ["stability", "--data", str(data_path), "--targets", str(targets_path),
+             "--seed", "1", families, "--runs", "1", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_stability_requires_targets(self, tmp_path, capsys):
+        _, data_path, _ = make_data_files(tmp_path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["stability", "--data", str(data_path), "--seed", "1",
+                  "--out", str(tmp_path / "s")])
+        assert exc.value.code == 2
+        assert "--targets" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_stability_bounds_hold_in_the_csv(self, tmp_path):
         _, data_path, targets_path = make_data_files(tmp_path)
         out = tmp_path / "s"
@@ -262,6 +320,18 @@ class TestExperimentCommands:
         assert lines[0] == "method,train_frac,seed,status,mae,feature_width"
         # 4 methods x 2 fractions x 1 seed
         assert len(lines) == 1 + 8
+
+    def test_labeled_sweep_takes_a_valid_fraction_alone(self, tmp_path):
+        # the unlabeled fraction takes the rest, so no other fraction must change with it
+        _, data_path, targets_path = make_data_files(tmp_path)
+        out = tmp_path / "l"
+        code = main(
+            ["labeled-sweep", "--data", str(data_path), "--targets", str(targets_path),
+             "--seed", "1", "--train-fracs", "0.1,0.3", "--runs", "1", "--j", "3", "--l", "2",
+             "--valid-frac", "0.3", "--out", str(out)]
+        )
+        assert code == 0
+        assert len((out / "labeled.csv").read_text().splitlines()) == 1 + 3 * 2
 
     def test_bounds_command(self, tmp_path):
         _, data_path, _ = make_data_files(tmp_path)
@@ -378,6 +448,8 @@ class TestExperimentCommands:
         inputs = ["--data", str(data_path), "--targets", str(targets_path)]
         if command == "synth":
             inputs = []
+        elif command in ("transform", "pca", "bounds"):
+            inputs = inputs[:2]  # these take no targets
         assert main([command, *inputs, *flags, "--out", str(first)]) == 0
         provenance = first / provenance_name
         values = read_keyvalue(provenance)
@@ -478,7 +550,8 @@ class TestFlagValues:
     EMPTY_EVALUATION = {
         "stability": [*STABILITY, *NO_TEST],
         "prune-sweep": [*PRUNE_SWEEP, *NO_TEST],
-        "labeled-sweep": [*LABELED_SWEEP, *NO_TEST],
+        # the unlabeled fraction takes what the swept train fraction leaves
+        "labeled-sweep": [*LABELED_SWEEP, "--test-frac", "0.001"],
         "grid-search": [*GRID_SEARCH, "--valid-frac", "0", "--unlabeled-frac", "0.7"],
     }
 
@@ -516,17 +589,27 @@ class TestFlagValues:
         assert "Warning" not in err and "Traceback" not in err
         assert "train fraction 0.0 of 300 samples" in err
         assert not (tmp_path / "o").exists()
-    # the flags a command's run would ignore or override: stability never prunes,
-    # --taus sets prune-sweep's tau, labeled-sweep runs both aggregations, no bound
-    # reads tau, and grid-search's grids set J, L and the operator
+    TRANSFORM = ["transform", "--data", "{data}"]
+    PCA = ["pca", "--data", "{data}", "--k", "2"]
+    # the flags a command's run would ignore or override: stability never prunes
+    # and --families names its families, --taus sets prune-sweep's tau,
+    # labeled-sweep runs both aggregations and sweeps the train fraction (the
+    # unlabeled fraction is the rest), no bound reads tau, grid-search's grids set
+    # J, L and the operator, and only the protocols read targets
     DROPPED = {
         "stability-tau": (STABILITY, "tau", "0.1"),
+        "stability-family": (STABILITY, "family", "monic"),
         "prune-sweep-tau": (PRUNE_SWEEP, "tau", "0.1"),
         "labeled-sweep-aggregation": (LABELED_SWEEP, "aggregation", "mean"),
+        "labeled-sweep-train-frac": (LABELED_SWEEP, "train-frac", "0.3"),
+        "labeled-sweep-unlabeled-frac": (LABELED_SWEEP, "unlabeled-frac", "0.3"),
         "bounds-tau": (BOUNDS, "tau", "0.5"),
         "grid-search-j": (GRID_SEARCH, "j", "3"),
         "grid-search-l": (GRID_SEARCH, "l", "3"),
         "grid-search-operator": (GRID_SEARCH, "operator", "inverted"),
+        "transform-targets": (TRANSFORM, "targets", "targets.csv"),
+        "pca-targets": (PCA, "targets", "targets.csv"),
+        "bounds-targets": (BOUNDS, "targets", "targets.csv"),
     }
 
     @pytest.mark.parametrize("argv, key, value", DROPPED.values(), ids=DROPPED.keys())

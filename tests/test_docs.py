@@ -1,0 +1,98 @@
+"""README.md and docs/config.md against the parser: which command takes which flag."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from covscatter.cli import build_parser, main
+from covscatter.io import read_keyvalue
+
+ROOT = Path(__file__).parents[1]
+COMMANDS = build_parser().commands
+
+
+def flags(command):
+    """The long names, without dashes, of the flags ``command`` takes."""
+    return {action.option_strings[-1][2:] for action in COMMANDS[command].flags.values()}
+
+
+# the transform's own flags: what `transform` takes beyond every data command's
+TRANSFORM = flags("transform") - {"help", "out", "config", "data"}
+
+
+def section(path, heading):
+    """The text under ``heading`` in ``path``, up to the next heading of any level."""
+    text = (ROOT / path).read_text()
+    start = text.index(f"\n{heading}\n") + len(heading) + 2
+    end = text.find("\n#", start)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def names(text):
+    """The backticked names in ``text``, without leading dashes."""
+    return [name.lstrip("-") for name in re.findall(r"`([^`]+)`", text)]
+
+
+def config_table():
+    """Each command of docs/config.md's "Transform flags" table, with the flags it takes."""
+    rows = [line.strip("|").split("|") for line in section("docs/config.md", "## Transform flags")
+            .splitlines() if line.startswith("| `")]
+    full = set(names(rows[0][1]))  # the first row lists them all
+    taken = {}
+    for commands, cell in rows:
+        if cell.strip().startswith("the same without"):
+            takes = full - set(names(cell))
+        elif cell.strip() == "none of them":
+            takes = set()
+        else:
+            takes = set(names(cell))
+        for command in names(commands):
+            assert command not in taken, f"{command} has two rows"
+            taken[command] = takes
+    return full, taken
+
+
+def readme_left_out():
+    """Each command of README's CLI section, with the transform flags it leaves out."""
+    text = " ".join(section("README.md", "## CLI").split())
+    full = set(names(re.search(r"The transform's flags are (.*?)\. ", text)[1]))
+    left_out = {command: set() for command in names(re.search(r"(\S+) takes all of them", text)[1])}
+    for bullet in re.findall(r"- (`[\w-]+` takes no .*?)[;.] (?=- |`)", text):
+        command, *dropped = names(bullet.split(", as ")[0])
+        left_out[command] = set(dropped)
+    for command in names(re.search(r"\. ([^.]*) take none of them", text)[1]):
+        left_out[command] = set(full)
+    return full, left_out
+
+
+def test_the_transform_flags_are_the_transform_commands():
+    assert config_table()[0] == TRANSFORM
+    assert readme_left_out()[0] == TRANSFORM
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_config_table_lists_what_the_command_takes(command):
+    assert config_table()[1][command] == flags(command) & TRANSFORM
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_readme_lists_what_the_command_leaves_out(command):
+    assert readme_left_out()[1][command] == TRANSFORM - flags(command)
+
+
+def test_every_documented_command_exists():
+    assert set(config_table()[1]) == set(COMMANDS)
+    assert set(readme_left_out()[1]) == set(COMMANDS)
+
+
+def test_example_config_runs_a_transform(tmp_path, monkeypatch):
+    example = (ROOT / "docs" / "config.md").read_text().split("```")[1]  # the first block
+    conf = tmp_path / "example.conf"
+    conf.write_text(example)
+    keys = {key.replace("_", "-") for key in read_keyvalue(conf)}
+    assert keys <= flags("transform") - {"help", "config"}
+    # its paths are relative, so it runs where runs/data.csv exists
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "runs", "--seed", "0", "--n", "8", "--t", "60"]) == 0
+    assert main(["transform", "--config", str(conf), "--out", "feats"]) == 0
