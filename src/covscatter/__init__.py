@@ -26,10 +26,7 @@ from .readout import (
 from .scattering import (
     CstConfig,
     CstModel,
-    FeatureVector,
-    ScatterTree,
     cst_fit,
-    cst_transform,
     cst_transform_batch,
     decide_layout,
     feature_count,
@@ -65,14 +62,12 @@ __all__ = [
     "CstModel",
     "DataMatrix",
     "Diffusion",
-    "FeatureVector",
     "Filterbank",
     "Hann",
     "Monic",
     "PcaModel",
     "RidgePath",
     "SampleCovariance",
-    "ScatterTree",
     "SpectralDecomposition",
     "SynthDataset",
     "SynthSpec",
@@ -80,7 +75,6 @@ __all__ = [
     "build_filterbank",
     "cst_fit",
     "cst_stability_bound",
-    "cst_transform",
     "cst_transform_batch",
     "decide_layout",
     "diffusion_apply",

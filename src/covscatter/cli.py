@@ -261,8 +261,9 @@ def _cmd_stability(args):
 def _cmd_prune_sweep(args):
     data, targets = _load_dataset(args)
     method = harness.CstMethod(name="cst", config=_build_config(args), alpha=args.alpha)
+    seeds = list(range(args.seed, args.seed + args.runs))
     rows = harness.run_pruning_sweep(
-        data, targets, method, args.taus, _split_spec(args), seeds=list(range(args.runs))
+        data, targets, method, args.taus, _split_spec(args), seeds=seeds
     )
     out = _out_dir(args)
     _write_report(out / "pruning.csv", rows, harness.columns(harness.PruningRow))
@@ -287,8 +288,9 @@ def _cmd_labeled_sweep(args):
     template = harness.SplitSpec(
         1.0 - args.valid_frac - args.test_frac, 0.0, args.valid_frac, args.test_frac, args.seed
     )
+    seeds = list(range(args.seed, args.seed + args.runs))
     rows = harness.run_labeled_sweep(
-        data, targets, methods, args.train_fracs, template, seeds=list(range(args.runs))
+        data, targets, methods, args.train_fracs, template, seeds=seeds
     )
     out = _out_dir(args)
     _write_report(out / "labeled.csv", rows, harness.columns(harness.LabeledRow))

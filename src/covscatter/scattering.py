@@ -20,7 +20,6 @@ by scale indices, so serialized features are comparable across runs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,21 +104,6 @@ class CstModel:
 
 
 @dataclass(frozen=True)
-class ScatterTree:
-    """Retained scattering signals keyed by path, plus what pruning removed."""
-
-    nodes: dict  # path -> (signal, its norm)
-    pruned_paths: dict  # path -> norm ratio that removed it
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    coefficients: np.ndarray
-    layout: tuple[Path, ...]
-    width: int
-
-
-@dataclass(frozen=True)
 class ScatterLayout:
     """Shared retention decision for a batch at ``tau``: retained paths in output order.
 
@@ -185,11 +169,6 @@ def feature_count(J: int, L: int) -> int:
     if L < 1:
         raise ConfigError(f"need L >= 1, got {L}")
     return (J**L - 1) // (J - 1)
-
-
-def _full_layout(J: int, L: int) -> tuple[Path, ...]:
-    """Every path of an unpruned tree, in layout order: ``feature_count(J, L)`` of them."""
-    return tuple(p for depth in range(L) for p in itertools.product(range(J), repeat=depth))
 
 
 def path_name(path: Path) -> str:
@@ -307,37 +286,6 @@ def _walk(model: CstModel, path: Path, signals, norms, follow, ratios: dict):
         del children  # before the next sibling's product allocates
 
 
-def cst_transform(
-    model: CstModel, x: np.ndarray, prune: bool = True
-) -> tuple[ScatterTree, FeatureVector]:
-    """Scatter one signal: decide on it as a batch of one, then follow that layout.
-
-    A child is retained iff its norm exceeds ``model.config.tau`` times its
-    parent's (strict inequality), so zero-energy children are always pruned;
-    children of a zero-energy node are pruned by the same convention. The
-    ratios come from spectral energies, and a pruned child is never formed.
-    ``prune=False`` follows the full tree regardless of energies, which the
-    perturbation-bound checks rely on to compare identically shaped outputs.
-    Each node of the tree carries the norm of its signal.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.n_features:
-        raise ShapeError(f"expected a length-{model.n_features} signal, got shape {x.shape}")
-    if prune:
-        decision = decide_layout(model, x[:, None])
-        layout, pruned = decision.paths, decision.pruned
-    else:
-        layout, pruned = _full_layout(model.config.J, model.config.L), {}
-    signals = dict(_scatter(model, x[:, None], layout, {}))
-    nodes = {p: (signals[p][:, 0], float(np.linalg.norm(signals[p], axis=0)[0])) for p in layout}
-    features = FeatureVector(
-        coefficients=np.concatenate([_aggregate(model, s[:, None])[0] for s, _ in nodes.values()]),
-        layout=layout,
-        width=model.feature_width,
-    )
-    return ScatterTree(nodes=nodes, pruned_paths=pruned), features
-
-
 def decide_layout(model: CstModel, x: np.ndarray) -> ScatterLayout:
     """Shared retention decision for a batch of signals ``x`` (N, n), in layout order.
 
@@ -392,8 +340,8 @@ def layout_blocks(model: CstModel, x: np.ndarray, layout: tuple[Path, ...]):
     return map(lambda node: _aggregate(model, node[1]), _scatter(model, x, paths, {}))
 
 
-def cst_transform_batch(model: CstModel, data, layout: tuple[Path, ...]) -> np.ndarray:
-    """Embed a batch over ``layout``, such as ``decide_layout(...).paths``: (n_samples, D).
+def cst_transform_batch(model: CstModel, x: np.ndarray, layout: tuple[Path, ...]) -> np.ndarray:
+    """Embed a batch ``x`` (N, n) over ``layout``, such as ``decide_layout(...).paths``: (n, D).
 
     Rows are samples, and samples embedded apart share one feature layout.
     The signals and the layout are checked at the call, by
@@ -402,7 +350,6 @@ def cst_transform_batch(model: CstModel, data, layout: tuple[Path, ...]) -> np.n
     the input and the matrix the pass holds at most L - 1 formed signal
     batches of (N, n).
     """
-    x = data.values if hasattr(data, "values") else data
     paths = tuple(layout)
     width = model.feature_width
     blocks = layout_blocks(model, x, paths)

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from covscatter import spectral
+from covscatter.scattering import cst_transform_batch, decide_layout, layout_blocks
 from covscatter.spectral import SampleCovariance
 
 
@@ -17,6 +20,33 @@ def spd_covariance(n, seed, scale=1.0):
     return SampleCovariance(
         matrix=random_spd(n, seed, scale), mean=np.zeros(n), sample_count=1000
     )
+
+
+def full_layout(J, L):
+    """Every path of an unpruned tree, in layout order: ``feature_count(J, L)`` of them."""
+    return tuple(p for depth in range(L) for p in itertools.product(range(J), repeat=depth))
+
+
+def batch_of_one(model, x, layout=None):
+    """Embed one signal ``x`` (N,) as a batch of one: ``(decision, feature row)``.
+
+    Without ``layout`` the batch decides its own layout, which is returned;
+    with one it follows that layout, and the decision is ``None``.
+    """
+    decision = decide_layout(model, x[:, None]) if layout is None else None
+    paths = decision.paths if layout is None else layout
+    return decision, cst_transform_batch(model, x[:, None], paths)[0]
+
+
+def node_signals(model, x, layout):
+    """Each path's signal (N,) for one signal ``x``, keyed in layout order.
+
+    Read from the blocks of :func:`layout_blocks`, so the model must
+    aggregate by identity.
+    """
+    assert model.config.aggregation == "identity"
+    blocks = dict(zip(sorted(layout), layout_blocks(model, x[:, None], layout)))
+    return {path: blocks[path][0] for path in layout}
 
 
 @pytest.fixture

@@ -17,8 +17,14 @@ from covscatter.bounds import (
     signal_stability_bound,
 )
 from covscatter.harness import CstMethod, PcaMethod, SplitSpec, run_pruning_sweep, run_stability
-from covscatter.readout import ridge_path
-from covscatter.scattering import CstConfig, cst_fit, cst_transform, feature_count
+from covscatter.readout import pca_fit, pca_transform, ridge_path
+from covscatter.scattering import (
+    CstConfig,
+    cst_fit,
+    cst_transform_batch,
+    decide_layout,
+    feature_count,
+)
 from covscatter.spectral import (
     NORMALIZED,
     SampleCovariance,
@@ -38,7 +44,7 @@ from covscatter.wavelets import (
     wavelet_matrices,
 )
 
-from conftest import random_spd, spd_covariance
+from conftest import batch_of_one, full_layout, random_spd, spd_covariance
 from test_readout import ridge_gradient_descent
 from test_scattering import brute_force_features
 from test_spectral import two_pass_covariance
@@ -102,19 +108,17 @@ def test_criterion_03_permutation_equivariance():
     config = CstConfig(family=Diffusion(), J=3, L=3)
     model = cst_fit(sample_covariance(ds.data.values), config)
     model_p = cst_fit(sample_covariance(pmat @ ds.data.values), config)
-    _, fv = cst_transform(model, x)
-    _, fv_p = cst_transform(model_p, pmat @ x)
+    decision, row = batch_of_one(model, x)
+    _, row_p = batch_of_one(model_p, pmat @ x)
     expected = np.concatenate(
-        [fv.coefficients[i * 30 : (i + 1) * 30][perm] for i in range(len(fv.layout))]
+        [row[i * 30 : (i + 1) * 30][perm] for i in range(len(decision.paths))]
     )
-    npt.assert_allclose(fv_p.coefficients, expected, atol=1e-8)
+    npt.assert_allclose(row_p, expected, atol=1e-8)
 
     mean_cfg = CstConfig(family=Diffusion(), J=3, L=3, aggregation="mean")
-    _, mv = cst_transform(cst_fit(sample_covariance(ds.data.values), mean_cfg), x)
-    _, mv_p = cst_transform(
-        cst_fit(sample_covariance(pmat @ ds.data.values), mean_cfg), pmat @ x
-    )
-    npt.assert_allclose(mv_p.coefficients, mv.coefficients, atol=1e-8)
+    _, mv = batch_of_one(cst_fit(sample_covariance(ds.data.values), mean_cfg), x)
+    _, mv_p = batch_of_one(cst_fit(sample_covariance(pmat @ ds.data.values), mean_cfg), pmat @ x)
+    npt.assert_allclose(mv_p, mv, atol=1e-8)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _passed(3, f"permuted inputs permute (identity) or preserve (mean) outputs ({elapsed:.2f}s)")
@@ -126,8 +130,8 @@ def test_criterion_04_feature_count_formula():
     for (J, L), count in expected.items():
         assert feature_count(J, L) == count
         model = cst_fit(spd_covariance(8, J + L), CstConfig(family=Diffusion(), J=J, L=L))
-        _, fv = cst_transform(model, rng.standard_normal(8))
-        assert len(fv.layout) == count
+        decision, _ = batch_of_one(model, rng.standard_normal(8))
+        assert len(decision.paths) == count
     _passed(4, "unpruned path counts are 13, 5 and 400 for (3,3), (4,2), (7,4)")
 
 
@@ -140,12 +144,13 @@ def test_criterion_05_signal_perturbation_bound():
         model = cst_fit(cov, CstConfig(family=family, J=J, L=L))
         frame_upper = model.filterbank.frame_upper
         counts = [J**ell for ell in range(L)]
+        full = full_layout(J, L)
         for _ in range(100):
             x = rng.standard_normal(n)
             delta = rng.standard_normal(n) * rng.uniform(0.01, 1.0)
-            _, fv = cst_transform(model, x, prune=False)
-            _, fv_d = cst_transform(model, x + delta, prune=False)
-            measured = np.linalg.norm(fv.coefficients - fv_d.coefficients)
+            _, row = batch_of_one(model, x, full)
+            _, row_d = batch_of_one(model, x + delta, full)
+            measured = np.linalg.norm(row - row_d)
             bound = signal_stability_bound(
                 frame_upper, 1.0, np.linalg.norm(delta), counts, L
             )
@@ -158,6 +163,7 @@ def test_criterion_05_signal_perturbation_bound():
 def test_criterion_06_covariance_stability_dominance():
     start = time.perf_counter()
     J, L = 3, 3
+    full = full_layout(J, L)
     for family in FAMILIES.values():
         for t in (100, 1000):
             for seed in range(20):
@@ -174,9 +180,9 @@ def test_criterion_06_covariance_stability_dominance():
                 rng = np.random.default_rng(6000 + seed)
                 for _ in range(3):
                     x = rng.standard_normal(20)
-                    _, fv_t = cst_transform(m_true, x, prune=False)
-                    _, fv_e = cst_transform(m_est, x, prune=False)
-                    measured = np.linalg.norm(fv_t.coefficients - fv_e.coefficients)
+                    _, row_t = batch_of_one(m_true, x, full)
+                    _, row_e = batch_of_one(m_est, x, full)
+                    measured = np.linalg.norm(row_t - row_e)
                     bound = cst_stability_bound(
                         delta,
                         frame_upper,
@@ -311,8 +317,8 @@ def test_criterion_10_oracle_suite():
     # recursive scattering vs brute-force path enumeration
     cst = cst_fit(spd_covariance(16, 2), CstConfig(family=Diffusion(), J=3, L=3))
     x = rng.standard_normal(16)
-    _, fv = cst_transform(cst, x)
-    assert np.max(np.abs(fv.coefficients - brute_force_features(cst, x, 3))) <= 1e-10
+    _, row = batch_of_one(cst, x)
+    assert np.max(np.abs(row - brute_force_features(cst, x, 3))) <= 1e-10
 
     # sample covariance vs two-pass oracle
     data = rng.standard_normal((5, 50))
@@ -331,3 +337,58 @@ def test_criterion_11_localization_bound():
         profile = localization_profile(filterbank, center, scale)
         assert np.all(np.abs(profile.values) <= profile.bound + 1e-12)
     _passed(11, "diffusion localization bound holds at every center for j in {1,2,3}")
+
+
+def _median_relative_error(z_true, z_estimates):
+    """Median over estimates and samples of ||z - z_true|| / ||z_true||, rows being samples."""
+    true_norms = np.linalg.norm(z_true, axis=1)
+    return np.median([np.linalg.norm(z - z_true, axis=1) / true_norms for z in z_estimates])
+
+
+def test_criterion_12_close_eigenvalues_move_pca_not_cst():
+    # the abstract's claim: as two covariance eigenvalues close, a CST's
+    # estimation error stays flat while PCA's grows; k=1 splits the close pair
+    start = time.perf_counter()
+    N, T = 20, 2000
+    basis = np.linalg.qr(np.random.default_rng(0).standard_normal((N, N)))[0]
+    signals = np.random.default_rng(1).standard_normal((N, 200))
+    gaps = (0.3, 0.1, 0.03, 0.01, 0.003, 0.001)
+    errors = {name: [] for name in ("pca", *FAMILIES)}
+    for gap in gaps:
+        eigenvalues = np.array([1.0, 1.0 - gap, *np.linspace(0.6, 0.05, 18)])
+        matrix = (basis * eigenvalues) @ basis.T
+        true_cov = SampleCovariance((matrix + matrix.T) / 2.0, np.zeros(N), T)
+        chol = np.linalg.cholesky(true_cov.matrix)
+        # both models are centred at the true mean, zero
+        estimates = []
+        for s in range(20):
+            draws = chol @ np.random.default_rng(100 + s).standard_normal((N, T))
+            estimates.append(SampleCovariance(sample_covariance(draws).matrix, np.zeros(N), T))
+        errors["pca"].append(
+            _median_relative_error(
+                pca_transform(pca_fit(true_cov, 1), signals).T,
+                [pca_transform(pca_fit(cov, 1), signals).T for cov in estimates],
+            )
+        )
+        for name, family in FAMILIES.items():
+            config = CstConfig(family=family, J=4, L=2)
+            m_true = cst_fit(true_cov, config)
+            layout = decide_layout(m_true, signals).paths
+            z_true = cst_transform_batch(m_true, signals, layout)
+            z_estimates = [
+                cst_transform_batch(cst_fit(cov, config), signals, layout) for cov in estimates
+            ]
+            errors[name].append(_median_relative_error(z_true, z_estimates))
+    growth = errors["pca"][-1] / errors["pca"][0]
+    assert growth >= 3.0, errors["pca"]
+    spreads = {name: max(errors[name]) / min(errors[name]) for name in FAMILIES}
+    for name, spread in spreads.items():
+        assert spread <= 1.1, (name, errors[name])
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0
+    _passed(
+        12,
+        f"as the top eigengap closes from 0.3 to 0.001, PCA error grows {growth:.2f}x "
+        f"and CST max/min error is {', '.join(f'{s:.3f}' for s in spreads.values())} "
+        f"({elapsed:.2f}s)",
+    )

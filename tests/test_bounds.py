@@ -20,12 +20,12 @@ from covscatter.bounds import (
 from covscatter.cli import main
 from covscatter.errors import ConfigError, InvalidK
 from covscatter.io import read_data_csv
-from covscatter.scattering import CstConfig, cst_fit, cst_transform
+from covscatter.scattering import CstConfig, cst_fit
 from covscatter.spectral import SampleCovariance, eig_sym, sample_covariance
 from covscatter.synthdata import SynthSpec, eigenvalue_profile, synth_generate
 from covscatter.wavelets import Diffusion
 
-from conftest import random_spd
+from conftest import batch_of_one, full_layout, node_signals, random_spd
 
 
 class TestEstimateKmax:
@@ -117,17 +117,18 @@ class TestPruningPreserved:
         )
         x = ds.data.values[:, 0]
         mats = model_true.matrices
-        full_tree, _ = cst_transform(model_true, x, prune=False)
+        full_nodes = node_signals(model_true, x, full_layout(config.J, config.L))
         checked = 0
         for tau in (0.05, 0.2, 0.4, 0.5, 0.8):
             at_tau = dataclasses.replace(config, tau=tau)
-            tree_true, _ = cst_transform(dataclasses.replace(model_true, config=at_tau), x)
-            tree_est, _ = cst_transform(dataclasses.replace(model_est, config=at_tau), x)
+            tree_true, _ = batch_of_one(dataclasses.replace(model_true, config=at_tau), x)
+            tree_est, _ = batch_of_one(dataclasses.replace(model_est, config=at_tau), x)
             margins = {}
             all_hold = True
-            for path, (signal, norm) in full_tree.nodes.items():
+            for path, signal in full_nodes.items():
                 if len(path) >= config.L - 1:
                     continue
+                norm = float(np.linalg.norm(signal))
                 for j in range(config.J):
                     margin = float(np.linalg.norm(mats[j] @ signal)) ** 2 - tau**2 * norm**2
                     margins[path + (j,)] = margin
@@ -137,12 +138,12 @@ class TestPruningPreserved:
                         all_hold = False
             if not all_hold:
                 continue
-            assert set(tree_true.pruned_paths) == set(tree_est.pruned_paths)
-            assert set(tree_true.nodes) == set(tree_est.nodes)
+            assert set(tree_true.pruned) == set(tree_est.pruned)
+            assert set(tree_true.paths) == set(tree_est.paths)
             for tree in (tree_true, tree_est):
-                for path in [*list(tree.nodes)[1:], *tree.pruned_paths]:
-                    assert (path in tree.nodes) == (margins[path] > 0.0)
-            if len(tree_true.nodes) > 1 and tree_true.pruned_paths:
+                for path in [*tree.paths[1:], *tree.pruned]:
+                    assert (path in tree.paths) == (margins[path] > 0.0)
+            if len(tree_true.paths) > 1 and tree_true.pruned:
                 checked += 1  # kept and pruned children coexist
         assert checked >= 1
 

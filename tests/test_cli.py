@@ -82,7 +82,7 @@ class TestTransform:
         assert code == 0
         model = cst_fit(sample_covariance(ds.data), CstConfig(family=Diffusion(), J=3, L=2))
         layout = decide_layout(model, ds.data.values).paths
-        expected = cst_transform_batch(model, ds.data, layout)
+        expected = cst_transform_batch(model, ds.data.values, layout)
         lines = (out / "features.csv").read_text().strip().splitlines()
         got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         npt.assert_array_equal(got, expected)
@@ -103,7 +103,8 @@ class TestTransform:
         assert code == 0
         config = CstConfig(family=Diffusion(), J=3, L=3, aggregation=aggregation)
         model = cst_fit(sample_covariance(ds.data), config)
-        expected = cst_transform_batch(model, ds.data, decide_layout(model, ds.data.values).paths)
+        layout = decide_layout(model, ds.data.values).paths
+        expected = cst_transform_batch(model, ds.data.values, layout)
         lines = (out / "features.csv").read_text().strip().splitlines()
         got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         npt.assert_array_equal(got, expected)
@@ -306,6 +307,8 @@ class TestExperimentCommands:
         lines = (out / "pruning.csv").read_text().strip().splitlines()
         assert lines[0] == "tau,seed,mae,feature_count"
         assert len(lines) == 1 + 4
+        # --runs 2 from --seed 1
+        assert [line.split(",")[1] for line in lines[1:]] == ["1", "2", "1", "2"]
 
     def test_labeled_sweep(self, tmp_path):
         _, data_path, targets_path = make_data_files(tmp_path)
@@ -320,6 +323,7 @@ class TestExperimentCommands:
         assert lines[0] == "method,train_frac,seed,status,mae,feature_width"
         # 4 methods x 2 fractions x 1 seed
         assert len(lines) == 1 + 8
+        assert {line.split(",")[2] for line in lines[1:]} == {"1"}
 
     def test_labeled_sweep_takes_a_valid_fraction_alone(self, tmp_path):
         # the unlabeled fraction takes the rest, so no other fraction must change with it

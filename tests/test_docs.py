@@ -1,11 +1,15 @@
-"""README.md and docs/config.md against the parser: which command takes which flag."""
+"""README.md and docs/config.md against the code: flags, exit codes, report columns, file names."""
 
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
+import test_cli
+from covscatter import errors
 from covscatter.cli import build_parser, main
+from covscatter.harness import PruningRow, StabilityReport, columns
 from covscatter.io import read_keyvalue
 
 ROOT = Path(__file__).parents[1]
@@ -96,3 +100,40 @@ def test_example_config_runs_a_transform(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["synth", "--out", "runs", "--seed", "0", "--n", "8", "--t", "60"]) == 0
     assert main(["transform", "--config", str(conf), "--out", "feats"]) == 0
+
+
+def test_readme_exit_codes_match_the_error_classes(tmp_path):
+    text = " ".join(section("README.md", "## CLI").split())
+    codes = re.search(r"Exit codes: (.*?)\.", text)[1]
+    documented = {name: int(code) for code, name in (item.split() for item in codes.split(", "))}
+    assert documented.pop("ok") == 0
+    for name, code in documented.items():
+        assert getattr(errors, f"{name.capitalize()}Error").exit_code == code
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)]
+    for cls in classes:
+        assert cls is errors.CovScatterError or cls.exit_code in documented.values(), cls
+    # the base class's code, 1, is not documented, so nothing raises it directly
+    for path in (ROOT / "src").rglob("*.py"):
+        assert "raise CovScatterError(" not in path.read_text(), path
+    # an unreadable file is a data error
+    missing = str(tmp_path / "missing.csv")
+    assert main(["transform", "--data", missing, "--out", str(tmp_path)]) == documented["data"]
+
+
+def test_readme_report_columns_match_the_row_classes():
+    text = " ".join(section("README.md", "## Data format").split())
+    assert re.search(r"\(`pruning.csv`: `([^`]+)`\)", text)[1] == ",".join(columns(PruningRow))
+    dropped = re.search(r"`stability.csv` drops the last three, (.*?), unless `--bounds`", text)[1]
+    without = StabilityReport(rows=(), include_bounds=False).header()
+    assert without + names(dropped) == StabilityReport(rows=(), include_bounds=True).header()
+
+
+def test_provenance_table_names_each_command_file():
+    rows = [names(line) for line in section("docs/config.md", "## Provenance files").splitlines()
+            if line.startswith("| `")]
+    table = dict(rows)
+    assert len(table) == len(rows)  # one row per command
+    assert set(table) == set(COMMANDS)
+    # the names test_provenance_seeds_config finds after real runs
+    runs = test_cli.TestExperimentCommands.SEEDED_RUNS
+    assert table == {command: provenance_name for command, provenance_name, *_ in runs}

@@ -251,7 +251,7 @@ class TestFeaturesCsv:
         data = DataMatrix(rng.standard_normal((4, 6)))
         model = cst_fit(sample_covariance(data), CstConfig(family=Diffusion(), J=2, L=2))
         layout = decide_layout(model, data.values).paths
-        matrix = cst_transform_batch(model, data, layout)
+        matrix = cst_transform_batch(model, data.values, layout)
         path = tmp_path / "features.csv"
         write_matrix_csv(path, feature_column_names(layout, model.feature_width), matrix)
         lines = path.read_text().strip().splitlines()

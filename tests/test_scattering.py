@@ -17,7 +17,6 @@ from covscatter.scattering import (
     _aggregate,
     _scatter,
     cst_fit,
-    cst_transform,
     cst_transform_batch,
     decide_layout,
     feature_count,
@@ -28,7 +27,7 @@ from covscatter.spectral import INVERTED, NORMALIZED, SampleCovariance, sample_c
 from covscatter.synthdata import SynthSpec, synth_generate
 from covscatter.wavelets import Diffusion, Hann, Monic, kernel_eval
 
-from conftest import spd_covariance
+from conftest import batch_of_one, full_layout, node_signals, spd_covariance
 
 
 def brute_force_features(model, x, max_layer):
@@ -95,77 +94,77 @@ class TestCstTransform:
     def test_single_layer_is_input_only(self, rng):
         model = self._model(L=1)
         x = rng.standard_normal(16)
-        _, fv = cst_transform(model, x)
-        assert fv.layout == ((),)
-        npt.assert_array_equal(fv.coefficients, x)
+        decision, row = batch_of_one(model, x)
+        assert decision.paths == ((),)
+        npt.assert_array_equal(row, x)
 
     def test_full_tree_path_count(self, rng):
         model = self._model()
-        _, fv = cst_transform(model, rng.standard_normal(16))
-        assert len(fv.layout) == feature_count(3, 3) == 13
+        decision, _ = batch_of_one(model, rng.standard_normal(16))
+        assert len(decision.paths) == feature_count(3, 3) == 13
 
     def test_zero_signal_keeps_root_only(self):
         model = self._model()
-        tree, fv = cst_transform(model, np.zeros(16))
-        assert list(tree.nodes) == [()]
-        assert fv.layout == ((),)
-        npt.assert_array_equal(fv.coefficients, np.zeros(16))
+        zero = np.zeros(16)
+        decision, row = batch_of_one(model, zero)
+        assert list(node_signals(model, zero, decision.paths)) == [()]
+        assert decision.paths == ((),)
+        npt.assert_array_equal(row, zero)
         # unpruned, the same signal keeps every path, in layout order
-        tree, fv = cst_transform(model, np.zeros(16), prune=False)
-        assert len(fv.layout) == feature_count(3, 3)
-        assert list(fv.layout) == sorted(fv.layout, key=lambda path: (len(path), path))
-        assert list(tree.nodes) == list(fv.layout) and tree.pruned_paths == {}
+        full = full_layout(3, 3)
+        _, row = batch_of_one(model, zero, full)
+        assert len(full) == feature_count(3, 3)
+        assert list(full) == sorted(full, key=lambda path: (len(path), path))
+        assert list(node_signals(model, zero, full)) == list(full) and not row.any()
 
     def test_matches_brute_force_enumeration(self, rng):
         model = self._model()
         x = rng.standard_normal(16)
-        _, fv = cst_transform(model, x)
-        npt.assert_allclose(
-            fv.coefficients, brute_force_features(model, x, 3), atol=1e-10
-        )
+        _, row = batch_of_one(model, x)
+        npt.assert_allclose(row, brute_force_features(model, x, 3), atol=1e-10)
 
     def test_mean_aggregation_width(self, rng):
         model = self._model(aggregation="mean")
-        _, fv = cst_transform(model, rng.standard_normal(16))
-        assert fv.width == 1
-        assert fv.coefficients.shape == (13,)
+        _, row = batch_of_one(model, rng.standard_normal(16))
+        assert model.feature_width == 1
+        assert row.shape == (13,)
 
     def test_layout_order_breadth_first_lexicographic(self, rng):
         model = self._model(J=2, L=3)
-        _, fv = cst_transform(model, rng.standard_normal(16))
-        assert fv.layout == ((), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1))
+        decision, _ = batch_of_one(model, rng.standard_normal(16))
+        assert decision.paths == ((), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1))
 
     def test_norm_propagation(self, rng):
         for family in (Diffusion(), Hann(), Monic()):
             model = cst_fit(spd_covariance(12, 4), CstConfig(family=family, J=3, L=3))
             x = rng.standard_normal(12)
-            tree, _ = cst_transform(model, x)
+            decision, _ = batch_of_one(model, x)
             upper = model.filterbank.frame_upper
-            for path, (_, energy) in tree.nodes.items():
+            for path, signal in node_signals(model, x, decision.paths).items():
                 bound = upper ** len(path) * np.linalg.norm(x) + 1e-8
-                assert energy <= bound
+                assert np.linalg.norm(signal) <= bound
 
     def test_pruning_monotone_in_tau(self, rng):
         x = rng.standard_normal(16)
         previous = None
         for tau in (0.0, 0.1, 0.3, 0.5, 0.8):
-            _, fv = cst_transform(self._model(tau=tau), x)
-            retained = set(fv.layout)
+            decision, _ = batch_of_one(self._model(tau=tau), x)
+            retained = set(decision.paths)
             if previous is not None:
                 assert retained <= previous
             previous = retained
 
     def test_pruned_ratios_recorded(self, rng):
         model = self._model(tau=0.5)
-        tree, fv = cst_transform(model, rng.standard_normal(16))
-        assert set(tree.pruned_paths).isdisjoint(set(fv.layout))
-        for ratio in tree.pruned_paths.values():
+        decision, _ = batch_of_one(model, rng.standard_normal(16))
+        assert set(decision.pruned).isdisjoint(set(decision.paths))
+        for ratio in decision.pruned.values():
             assert 0.0 <= ratio <= 0.5
 
     def test_shape_mismatch(self):
         model = self._model()
         with pytest.raises(ShapeError):
-            cst_transform(model, np.ones(5))
+            batch_of_one(model, np.ones(5))
 
 
 class TestPermutationEquivariance:
@@ -179,22 +178,19 @@ class TestPermutationEquivariance:
             config = CstConfig(family=Diffusion(), J=3, L=3, operator_kind=kind)
             model = cst_fit(sample_covariance(ds.data.values), config)
             model_p = cst_fit(sample_covariance(pmat @ ds.data.values), config)
-            _, fv = cst_transform(model, x)
-            _, fv_p = cst_transform(model_p, pmat @ x)
+            decision, row = batch_of_one(model, x)
+            _, row_p = batch_of_one(model_p, pmat @ x)
             expected = np.concatenate(
-                [
-                    fv.coefficients[i * 30 : (i + 1) * 30][perm]
-                    for i in range(len(fv.layout))
-                ]
+                [row[i * 30 : (i + 1) * 30][perm] for i in range(len(decision.paths))]
             )
-            npt.assert_allclose(fv_p.coefficients, expected, atol=1e-8)
+            npt.assert_allclose(row_p, expected, atol=1e-8)
 
             mean_cfg = CstConfig(family=Diffusion(), J=3, L=3, aggregation="mean", operator_kind=kind)
             model_m = cst_fit(sample_covariance(ds.data.values), mean_cfg)
             model_mp = cst_fit(sample_covariance(pmat @ ds.data.values), mean_cfg)
-            _, fv_m = cst_transform(model_m, x)
-            _, fv_mp = cst_transform(model_mp, pmat @ x)
-            npt.assert_allclose(fv_mp.coefficients, fv_m.coefficients, atol=1e-8)
+            _, row_m = batch_of_one(model_m, x)
+            _, row_mp = batch_of_one(model_mp, pmat @ x)
+            npt.assert_allclose(row_mp, row_m, atol=1e-8)
 
 
 class TestNonlinearity:
@@ -226,9 +222,9 @@ class TestBatch:
         x = rng.standard_normal((20, 12))
         layout = decide_layout(model, x).paths
         matrix = cst_transform_batch(model, x, layout)
-        _, fv = cst_transform(model, x[:, 3])
-        assert layout == fv.layout
-        npt.assert_allclose(matrix[3], fv.coefficients, atol=1e-12)
+        decision, row = batch_of_one(model, x[:, 3])
+        assert layout == decision.paths
+        npt.assert_allclose(matrix[3], row, atol=1e-12)
 
     def test_batch_pruning_matches_energy_oracle(self):
         ds = synth_generate(SynthSpec(n_features=20, n_samples=200, tail=0.5, seed=9))
@@ -287,17 +283,6 @@ class TestBatch:
         subset = np.array([1, 4, 5, 11, 17, 29])
         followed = cst_transform_batch(model, x[:, subset], layout=layout)
         npt.assert_array_equal(followed, whole[subset])
-
-    def test_single_signal_is_batch_of_one(self, rng):
-        model = self._model(tau=0.3)
-        x = rng.standard_normal((20, 30))
-        tree, fv = cst_transform(model, x[:, 0])
-        decided = decide_layout(model, x[:, :1])
-        matrix = cst_transform_batch(model, x[:, :1], decided.paths)
-        assert tree.pruned_paths  # the threshold prunes something
-        assert fv.layout == decided.paths
-        assert tree.pruned_paths == decided.pruned
-        npt.assert_array_equal(fv.coefficients, matrix[0])
 
     def test_layout_outside_the_tree_rejected(self, rng):
         model = self._model()
