@@ -82,16 +82,15 @@ def wavelet_delta(
     t: int,
     constants: BoundConstants,
     gamma: float,
-    cov_norm: float,
-    w1: float,
 ) -> float:
-    """Formula-mode per-wavelet operator error (O(1/T) remainder omitted)."""
+    """Formula-mode per-wavelet operator error (O(1/T) remainder omitted).
+
+    Scale-free: the formula's covariance norm over top eigenvalue is 1 for the estimate.
+    """
     if t < 1 or n < 1:
         raise ConfigError("n and t must be positive")
     head = constants.k_max * math.exp(constants.epsilon / 2.0)
-    tail = (2.0 * constants.Q * constants.G * gamma * cov_norm / w1) * math.sqrt(
-        math.log(n) + constants.u
-    )
+    tail = 2.0 * constants.Q * constants.G * gamma * math.sqrt(math.log(n) + constants.u)
     return (lipschitz * n / math.sqrt(t)) * (head + tail)
 
 
@@ -123,14 +122,11 @@ def cst_stability_bound(
     agg_norm: float,
     x_norm: float,
     layer_counts: Sequence[float],
-    n_layers: int,
 ) -> float:
     """Transform-level bound on the output distance under covariance estimation error.
 
     ``layer_counts`` holds the retained path counts for layers 1 .. L-1.
     """
-    if len(layer_counts) != n_layers - 1:
-        raise ShapeError(f"expected {n_layers - 1} layer counts, got {len(layer_counts)}")
     total = sum(
         ell**2 * frame_upper ** (2 * ell - 2) * f
         for ell, f in enumerate(layer_counts, start=1)
@@ -143,11 +139,8 @@ def signal_stability_bound(
     agg_norm: float,
     delta_norm: float,
     layer_counts: Sequence[float],
-    n_layers: int,
 ) -> float:
-    """Transform-level bound under input perturbation; counts include layer 0."""
-    if len(layer_counts) != n_layers:
-        raise ShapeError(f"expected {n_layers} layer counts, got {len(layer_counts)}")
+    """Transform-level bound under input perturbation; ``layer_counts`` holds layers 0 .. L-1."""
     total = sum(
         f * frame_upper ** (2 * ell) for ell, f in enumerate(layer_counts)
     )
@@ -175,9 +168,7 @@ def measured_stability_bound(clean, perturbed, layout, x_norm: float) -> tuple[f
     delta = measured_wavelet_delta(clean.matrices, perturbed.matrices)
     frame_upper = max(clean.filterbank.frame_upper, perturbed.filterbank.frame_upper)
     counts = _layer_counts(clean, layout)[1:]
-    bound = cst_stability_bound(
-        delta, frame_upper, clean.aggregation_norm_bound, x_norm, counts, clean.config.L
-    )
+    bound = cst_stability_bound(delta, frame_upper, clean.aggregation_norm_bound, x_norm, counts)
     return delta, bound
 
 
@@ -192,9 +183,8 @@ def bound_table(cov, model, constants: BoundConstants, pca_k: int | None = None)
     whose inf is the documented sentinel of a repeated eigenvalue.
     """
     bank, config = model.filterbank, model.config
-    w1 = float(cov.decomposition.eigenvalues[0])
     n, t, gamma = cov.n_features, cov.sample_count, bank.gamma
-    deltas = [wavelet_delta(float(p), n, t, constants, gamma, w1, w1) for p in bank.lipschitz]
+    deltas = [wavelet_delta(float(p), n, t, constants, gamma) for p in bank.lipschitz]
     counts = _layer_counts(model)
     agg = model.aggregation_norm_bound
     rows = [
@@ -206,11 +196,11 @@ def bound_table(cov, model, constants: BoundConstants, pca_k: int | None = None)
         *([f"wavelet_delta_{j}", d] for j, d in enumerate(deltas)),
         [
             "cst_stability_bound_unit_signal",
-            cst_stability_bound(max(deltas), bank.frame_upper, agg, 1.0, counts[1:], config.L),
+            cst_stability_bound(max(deltas), bank.frame_upper, agg, 1.0, counts[1:]),
         ],
         [
             "signal_stability_bound_unit_perturbation",
-            signal_stability_bound(bank.frame_upper, agg, 1.0, counts, config.L),
+            signal_stability_bound(bank.frame_upper, agg, 1.0, counts),
         ],
     ]
     overflowed = [name for name, value in rows if not np.isfinite(value)]

@@ -266,10 +266,10 @@ def run_stability(
     frozen regressor and the embedding MSE against the clean embeddings.
     Every method's model is fitted on the pool before any refit, so a method
     that cannot be fitted fails before the refits start. With
-    ``include_bounds``, each CST row also records the largest per-sample
-    embedding distance ``||z - z_hat||_2`` over the test set, and the
-    measured wavelet delta and the bound on that distance at the largest
-    test-sample norm (:func:`bounds.measured_stability_bound`).
+    ``include_bounds``, each row also records the largest per-sample
+    embedding distance ``||z - z_hat||_2`` over the test set, and each CST
+    row the measured wavelet delta and the bound on that distance at the
+    largest test-sample norm (:func:`bounds.measured_stability_bound`).
 
     No test feature matrix is formed. Each method's clean test embedding is
     held as its blocks (one per retained path for CST, one for PCA and the
@@ -331,11 +331,12 @@ def run_stability(
             row_mae = mae(predicted[0], y_test)
             row_mse = float(squared.sum() / (squared.size * ridge.weights.shape[1]))
             delta = dist = bound = None
-            if include_bounds and isinstance(method, CstMethod):
+            if include_bounds:
                 dist = float(np.sqrt(squared.max()))
-                delta, bound = bounds_mod.measured_stability_bound(
-                    clean.model, perturbed.model, clean.layout, test_norm_max
-                )
+                if isinstance(method, CstMethod):
+                    delta, bound = bounds_mod.measured_stability_bound(
+                        clean.model, perturbed.model, clean.layout, test_norm_max
+                    )
             rows.append(
                 StabilityRow(
                     method.name, fraction, seed, "ok", row_mae, row_mse, delta, dist, bound

@@ -92,8 +92,8 @@ def _loadtxt_lines(handle):
         yield line
 
 
-def read_data_csv(path) -> DataMatrix:
-    path = Path(path)
+def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
+    """The header names and the (T, N) body of a numeric CSV."""
     with _open_text(path) as handle:
         names = _read_header(path, handle)
         # csv.reader took the header record only, so loadtxt parses the body.
@@ -108,12 +108,12 @@ def read_data_csv(path) -> DataMatrix:
         except ValueError:
             body = None
     if body is None or body.size == 0 or body.shape[1] != len(names):
-        return _read_data_cells(path)
-    return DataMatrix(body.T, feature_names=names)
+        return names, _read_cells(path)
+    return names, body
 
 
-def _read_data_cells(path: Path) -> DataMatrix:
-    """Parse a data CSV cell by cell; the source of every row/column message."""
+def _read_cells(path: Path) -> np.ndarray:
+    """Parse a numeric CSV's body cell by cell; the source of every row/column message."""
     with _open_text(path) as handle:
         names = _read_header(path, handle)
         # one flat buffer of doubles, not a list per row: a tall file would
@@ -136,8 +136,12 @@ def _read_data_cells(path: Path) -> DataMatrix:
                     ) from None
     if not cells:
         raise InvalidData(f"{path}: no observation rows")
-    values = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(names)).T
-    return DataMatrix(values, feature_names=names)
+    return np.frombuffer(cells, dtype=np.float64).reshape(-1, len(names))
+
+
+def read_data_csv(path) -> DataMatrix:
+    names, body = _read_table(Path(path))
+    return DataMatrix(body.T, feature_names=names)
 
 
 def write_data_csv(path, data: DataMatrix) -> None:
@@ -146,26 +150,13 @@ def write_data_csv(path, data: DataMatrix) -> None:
 
 
 def read_targets_csv(path) -> np.ndarray:
+    """The one column of a targets CSV, whose header names exactly one column."""
     path = Path(path)
     with _open_text(path) as handle:
-        _read_header(path, handle)
-        values = []
-        for row_idx, row in enumerate(csv.reader(handle), start=2):
-            if not row:
-                continue
-            if len(row) != 1:
-                raise InvalidData(
-                    f"{path}: row {row_idx} has {len(row)} cells, expected one target"
-                )
-            try:
-                values.append(float(row[0]))
-            except ValueError:
-                raise InvalidData(
-                    f"{path}: non-numeric target {row[0]!r} at row {row_idx}"
-                ) from None
-    if not values:
-        raise InvalidData(f"{path}: no target rows")
-    return np.array(values, dtype=np.float64)
+        names = _read_header(path, handle)
+    if len(names) != 1:
+        raise InvalidData(f"{path}: header names {len(names)} columns, expected one target")
+    return _read_table(path)[1][:, 0]
 
 
 def write_targets_csv(path, targets: np.ndarray) -> None:

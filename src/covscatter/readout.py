@@ -30,14 +30,11 @@ def pca_fit(cov: SampleCovariance, k: int) -> PcaModel:
 
 
 def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
-    """Project (centered) signals onto the leading eigenvectors; returns (k, T)."""
+    """Project the (N, T) signals ``x``, centred, onto the leading eigenvectors; returns (k, T)."""
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    x = np.atleast_2d(x.T).T if squeeze else x
-    if x.shape[0] != model.mean.shape[0]:
-        raise ShapeError(f"expected {model.mean.shape[0]} features, got {x.shape[0]}")
-    out = model.components.T @ (x - model.mean[:, None])
-    return out[:, 0] if squeeze else out
+    if x.ndim != 2 or x.shape[0] != model.mean.shape[0]:
+        raise ShapeError(f"expected {model.mean.shape[0]} rows, got shape {x.shape}")
+    return model.components.T @ (x - model.mean[:, None])
 
 
 def _ridge_solve(gram, rhs, alphas) -> np.ndarray:

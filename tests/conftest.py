@@ -1,4 +1,6 @@
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,21 @@ import pytest
 from covscatter import spectral
 from covscatter.scattering import cst_transform_batch, decide_layout, layout_blocks
 from covscatter.spectral import SampleCovariance
+
+ROOT = Path(__file__).parents[1]
+
+
+def section(path, heading):
+    """The text under ``heading`` in ``path``, up to the next heading of any level."""
+    text = (ROOT / path).read_text()
+    start = text.index(f"\n{heading}\n") + len(heading) + 2
+    end = text.find("\n#", start)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def names(text):
+    """The backticked names in ``text``, without leading dashes."""
+    return [name.lstrip("-") for name in re.findall(r"`([^`]+)`", text)]
 
 
 def random_spd(n, seed, scale=1.0):

@@ -151,9 +151,7 @@ def test_criterion_05_signal_perturbation_bound():
             _, row = batch_of_one(model, x, full)
             _, row_d = batch_of_one(model, x + delta, full)
             measured = np.linalg.norm(row - row_d)
-            bound = signal_stability_bound(
-                frame_upper, 1.0, np.linalg.norm(delta), counts, L
-            )
+            bound = signal_stability_bound(frame_upper, 1.0, np.linalg.norm(delta), counts)
             assert measured <= bound * (1.0 + 1e-6)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -189,7 +187,6 @@ def test_criterion_06_covariance_stability_dominance():
                         1.0,
                         np.linalg.norm(x),
                         [J**ell for ell in range(1, L)],
-                        L,
                     )
                     assert measured <= bound * (1.0 + 1e-6)
     elapsed = time.perf_counter() - start

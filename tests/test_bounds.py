@@ -61,16 +61,16 @@ class TestEstimateKmax:
 class TestWaveletDelta:
     def test_quadrupling_samples_halves_delta(self):
         constants = BoundConstants()
-        one = wavelet_delta(2.0, 10, 500, constants, 0.8, 3.0, 3.0)
-        four = wavelet_delta(2.0, 10, 2000, constants, 0.8, 3.0, 3.0)
+        one = wavelet_delta(2.0, 10, 500, constants, 0.8)
+        four = wavelet_delta(2.0, 10, 2000, constants, 0.8)
         assert four == pytest.approx(one / 2.0, rel=1e-12)
 
     def test_zero_lipschitz_zero_delta(self):
-        assert wavelet_delta(0.0, 10, 100, BoundConstants(), 1.0, 1.0, 1.0) == 0.0
+        assert wavelet_delta(0.0, 10, 100, BoundConstants(), 1.0) == 0.0
 
     def test_arithmetic_example(self):
         constants = BoundConstants(Q=1.0, G=1.0, k_max=1.0, epsilon=1.0, u=1.0)
-        value = wavelet_delta(1.0, 20, 1000, constants, 1.0, 1.0, 1.0)
+        value = wavelet_delta(1.0, 20, 1000, constants, 1.0)
         expected = (20.0 / math.sqrt(1000.0)) * (
             math.exp(0.5) + 2.0 * math.sqrt(math.log(20.0) + 1.0)
         )
@@ -150,27 +150,27 @@ class TestPruningPreserved:
 
 class TestCstStabilityBound:
     def test_single_layer_is_zero(self):
-        assert cst_stability_bound(0.5, 1.2, 1.0, 3.0, [], 1) == 0.0
+        assert cst_stability_bound(0.5, 1.2, 1.0, 3.0, []) == 0.0
 
     def test_halving_counts_scales_by_sqrt_half(self):
-        full = cst_stability_bound(0.1, 1.0, 1.0, 1.0, [3.0, 9.0], 3)
-        half = cst_stability_bound(0.1, 1.0, 1.0, 1.0, [1.5, 4.5], 3)
+        full = cst_stability_bound(0.1, 1.0, 1.0, 1.0, [3.0, 9.0])
+        half = cst_stability_bound(0.1, 1.0, 1.0, 1.0, [1.5, 4.5])
         assert half == pytest.approx(full / math.sqrt(2.0), rel=1e-12)
 
     def test_arithmetic_example(self):
-        value = cst_stability_bound(0.1, 1.0, 1.0, 1.0, [3, 9], 3)
+        value = cst_stability_bound(0.1, 1.0, 1.0, 1.0, [3, 9])
         assert value == pytest.approx(0.1 * math.sqrt(39.0), rel=1e-12)
 
 
 class TestSignalStabilityBound:
     def test_zero_perturbation(self):
-        assert signal_stability_bound(1.5, 1.0, 0.0, [1, 2, 4], 3) == 0.0
+        assert signal_stability_bound(1.5, 1.0, 0.0, [1, 2, 4]) == 0.0
 
     def test_single_layer_identity(self):
-        assert signal_stability_bound(2.0, 1.0, 0.7, [1], 1) == pytest.approx(0.7)
+        assert signal_stability_bound(2.0, 1.0, 0.7, [1]) == pytest.approx(0.7)
 
     def test_arithmetic_example(self):
-        value = signal_stability_bound(1.0, 1.0, 2.0, [1, 2, 4], 3)
+        value = signal_stability_bound(1.0, 1.0, 2.0, [1, 2, 4])
         assert value == pytest.approx(2.0 * math.sqrt(7.0), rel=1e-12)
 
 

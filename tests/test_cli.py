@@ -1,3 +1,4 @@
+import math
 import os
 import platform
 import re
@@ -12,6 +13,7 @@ import pytest
 
 import covscatter
 
+from conftest import names, section
 from covscatter.cli import main
 from covscatter.io import (
     read_data_csv,
@@ -30,6 +32,25 @@ def read_derived(path):
     """The ``key = value`` lines after a provenance file's ``[derived]`` line."""
     _, _, tail = path.read_text().partition("[derived]\n")
     return dict(line.split(" = ", 1) for line in tail.splitlines())
+
+
+# backticked tokens of docs/config.md's [derived] bullets that are not keys
+NOT_KEYS = {"unset", 'np.show_config(mode="dicts")', "os.cpu_count()"}
+
+
+def documented_derived(command, family):
+    """The ``[derived]`` keys docs/config.md names for a ``command`` run, in order.
+
+    Those are its command's bullet's keys, then the every-command bullet's;
+    a ``<family>.<key>`` is named for runs of that family only.
+    """
+    bullets = {}
+    list_text = section("docs/config.md", "## Provenance files").partition("\n- ")[2]
+    for item in list_text.split("\n\n")[0].split("\n- "):
+        label, _, text = " ".join(item.split()).partition(": ")
+        bullets[label.strip("`")] = [key for key in names(text) if key not in NOT_KEYS]
+    own = [key for key in bullets.get(command, []) if key.partition(".")[0] in (key, family)]
+    return own + bullets["every command, last"]
 
 
 def make_data_files(tmp_path, n=10, t=120, seed=5):
@@ -292,8 +313,13 @@ class TestExperimentCommands:
         assert len(cst) == 3 * 3 * 3
         for row in cst:
             assert 0.0 <= float(row["embedding_dist_max"]) <= float(row["stability_bound"])
-        # PCA has no bound, so its bound cells are empty
-        assert all(r["embedding_dist_max"] == "" for r in rows if r["method"] == "pca")
+        # PCA has a measured distance but no delta or bound: Davis-Kahan bounds
+        # an eigenvector only up to its sign
+        pca = [r for r in rows if r["method"] == "pca" and r["status"] == "ok"]
+        assert len(pca) == 3 * 3
+        for row in pca:
+            assert row["delta_measured"] == row["stability_bound"] == ""
+            assert 0.0 <= float(row["embedding_dist_max"]) < math.inf
 
     def test_prune_sweep(self, tmp_path):
         _, data_path, targets_path = make_data_files(tmp_path)
@@ -377,6 +403,28 @@ class TestExperimentCommands:
         assert "signal_stability_bound_unit_perturbation" in err and "2 layers" in err
         assert "smaller constants" not in err
         assert not out.exists()
+
+    def test_bounds_formulas_do_not_depend_on_the_data_scale(self, tmp_path):
+        # the Delta formula is scale-free: data times 1e150, whose top
+        # eigenvalue is near 1e300, gives the rows of the unscaled data
+        synth = ["synth", "--out", str(tmp_path), "--seed", "1", "--n", "6", "--t", "300"]
+        assert main(synth) == 0
+        scaled_path = tmp_path / "scaled.csv"
+        data = read_data_csv(tmp_path / "data.csv")
+        write_data_csv(scaled_path, DataMatrix(data.values * 1e150))
+        rows = []
+        for data_path in (tmp_path / "data.csv", scaled_path):
+            out = tmp_path / f"bounds-{data_path.stem}"
+            code = main(["bounds", "--data", str(data_path), "--out", str(out),
+                         "--q", "1e8", "--k-max", "1"])
+            assert code == 0
+            lines = (out / "bounds.csv").read_text().splitlines()[1:]
+            rows.append(dict(line.split(",") for line in lines))
+        unscaled, scaled = rows
+        deltas = [name for name in unscaled if name.startswith("wavelet_delta_")]
+        assert deltas
+        for name in [*deltas, "cst_stability_bound_unit_signal"]:
+            assert float(scaled[name]) == pytest.approx(float(unscaled[name]), rel=1e-12), name
 
     def test_bounds_overflowing_estimated_kmax_is_a_data_error(self, tmp_path, capsys):
         ds, _, _ = make_data_files(tmp_path)
@@ -471,6 +519,8 @@ class TestExperimentCommands:
             assert derived[variable] == os.environ.get(variable, "unset")
         assert derived["cpu_count"] == str(os.cpu_count())
         assert list(derived)[-1] == "cpu_count"
+        # docs/config.md names each key the run writes, and no other, in order
+        assert list(derived) == documented_derived(command, values.get("family"))
 
         assert main([command, "--config", str(provenance), "--out", str(second)]) == 0
         names = sorted(path.name for path in first.iterdir())

@@ -2,17 +2,16 @@
 
 import inspect
 import re
-from pathlib import Path
 
 import pytest
 
 import test_cli
+from conftest import ROOT, names, section
 from covscatter import errors
 from covscatter.cli import build_parser, main
 from covscatter.harness import PruningRow, StabilityReport, columns
 from covscatter.io import read_keyvalue
 
-ROOT = Path(__file__).parents[1]
 COMMANDS = build_parser().commands
 
 
@@ -23,19 +22,6 @@ def flags(command):
 
 # the transform's own flags: what `transform` takes beyond every data command's
 TRANSFORM = flags("transform") - {"help", "out", "config", "data"}
-
-
-def section(path, heading):
-    """The text under ``heading`` in ``path``, up to the next heading of any level."""
-    text = (ROOT / path).read_text()
-    start = text.index(f"\n{heading}\n") + len(heading) + 2
-    end = text.find("\n#", start)
-    return text[start:] if end < 0 else text[start:end]
-
-
-def names(text):
-    """The backticked names in ``text``, without leading dashes."""
-    return [name.lstrip("-") for name in re.findall(r"`([^`]+)`", text)]
 
 
 def config_table():

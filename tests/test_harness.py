@@ -145,9 +145,9 @@ def _reference_stability_rows(data, targets, methods, split_spec, subsample_frac
                 subsample = np.sort(rng.choice(pool, size=size, replace=False))
                 refit = _reference_fit(method, sample_covariance(x[:, subsample]))
                 z_hat = _reference_matrix(refit, test_x, layout)
-                delta = dist = bound = None
+                dist = float(np.linalg.norm(z_hat - z, axis=1).max())
+                delta = bound = None
                 if is_cst:
-                    dist = float(np.linalg.norm(z_hat - z, axis=1).max())
                     delta, bound = bounds.measured_stability_bound(clean, refit, layout, norm_max)
                 row_mae = mae(ridge.predict([z_hat])[0], y[split.test])
                 row_mse = float(np.mean(np.square(z_hat - z)))
@@ -233,6 +233,34 @@ class TestStability:
         ok = [r for r in report.rows if r.fraction == 0.3]
         assert all(r.delta_measured is not None and r.stability_bound is not None for r in ok)
         assert all(r.embedding_dist_max is not None for r in ok)
+
+    def test_pca_rows_record_the_largest_test_distance(self, dataset):
+        method = PcaMethod("pca", k=6, alpha=1.0)
+        report = run_stability(
+            dataset.data,
+            dataset.targets,
+            [method],
+            DEFAULT_SPLIT,
+            subsample_fracs=[0.3],
+            seeds=[0, 1],
+            include_bounds=True,
+        )
+        x = dataset.data.values
+        split = make_split(DEFAULT_SPLIT, dataset.data.n_samples)
+        pool, test_x = split.fit_pool, x[:, split.test]
+        z = pca_transform(pca_fit(sample_covariance(x[:, pool]), method.k), test_x)
+        size = int(round(0.3 * pool.shape[0]))
+        for row in report.rows:
+            assert row.delta_measured is None and row.stability_bound is None
+            if row.fraction == 1.0:
+                assert row.embedding_dist_max == 0.0
+                continue
+            rng = derived_rng(row.seed, "subsample", 0)  # 0.3 is the first of [0.3, 1.0]
+            subsample = np.sort(rng.choice(pool, size=size, replace=False))
+            refit = pca_fit(sample_covariance(x[:, subsample]), method.k)
+            z_hat = pca_transform(refit, test_x)
+            expected = np.linalg.norm(z_hat - z, axis=0).max()
+            npt.assert_allclose(row.embedding_dist_max, expected, rtol=1e-12, atol=0.0)
 
 
     def test_subsample_estimates_shared_across_methods(self, dataset, eig_calls):

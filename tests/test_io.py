@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from covscatter.cli import main
 from covscatter.errors import DataError, InvalidData
 from covscatter.io import (
-    _read_data_cells,
+    _read_cells,
+    _read_table,
     feature_column_names,
     read_data_csv,
     read_keyvalue,
@@ -66,7 +67,23 @@ class TestDataRoundTrip:
         with pytest.raises(InvalidData) as err:
             read_targets_csv(path)
         assert err.value.exit_code == 3
-        assert str(path) in str(err.value) and "row 2" in str(err.value)
+        assert str(err.value) == f"{path}: row 2 has 2 cells, expected 1"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("target\n1.0\nx\n", "{path}: non-numeric cell 'x' at row 3, column 1 (target)"),
+            ("target\n", "{path}: no observation rows"),
+            ("target,extra\n1.0,2.0\n", "{path}: header names 2 columns, expected one target"),
+        ],
+        ids=["non-numeric", "header only", "two names"],
+    )
+    def test_targets_messages_are_the_data_readers(self, tmp_path, text, message):
+        path = tmp_path / "targets.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidData) as err:
+            read_targets_csv(path)
+        assert str(err.value) == message.format(path=path)
 
     def test_non_numeric_cell_diagnostics(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -143,19 +160,21 @@ class TestReaderEquivalence:
             max_size=4,
         ),
         st.sampled_from(["\n", "\r\n", "\r"]),
+        # one column is the targets reader's form
+        st.sampled_from(["a,b", "a"]),
     )
-    def test_loadtxt_path_agrees_with_cell_loop(self, tmp_path_factory, rows, end):
+    def test_loadtxt_path_agrees_with_cell_loop(self, tmp_path_factory, rows, end, header):
         path = tmp_path_factory.mktemp("eq") / "data.csv"
-        path.write_bytes(end.join(["a,b"] + [",".join(row) for row in rows]).encode())
+        path.write_bytes(end.join([header] + [",".join(row) for row in rows]).encode())
 
         def outcome(reader):
             try:
-                data = reader(path)
+                names, body = reader(path)
             except DataError as exc:
                 return type(exc), str(exc)
-            return data.values.tobytes(), data.feature_names
+            return names, body.shape, body.tobytes()
 
-        assert outcome(read_data_csv) == outcome(_read_data_cells)
+        assert outcome(_read_table) == outcome(lambda p: (header.split(","), _read_cells(p)))
 
     @pytest.mark.parametrize("reader", [read_data_csv, read_targets_csv, read_keyvalue])
     def test_undecodable_file_is_invalid_data(self, tmp_path, reader):

@@ -31,8 +31,8 @@ def ridge_gradient_descent(z, y, alpha, tol=1e-10):
 class TestPca:
     def test_axis_aligned_projection(self):
         cov = SampleCovariance(np.diag([4.0, 1.0]), np.array([0.0, 5.0]), 10)
-        out = pca_transform(pca_fit(cov, 1), np.array([2.0, 5.0]))
-        npt.assert_allclose(out, [2.0], atol=1e-12)
+        out = pca_transform(pca_fit(cov, 1), np.array([[2.0], [5.0]]))
+        npt.assert_allclose(out, [[2.0]], atol=1e-12)
 
     def test_full_rank_is_isometry(self, rng):
         x = rng.standard_normal((6, 40))
