@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, InvalidData, ShapeError
 from .readout import PcaModel, mae, pca_fit, pca_transform, ridge_path
 from .scattering import CstConfig, CstModel, Path, cst_fit, decide_layout, layout_blocks
 from .spectral import DataMatrix, SampleCovariance, sample_covariance
@@ -200,10 +200,12 @@ def _fit(method: Method, cov: SampleCovariance, pool_x=None, layout=None) -> _Em
 
 
 def _xy(data: DataMatrix, targets) -> tuple[np.ndarray, np.ndarray]:
-    """The signals and the targets as float arrays, one target per sample."""
+    """The signals and the targets as float arrays, one finite target per sample."""
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != (data.n_samples,):
         raise ShapeError(f"expected {data.n_samples} targets, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise InvalidData("targets contain non-finite entries")
     return data.values, y
 
 
@@ -430,53 +432,51 @@ def run_labeled_sweep(
     Of ``split_template`` it reads only the validation and test fractions:
     the training fraction varies, the unlabeled fraction absorbs the
     remainder, and each of ``seeds`` replaces the template's seed. Every
-    fraction is checked before any fit. At one seed the fit pool (unlabeled
-    plus train) is usually the same index set for every fraction, so each
-    method is fitted once per distinct pool and only the readout is refitted
-    per fraction. The test set is the same at every fraction too, so each
-    fitted method embeds it once per distinct test set.
+    fraction is checked before any fit. Per seed, one split leaves the
+    unlabeled pool (every sample outside valid and test) in the seed's
+    permuted order; a fraction labels the pool's last ``round(fraction *
+    n_samples)`` samples, so a larger fraction labels a superset. Each
+    method is fitted on the pool, and embeds the test set, once per seed;
+    only the readout is refitted per fraction.
     """
     if not seeds:
         raise ConfigError("at least one seed is needed")
     if not train_fracs:
         raise ConfigError("at least one train fraction is needed")
     x, y = _xy(data, targets)
-    specs = []
+    pool_frac = 1.0 - split_template.valid_frac - split_template.test_frac
     for train_frac in train_fracs:
-        unlabeled = 1.0 - split_template.valid_frac - split_template.test_frac - train_frac
+        unlabeled = pool_frac - train_frac
         if unlabeled < -1e-9:
             raise ConfigError(f"train fraction {train_frac} leaves no room for the split")
-        specs.append(
+        # a negative or nan fraction, or an empty test set, fails before any fit
+        make_split(
             dataclasses.replace(
                 split_template, unlabeled_frac=max(unlabeled, 0.0), train_frac=train_frac
-            )
+            ),
+            data.n_samples,
         )
-        make_split(specs[-1], data.n_samples)  # an empty test set fails before any fit
+    pool_spec = dataclasses.replace(
+        split_template, unlabeled_frac=max(pool_frac, 0.0), train_frac=0.0
+    )
     rows = []
     for seed in seeds:
-        fits = {}  # sorted fit-pool indices -> each method's embedding
-        z_tests = {}  # (fit pool, test indices) -> each method's test embedding
-        for spec in specs:
-            train_frac = float(spec.train_frac)
-            split = make_split(dataclasses.replace(spec, seed=seed), data.n_samples)
-            if split.train.shape[0] < 2:
+        split = make_split(dataclasses.replace(pool_spec, seed=seed), data.n_samples)
+        pool = split.unlabeled
+        fits = z_tests = None
+        for train_frac in map(float, train_fracs):
+            train = pool[max(pool.size - int(np.round(train_frac * data.n_samples)), 0) :]
+            if train.shape[0] < 2:
                 for method in methods:
                     rows.append(LabeledRow(method.name, train_frac, seed, "skipped", None, None))
                 continue
-            pool = split.fit_pool.tobytes()
-            if pool not in fits:
-                pool_x = x[:, split.fit_pool]
+            if fits is None:
+                pool_x = x[:, np.sort(pool)]
                 cov = sample_covariance(pool_x)
-                fits[pool] = [_fit(method, cov, pool_x) for method in methods]
-            tested = (pool, split.test.tobytes())
-            if tested not in z_tests:
-                z_tests[tested] = [
-                    tuple(embedding.blocks(x[:, split.test])) for embedding in fits[pool]
-                ]
-            for method, embedding, z_test in zip(methods, fits[pool], z_tests[tested]):
-                ridge = ridge_path(
-                    embedding.blocks(x[:, split.train]), y[split.train], [method.alpha]
-                )
+                fits = [_fit(method, cov, pool_x) for method in methods]
+                z_tests = [tuple(fit.blocks(x[:, split.test])) for fit in fits]
+            for method, embedding, z_test in zip(methods, fits, z_tests):
+                ridge = ridge_path(embedding.blocks(x[:, train]), y[train], [method.alpha])
                 rows.append(
                     LabeledRow(
                         method.name,

@@ -152,11 +152,10 @@ def write_data_csv(path, data: DataMatrix) -> None:
 def read_targets_csv(path) -> np.ndarray:
     """The one column of a targets CSV, whose header names exactly one column."""
     path = Path(path)
-    with _open_text(path) as handle:
-        names = _read_header(path, handle)
+    names, body = _read_table(path)
     if len(names) != 1:
         raise InvalidData(f"{path}: header names {len(names)} columns, expected one target")
-    return _read_table(path)[1][:, 0]
+    return body[:, 0]
 
 
 def write_targets_csv(path, targets: np.ndarray) -> None:

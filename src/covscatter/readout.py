@@ -20,13 +20,13 @@ class PcaModel:
 def pca_fit(cov: SampleCovariance, k: int) -> PcaModel:
     """Leading ``k`` eigenvectors of ``cov.decomposition`` and the sample mean.
 
-    The eigenvalues stay with ``cov.decomposition``, their one owner.
+    Both are read-only views of ``cov``'s arrays; the eigenvalues stay with
+    ``cov.decomposition``, their one owner.
     """
     n = cov.n_features
     if not 1 <= k <= n:
         raise InvalidK(f"k must be in [1, {n}], got {k}")
-    components = cov.decomposition.eigenvectors[:, :k].copy()
-    return PcaModel(components=components, mean=cov.mean.copy())
+    return PcaModel(components=cov.decomposition.eigenvectors[:, :k], mean=cov.mean)
 
 
 def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Pruned covariance scattering transforms.
 
-A model holds one filterbank, which holds its wavelet operator, and the
-dense wavelet matrices and squared kernel responses computed from it. One
+A model holds one filterbank, which holds its wavelet operator and kernel
+responses, and the dense wavelet matrices computed from it. One
 depth-first recursion (:func:`_scatter`) applies every kernel followed by
 an absolute-value nonlinearity to a batch of signals. A pass decides or
 follows, never both: a deciding pass (:func:`decide_layout`) discards
@@ -77,15 +77,12 @@ class CstModel:
     """Reusable filterbank + wavelet matrices bundle.
 
     The operator is ``filterbank.operator``, with its ``gamma``.
-    ``matrices`` is the read-only (J, N, N) array of :func:`wavelet_matrices`;
-    ``squared_responses`` is the read-only (J, N) square of
-    ``filterbank.responses``, from which a deciding pass reads child energies.
+    ``matrices`` is the read-only (J, N, N) array of :func:`wavelet_matrices`.
     """
 
     config: CstConfig
     filterbank: Filterbank
     matrices: np.ndarray
-    squared_responses: np.ndarray
 
     @property
     def n_features(self) -> int:
@@ -176,7 +173,7 @@ def path_name(path: Path) -> str:
 
 
 def cst_fit(cov: SampleCovariance, config: CstConfig) -> CstModel:
-    """Build the operator, its filterbank, wavelet matrices and squared responses once for reuse.
+    """Build the operator, its filterbank and wavelet matrices once for reuse.
 
     The operator comes from ``cov.decomposition``, so models fitted on one
     estimate share its eigensolve. A filterbank whose frame upper bound
@@ -197,14 +194,7 @@ def cst_fit(cov: SampleCovariance, config: CstConfig) -> CstModel:
             f"frame upper bound {filterbank.frame_upper:g} overflows float64 over "
             f"{config.L} layers; use a smaller kernel or fewer layers"
         ) from None
-    squared = np.square(filterbank.responses)
-    squared.flags.writeable = False
-    return CstModel(
-        config=config,
-        filterbank=filterbank,
-        matrices=wavelet_matrices(filterbank),
-        squared_responses=squared,
-    )
+    return CstModel(config=config, filterbank=filterbank, matrices=wavelet_matrices(filterbank))
 
 
 def _aggregate(model: CstModel, signals: np.ndarray) -> np.ndarray:
@@ -226,9 +216,10 @@ def _scatter(model: CstModel, x: np.ndarray, layout: tuple[Path, ...] | None, ra
     the parent has zero energy) passes :func:`_kept` at
     ``model.config.tau``, and every child decided on is recorded in
     ``ratios``, from which :func:`_threshold` reads the decision. One
-    product ``V^T s`` per parent, squared, times ``model.squared_responses``
-    gives the energies of all J children, whose roots are their norms, so
-    only retained children that are parents of the next layer are formed.
+    product ``V^T s`` per parent, squared, times the square of
+    ``model.filterbank.responses`` gives the energies of all J children,
+    whose roots are their norms, so only retained children that are
+    parents of the next layer are formed.
     With ``layout`` the pass follows: a child is formed iff its path is in
     the layout, and no norm is computed. Only the current root-to-node
     chain is held, and a finished child is dropped before its next sibling
@@ -266,7 +257,7 @@ def _walk(model: CstModel, path: Path, signals, norms, follow, ratios: dict):
         # (N, n) array lives beside the children
         coeffs = model.filterbank.operator.decomposition.eigenvectors.T @ signals
         np.square(coeffs, out=coeffs)
-        child_norms = np.sqrt(model.squared_responses @ coeffs)
+        child_norms = np.sqrt(np.square(model.filterbank.responses) @ coeffs)
         del coeffs
         safe_parent = np.where(norms > 0.0, norms, 1.0)
         child_ratios = np.where(norms > 0.0, child_norms / safe_parent, 0.0)

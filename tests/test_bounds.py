@@ -18,7 +18,7 @@ from covscatter.bounds import (
     wavelet_delta,
 )
 from covscatter.cli import main
-from covscatter.errors import ConfigError, InvalidK
+from covscatter.errors import ConfigError, InvalidK, ShapeError
 from covscatter.io import read_data_csv
 from covscatter.scattering import CstConfig, cst_fit
 from covscatter.spectral import SampleCovariance, eig_sym, sample_covariance
@@ -92,6 +92,18 @@ class TestWaveletDelta:
     def test_non_finite_constants_rejected(self, name, value):
         with pytest.raises(ConfigError):
             BoundConstants(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value", [("Q", 0.0), ("k_max", -1.0), ("epsilon", 0.0), ("u", -1.0)]
+    )
+    def test_non_positive_constants_rejected(self, name, value):
+        with pytest.raises(ConfigError, match="must be positive"):
+            BoundConstants(**{name: value})
+
+    @pytest.mark.parametrize("n, t", [(0, 100), (10, 0)])
+    def test_non_positive_counts_rejected(self, n, t):
+        with pytest.raises(ConfigError, match="n and t must be positive"):
+            wavelet_delta(1.0, n, t, BoundConstants(), 1.0)
 
 
 class TestPruningPreserved:
@@ -185,6 +197,10 @@ class TestPcaGapScale:
         with pytest.raises(InvalidK):
             pca_gap_scale(np.array([3.0, 1.0]), 1)
 
+    def test_k_beyond_the_eigenvalues(self):
+        with pytest.raises(InvalidK, match="exceeds the 2 available"):
+            pca_gap_scale(np.array([3.0, 1.0]), 3)
+
     def test_heavier_tail_has_larger_scale(self):
         low = pca_gap_scale(eigenvalue_profile(20, 0.1, 4.0), 5)
         high = pca_gap_scale(eigenvalue_profile(20, 0.9, 4.0), 5)
@@ -204,6 +220,10 @@ class TestMeasuredWaveletDelta:
         # identical sets: the harness reports delta_measured == 0.0 at fraction 1.0
         a = np.stack([random_spd(4, s) for s in range(3)])
         assert measured_wavelet_delta(a, a.copy()) == 0.0
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            measured_wavelet_delta(np.zeros((3, 4, 4)), np.zeros((2, 4, 4)))
 
     def test_measured_delta_symmetric_sets(self):
         a = np.stack([random_spd(6, s) for s in range(3)])

@@ -529,6 +529,18 @@ class TestExperimentCommands:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+def test_module_runs_as_a_script(tmp_path):
+    # `python -m covscatter.cli` exits with main's code
+    run = subprocess.run(
+        [sys.executable, "-m", "covscatter.cli", "synth", "--out", str(tmp_path), "--seed", "-1"],
+        env={**os.environ, "PYTHONPATH": str(Path(covscatter.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 2
+    assert run.stderr.startswith("error:") and len(run.stderr.splitlines()) == 1
+
+
 def test_import_loads_no_scipy():
     # numpy is the only numerical dependency; a fresh interpreter shows what the import pulls in
     src = Path(covscatter.__file__).parents[1]
@@ -705,6 +717,24 @@ class TestFlagValues:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "expected 120 targets" in err and "Traceback" not in err
 
+    def test_non_finite_target_is_data_error(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path), "--n", "6", "--t", "300", "--seed", "1"]) == 0
+        targets = read_targets_csv(tmp_path / "targets.csv")
+        targets[5] = np.nan
+        write_targets_csv(tmp_path / "targets.csv", targets)
+        capsys.readouterr()
+        out = tmp_path / "grid"
+        code = main(
+            ["grid-search", "--data", str(tmp_path / "data.csv"), "--targets",
+             str(tmp_path / "targets.csv"), "--grid-j", "2", "--grid-l", "2", "--seed", "0",
+             "--out", str(out)]
+        )
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: targets contain non-finite entries"
+        ]
+        assert not (out / "grid.csv").exists()
+
     def test_tiny_effective_rank_writes_without_warning(self, tmp_path, capsys):
         # below 1e-4 every eigenvalue past the first underflows to zero: the same data
         base = ["synth", "--seed", "2", "--n", "8", "--t", "40"]
@@ -777,6 +807,14 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_config_for_an_unknown_command_is_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("j = 3\n")
+        with pytest.raises(SystemExit) as err:
+            main(["bogus", "--config", str(conf)])
+        assert err.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_config_equals_form(self, tmp_path):
         _, data_path, _ = make_data_files(tmp_path)
         conf = tmp_path / "run.conf"
@@ -840,3 +878,63 @@ class TestLargeMagnitudes:
         code, err, _ = self.run_scaled(tmp_path, capsys, argv, 1e150)
         assert code == 4 and len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "alpha_R 1," in err and "use a positive alpha_R" not in err
+
+
+def _edge_data():
+    """Small and degenerate (N, T) data sets by name: N = 2 with T = 2 and 3, and N = 5, T = 40."""
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((5, 40))
+    constant_column, duplicated_column = base.copy(), base.copy()
+    constant_column[2] = 1.5
+    duplicated_column[3] = duplicated_column[1]
+    return {
+        "n2-t2": rng.standard_normal((2, 2)),
+        "n2-t3": rng.standard_normal((2, 3)),
+        "constant-column": constant_column,
+        "duplicated-column": duplicated_column,
+        "rank-one": np.outer(rng.standard_normal(5), rng.standard_normal(40)),
+        "all-constant": np.full((5, 40), 2.0),
+    }
+
+
+EDGE_DATA = _edge_data()
+
+
+class TestEdgeShapedData:
+    PROTOCOL = ["--targets", "{targets}", "--seed", "0"]
+    COMMANDS = [
+        ["transform", "--j", "2", "--l", "2"],
+        ["pca", "--k", "2"],
+        ["bounds", "--j", "2", "--l", "2", "--pca-k", "2"],
+        ["stability", *PROTOCOL, "--runs", "1", "--families", "diffusion", "--j", "2", "--pca-k",
+         "2", "--raw", "--bounds"],
+        ["prune-sweep", *PROTOCOL, "--runs", "1", "--taus", "0,0.3", "--j", "2"],
+        ["labeled-sweep", *PROTOCOL, "--runs", "1", "--train-fracs", "0.3", "--j", "2"],
+        ["grid-search", *PROTOCOL, "--grid-j", "2", "--grid-l", "2"],
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values", EDGE_DATA.values(), ids=EDGE_DATA.keys())
+    def test_every_data_command_exits_cleanly(self, tmp_path, capsys, values):
+        data_path, targets_path = tmp_path / "data.csv", tmp_path / "targets.csv"
+        write_data_csv(data_path, DataMatrix(values))
+        write_targets_csv(targets_path, np.random.default_rng(4).standard_normal(values.shape[1]))
+        for command, *flags in self.COMMANDS:
+            out = tmp_path / command
+            flags = [flag.format(targets=targets_path) for flag in flags]
+            capsys.readouterr()
+            code = main([command, "--data", str(data_path), *flags, "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4), command
+            assert "Traceback" not in err and "Warning" not in err, command
+            if code:
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), command
+                continue
+            for path in out.glob("*.csv"):
+                for line in path.read_text().splitlines()[1:]:
+                    for cell in line.split(","):
+                        try:
+                            value = float(cell)
+                        except ValueError:
+                            continue
+                        assert math.isfinite(value), (command, path.name, line)

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from covscatter import bounds, harness
-from covscatter.errors import ConfigError, InvalidK, ShapeError
+from covscatter.errors import ConfigError, InvalidData, InvalidK, ShapeError
 from covscatter.readout import mae, pca_fit, pca_transform, ridge_path
 from covscatter.harness import (
     CstMethod,
@@ -466,14 +466,15 @@ class TestLabeledSweep:
         assert together == apart
 
     def test_rows_equal_one_fraction_runs(self, dataset, eig_calls, decisions):
-        # rounding gives these fractions fit pools of 236 and 235 of the 300 samples
+        # a split per fraction would round these fractions' fit pools to 236
+        # and 235 of the 300 samples; one split per seed leaves one pool
         template = SplitSpec(0.685, 0.1, 0.1, 0.115, seed=0)
         fracs = [0.1, 0.2]
         methods = _four_methods()
         kwargs = dict(split_template=template, seeds=[0, 1])
         together = run_labeled_sweep(dataset.data, dataset.targets, methods, fracs, **kwargs)
-        # each seed's two pools are each estimated once and fitted once per CST method
-        assert len(eig_calls) == 2 * 2 and len(decisions) == 2 * 2 * 2
+        # each seed's pool is estimated once and fitted once per CST method
+        assert len(eig_calls) == 2 and len(decisions) == 2 * 2
         apart = [
             row
             for f in fracs
@@ -688,3 +689,15 @@ class TestTargetsLength:
         targets = np.resize(dataset.targets, n_targets)
         with pytest.raises(ShapeError, match="expected 300 targets"):
             protocol(dataset.data, targets)
+
+
+class TestNonFiniteTargets:
+    # a valid-set sample, which no protocol trains on: only a check of the
+    # targets themselves can catch it
+    @pytest.mark.parametrize("protocol", PROTOCOLS.values(), ids=PROTOCOLS.keys())
+    def test_nan_target_is_data_error(self, dataset, eig_calls, protocol):
+        targets = dataset.targets.copy()
+        targets[make_split(DEFAULT_SPLIT, dataset.data.n_samples).valid[20]] = np.nan
+        with pytest.raises(InvalidData, match="targets contain non-finite entries"):
+            protocol(dataset.data, targets)
+        assert eig_calls == []

@@ -75,8 +75,10 @@ class TestDataRoundTrip:
             ("target\n1.0\nx\n", "{path}: non-numeric cell 'x' at row 3, column 1 (target)"),
             ("target\n", "{path}: no observation rows"),
             ("target,extra\n1.0,2.0\n", "{path}: header names 2 columns, expected one target"),
+            # the file is read once, so a malformed body is reported before the header
+            ("target,extra\n1.0\n", "{path}: row 2 has 1 cells, expected 2"),
         ],
-        ids=["non-numeric", "header only", "two names"],
+        ids=["non-numeric", "header only", "two names", "two names and a short row"],
     )
     def test_targets_messages_are_the_data_readers(self, tmp_path, text, message):
         path = tmp_path / "targets.csv"
@@ -119,6 +121,7 @@ READER_CASES = [
     ("cr line ends", "a,b\r1,2\r3,4\r", [[1.0, 3.0], [2.0, 4.0]]),
     ("crlf line ends", "a,b\r\n1,2\r\n3,4\r\n", [[1.0, 3.0], [2.0, 4.0]]),
     ("blank middle line", "a,b\n1,2\n\n3,4\n", [[1.0, 3.0], [2.0, 4.0]]),
+    ("quoted cell and blank line", 'a,b\n"1",2\n\n3,4\n', [[1.0, 3.0], [2.0, 4.0]]),
     ("padded cells", " a , b \n 1 ,2\n3, 4 \n", [[1.0, 3.0], [2.0, 4.0]]),
     # loadtxt strips \x1c around a number; float() does not
     ("separator control", "a,b\n1,2\n\x1c3,4\n",

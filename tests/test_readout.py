@@ -59,6 +59,11 @@ class TestPca:
         with pytest.raises(InvalidK):
             pca_fit(cov, 5)
 
+    def test_transform_checks_the_row_count(self):
+        model = pca_fit(SampleCovariance(np.eye(4), np.zeros(4), 10), 2)
+        with pytest.raises(ShapeError, match="expected 4 rows"):
+            pca_transform(model, np.ones((3, 5)))
+
     def test_instability_grows_as_gap_shrinks(self):
         # median projector distance between true and sample subspaces must
         # increase across three shrinking eigengap levels
@@ -265,6 +270,10 @@ class TestDualRidgePredict:
                 ridge_path(blocks, y, alphas)
         with pytest.raises(InvalidData):
             ridge_path(blocks, np.r_[y[:-1], np.nan], [1.0])
+        with pytest.raises(ShapeError, match="targets must be a vector"):
+            ridge_path(blocks, y[:, None], [1.0])
+        with pytest.raises(InvalidData, match="need at least one sample"):
+            ridge_path([np.ones((0, 3))], np.ones(0), [1.0])
         # every train block is checked
         with pytest.raises(InvalidData):
             ridge_path([*blocks[:3], np.full((10, 3), np.inf)], y, [1.0])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covscatter import wavelets
-from covscatter.errors import ConfigError, InvalidData, ShapeError
+from covscatter.errors import ConfigError, InvalidData, InvalidScaleCount, ShapeError
 from covscatter.scattering import (
     CstConfig,
     _aggregate,
@@ -71,7 +71,6 @@ class TestCstFit:
         eigenvalues = bank.operator.decomposition.eigenvalues
         expected = np.stack([kernel_eval(bank, j, eigenvalues) for j in range(J)])
         npt.assert_array_equal(bank.responses, expected)
-        npt.assert_array_equal(model.squared_responses, np.square(expected))
 
     def test_brain_shaped_model_builds(self):
         rng = np.random.default_rng(68)
@@ -85,6 +84,19 @@ class TestCstFit:
             CstConfig(family=Diffusion(), J=3, L=2, tau=1.0)
         with pytest.raises(ConfigError):
             CstConfig(family=Diffusion(), J=3, L=2, tau=-0.1)
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("J", 1, InvalidScaleCount),
+            ("L", 0, ConfigError),
+            ("aggregation", "max", ConfigError),
+            ("operator_kind", "laplacian", ConfigError),
+        ],
+    )
+    def test_invalid_config(self, field, value, error):
+        with pytest.raises(error):
+            CstConfig(**{"family": Diffusion(), "J": 3, "L": 2, field: value})
 
 
 class TestCstTransform:
@@ -575,6 +587,12 @@ class TestFeatureCount:
     @settings(max_examples=60, deadline=None)
     def test_matches_layer_sum(self, j, l):
         assert feature_count(j, l) == sum(j**ell for ell in range(l))
+
+    def test_invalid(self):
+        with pytest.raises(InvalidScaleCount):
+            feature_count(1, 2)
+        with pytest.raises(ConfigError):
+            feature_count(3, 0)
 
     def test_path_names(self):
         assert path_name(()) == "p_root"

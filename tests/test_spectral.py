@@ -6,11 +6,13 @@ import pytest
 
 from covscatter.cli import main
 from covscatter.errors import (
+    ConfigError,
     DegenerateCovariance,
     InsufficientSamples,
     InvalidData,
     NoConvergence,
     NotSymmetric,
+    ShapeError,
 )
 from covscatter.io import write_data_csv
 from covscatter.readout import pca_fit
@@ -92,6 +94,19 @@ class TestSampleCovariance:
         with pytest.raises(InvalidData):
             sample_covariance(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "matrix, mean, count, error",
+        [
+            (np.ones((2, 3)), np.zeros(2), 10, ShapeError),
+            (np.eye(2), np.zeros(3), 10, ShapeError),
+            (np.eye(2), np.zeros(2), 0, InsufficientSamples),
+        ],
+        ids=["non-square", "mean-length", "no-samples"],
+    )
+    def test_invalid_estimate(self, matrix, mean, count, error):
+        with pytest.raises(error):
+            SampleCovariance(matrix=matrix, mean=mean, sample_count=count)
+
     def test_consistency_as_samples_double(self):
         # median estimation error must not increase when T quadruples
         true = random_spd(8, 0)
@@ -154,6 +169,10 @@ class TestEigSym:
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):
             eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_not_square(self):
+        with pytest.raises(ShapeError):
+            eig_sym(np.ones((2, 3)))
 
     @pytest.mark.parametrize("scale", [1.0, 1e160, 1e300])
     def test_symmetry_check_holds_at_any_scale(self, scale):
@@ -224,6 +243,11 @@ class TestWaveletOperator:
     def _identity_cov(self, n=3):
         return SampleCovariance(matrix=np.eye(n), mean=np.zeros(n), sample_count=10)
 
+    @pytest.mark.parametrize("kind, gamma", [("laplacian", 1.0), (NORMALIZED, 0.0)])
+    def test_invalid_settings(self, kind, gamma):
+        with pytest.raises(ConfigError):
+            wavelet_operator(self._identity_cov(), kind, gamma)
+
     def test_identity_normalized(self):
         op = wavelet_operator(self._identity_cov(), NORMALIZED, 1.0)
         npt.assert_allclose(op.matrix, np.eye(3), atol=1e-12)
@@ -281,6 +305,10 @@ class TestDataMatrix:
         dm = DataMatrix(np.ones((2, 3)))
         with pytest.raises(ValueError):
             dm.values[0, 0] = 2.0
+
+    def test_rejects_three_dimensions(self):
+        with pytest.raises(InvalidData, match="2-D"):
+            DataMatrix(np.ones((2, 3, 2)))
 
     def test_feature_name_count(self):
         with pytest.raises(InvalidData):

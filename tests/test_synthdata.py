@@ -66,3 +66,5 @@ class TestGenerate:
             SynthSpec(n_features=1, n_samples=10, tail=0.5)
         with pytest.raises(ConfigError):
             SynthSpec(n_features=5, n_samples=10, tail=0.5, noise_sigma=-1.0)
+        with pytest.raises(ConfigError):
+            SynthSpec(n_features=5, n_samples=10, tail=0.5, effective_rank=0.0)

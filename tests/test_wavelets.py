@@ -7,6 +7,7 @@ from covscatter.errors import (
     DegenerateSpectrum,
     DomainError,
     InvalidScaleCount,
+    ShapeError,
 )
 from covscatter.spectral import (
     INVERTED,
@@ -16,6 +17,7 @@ from covscatter.spectral import (
     WaveletOperator,
     wavelet_operator,
 )
+from covscatter import wavelets
 from covscatter.wavelets import (
     Diffusion,
     Hann,
@@ -154,6 +156,43 @@ class TestBuildFilterbank:
         with pytest.raises(DegenerateSpectrum):
             build_filterbank(op, Monic(), 3)
 
+    def test_monic_zero_lower_quartile_rejected(self):
+        op = diag_operator([0.0, 0.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], 1.0)
+        with pytest.raises(DegenerateSpectrum, match="lambda_bar1"):
+            build_filterbank(op, Monic(), 3)
+
+    def test_monic_infinite_cubic_coefficient_rejected(self):
+        # the cubic's solve overflows inside LAPACK, which raises no floating-point flag
+        spectrum = [1e-305, 1e-305, *[0.01] * 6]
+        assert np.isinf(wavelets._monic_cubic_coeffs(1e-305, 0.01, 1.0, 1.0)).any()
+        with pytest.raises(ConfigError, match="leaves the float64 range"):
+            build_filterbank(diag_operator(spectrum, 1.0), Monic(alpha=1.0, beta=1.0), 3)
+
+    def test_needs_two_scales(self):
+        with pytest.raises(InvalidScaleCount):
+            build_filterbank(diag_operator([0.5, 1.0], 0.5), Diffusion(), 1)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ConfigError, match="unknown kernel family"):
+            build_filterbank(diag_operator([0.5, 1.0], 0.5), "diffusion", 3)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: Hann(R=0.0), lambda: Monic(alpha=0.5), lambda: Monic(beta=0.5)],
+        ids=["hann-r", "monic-alpha", "monic-beta"],
+    )
+    def test_family_parameters_checked(self, make):
+        with pytest.raises(ConfigError):
+            make()
+
+    def test_hann_warp_falls_back_on_a_flat_spectrum(self):
+        gamma = default_gamma(Hann(), 3)
+        op = wavelet_operator(SampleCovariance(np.eye(5), np.zeros(5), 10), NORMALIZED, gamma)
+        fb = build_filterbank(op, Hann(), 3)
+        eps = 1e-6 * gamma
+        assert fb.scales["warp_lo"] == np.log(eps)
+        assert fb.scales["warp_hi"] == np.log(gamma + eps)
+        assert np.all(np.isfinite(fb.responses))
+
     def test_diffusion_gamma_above_one_rejected(self):
         op = diag_operator([0.5, 1.0], 1.2)
         with pytest.raises(ConfigError):
@@ -246,6 +285,12 @@ class TestWaveletMatrices:
             err = np.linalg.norm(mats[j] @ x - poly[j])
             assert err <= 1e-8 * np.linalg.norm(x)
 
+    def test_polynomial_checks(self):
+        with pytest.raises(ShapeError):
+            diffusion_apply(np.eye(3), np.ones(4), 3)
+        with pytest.raises(InvalidScaleCount):
+            diffusion_apply(np.eye(3), np.ones(3), 1)
+
     def test_matrices_symmetric(self):
         for family in FAMILIES:
             op = make_operator(9, 2, family, 4)
@@ -317,3 +362,11 @@ class TestLocalization:
         fb = build_filterbank(op, Diffusion(), 3)
         with pytest.raises(IndexError):
             localization_profile(fb, 6, 1)
+        with pytest.raises(IndexError):
+            localization_profile(fb, 0, 3)
+
+    def test_other_families_have_no_bound(self):
+        fb = build_filterbank(make_operator(6, 3, Hann(), 3), Hann(), 3)
+        prof = localization_profile(fb, 2, 1)
+        npt.assert_array_equal(prof.values, wavelet_matrices(fb)[1][:, 2])
+        assert prof.bound is None and prof.distances is None
