@@ -103,9 +103,8 @@ def _add_family_flags(parser, without=()):
 
 
 def _add_split_flags(parser, sweeps_train=False):
-    """The split's fractions; a sweep over the train fraction takes only the valid and test ones."""
+    """The train, valid and test fractions; a sweep over the train fraction takes the last two."""
     if not sweeps_train:
-        parser.add_argument("--unlabeled-frac", type=float, default=0.5)
         parser.add_argument("--train-frac", type=float, default=0.1)
     parser.add_argument("--valid-frac", type=float, default=0.2)
     parser.add_argument("--test-frac", type=float, default=0.2)
@@ -152,9 +151,17 @@ def _write_provenance(args, path, derived=None):
 
 
 def _split_spec(args):
-    return harness.SplitSpec(
-        args.unlabeled_frac, args.train_frac, args.valid_frac, args.test_frac, args.seed
-    )
+    """The one derivation of the unlabeled fraction: what train, valid and test leave.
+
+    ``labeled-sweep``'s train fraction is 0, as its sweep sets it. A remainder
+    within 1e-9 below zero is rounding; a larger overshoot is a ConfigError.
+    """
+    train = vars(args).get("train_frac", 0.0)
+    labeled = train + args.valid_frac + args.test_frac
+    unlabeled = 1.0 - labeled  # one subtraction: the defaults leave exactly 0.5
+    if unlabeled < -1e-9:
+        raise ConfigError(f"split fractions sum to {labeled}, more than 1")
+    return harness.SplitSpec(max(unlabeled, 0.0), train, args.valid_frac, args.test_frac, args.seed)
 
 
 def _methods_from_flags(args):
@@ -172,9 +179,17 @@ def _methods_from_flags(args):
     return methods
 
 
-def _write_report(path, rows, columns):
-    """Write one CSV line per report row: the attributes named by ``columns``, in order."""
-    io.write_rows_csv(path, columns, [[getattr(row, c) for c in columns] for row in rows])
+def _write_report(args, stem, rows, columns):
+    """Write ``<stem>.csv``, one line of ``columns`` per row, and ``<stem>.provenance.txt``.
+
+    Called once the run has succeeded; prints the CSV's row count, returns the output directory.
+    """
+    out = _out_dir(args)
+    report = out / f"{stem}.csv"
+    io.write_rows_csv(report, columns, [[getattr(row, c) for c in columns] for row in rows])
+    _write_provenance(args, out / f"{stem}.provenance.txt")
+    print(f"wrote {report} ({len(rows)} rows)")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +262,11 @@ def _cmd_stability(args):
         seeds=list(range(args.runs)),
         include_bounds=args.bounds,
     )
-    out = _out_dir(args)
-    _write_report(out / "stability.csv", report.rows, report.header())
-    _write_provenance(args, out / "stability.provenance.txt")
+    out = _write_report(args, "stability", report.rows, report.header())
     if args.plotdata:
         for metric in ("mae", "embedding_mse"):
             header = ["x", "series", "y", "y_lo", "y_hi"]
             io.write_rows_csv(out / f"stability_{metric}.plotdata", header, report.plotdata(metric))
-    print(f"wrote {out / 'stability.csv'} ({len(report.rows)} rows)")
     return 0
 
 
@@ -262,13 +274,8 @@ def _cmd_prune_sweep(args):
     data, targets = _load_dataset(args)
     method = harness.CstMethod(name="cst", config=_build_config(args), alpha=args.alpha)
     seeds = list(range(args.seed, args.seed + args.runs))
-    rows = harness.run_pruning_sweep(
-        data, targets, method, args.taus, _split_spec(args), seeds=seeds
-    )
-    out = _out_dir(args)
-    _write_report(out / "pruning.csv", rows, harness.columns(harness.PruningRow))
-    _write_provenance(args, out / "pruning.provenance.txt")
-    print(f"wrote {out / 'pruning.csv'} ({len(rows)} rows)")
+    rows = harness.run_pruning_sweep(data, targets, method, args.taus, _split_spec(args), seeds)
+    _write_report(args, "pruning", rows, harness.columns(harness.PruningRow))
     return 0
 
 
@@ -284,18 +291,11 @@ def _cmd_labeled_sweep(args):
     if args.pca_k is not None:
         methods.append(harness.PcaMethod(name="pca", k=args.pca_k, alpha=args.alpha))
     methods.append(harness.RawMethod(name="raw", alpha=args.alpha))
-    # the sweep sets the train fraction, and the unlabeled fraction takes the rest
-    template = harness.SplitSpec(
-        1.0 - args.valid_frac - args.test_frac, 0.0, args.valid_frac, args.test_frac, args.seed
-    )
     seeds = list(range(args.seed, args.seed + args.runs))
     rows = harness.run_labeled_sweep(
-        data, targets, methods, args.train_fracs, template, seeds=seeds
+        data, targets, methods, args.train_fracs, _split_spec(args), seeds
     )
-    out = _out_dir(args)
-    _write_report(out / "labeled.csv", rows, harness.columns(harness.LabeledRow))
-    _write_provenance(args, out / "labeled.provenance.txt")
-    print(f"wrote {out / 'labeled.csv'} ({len(rows)} rows)")
+    _write_report(args, "labeled", rows, harness.columns(harness.LabeledRow))
     return 0
 
 
@@ -333,9 +333,7 @@ def _cmd_grid_search(args):
         args.grid_alpha,
         _split_spec(args),
     )
-    out = _out_dir(args)
-    _write_report(out / "grid.csv", rows, harness.columns(harness.GridRow))
-    _write_provenance(args, out / "grid.provenance.txt")
+    _write_report(args, "grid", rows, harness.columns(harness.GridRow))
     print(
         f"best: J={best.J} L={best.L} operator={best.operator} alpha={best.alpha} "
         f"valid_mae={best.valid_mae:.6g}"

@@ -429,40 +429,30 @@ def run_labeled_sweep(
 ) -> list[LabeledRow]:
     """Re-train the readout at several labeled-set sizes.
 
-    Of ``split_template`` it reads only the validation and test fractions:
-    the training fraction varies, the unlabeled fraction absorbs the
-    remainder, and each of ``seeds`` replaces the template's seed. Every
-    fraction is checked before any fit. Per seed, one split leaves the
-    unlabeled pool (every sample outside valid and test) in the seed's
-    permuted order; a fraction labels the pool's last ``round(fraction *
-    n_samples)`` samples, so a larger fraction labels a superset. Each
-    method is fitted on the pool, and embeds the test set, once per seed;
-    only the readout is refitted per fraction.
+    Per seed, which replaces the template's, ``split_template`` gives one
+    split: its unlabeled and train parts, in the seed's permuted order, are
+    the pool, and valid and test are left out. A fraction labels the pool's
+    last ``round(fraction * n_samples)`` samples, so a larger fraction
+    labels a superset. Every fraction and every seed's split is checked
+    before any fit. Each method is fitted on the pool, and embeds the test
+    set, once per seed; only the readout is refitted per fraction.
     """
     if not seeds:
         raise ConfigError("at least one seed is needed")
     if not train_fracs:
         raise ConfigError("at least one train fraction is needed")
     x, y = _xy(data, targets)
-    pool_frac = 1.0 - split_template.valid_frac - split_template.test_frac
+    room = split_template.unlabeled_frac + split_template.train_frac
     for train_frac in train_fracs:
-        unlabeled = pool_frac - train_frac
-        if unlabeled < -1e-9:
+        if not train_frac >= 0.0:
+            raise ConfigError("split fractions must be non-negative")
+        if train_frac > room + 1e-9:
             raise ConfigError(f"train fraction {train_frac} leaves no room for the split")
-        # a negative or nan fraction, or an empty test set, fails before any fit
-        make_split(
-            dataclasses.replace(
-                split_template, unlabeled_frac=max(unlabeled, 0.0), train_frac=train_frac
-            ),
-            data.n_samples,
-        )
-    pool_spec = dataclasses.replace(
-        split_template, unlabeled_frac=max(pool_frac, 0.0), train_frac=0.0
-    )
+    specs = [dataclasses.replace(split_template, seed=seed) for seed in seeds]
+    splits = [make_split(spec, data.n_samples) for spec in specs]  # each checks its test set
     rows = []
-    for seed in seeds:
-        split = make_split(dataclasses.replace(pool_spec, seed=seed), data.n_samples)
-        pool = split.unlabeled
+    for seed, split in zip(seeds, splits):
+        pool = np.concatenate([split.unlabeled, split.train])
         fits = z_tests = None
         for train_frac in map(float, train_fracs):
             train = pool[max(pool.size - int(np.round(train_frac * data.n_samples)), 0) :]
@@ -471,7 +461,7 @@ def run_labeled_sweep(
                     rows.append(LabeledRow(method.name, train_frac, seed, "skipped", None, None))
                 continue
             if fits is None:
-                pool_x = x[:, np.sort(pool)]
+                pool_x = x[:, split.fit_pool]
                 cov = sample_covariance(pool_x)
                 fits = [_fit(method, cov, pool_x) for method in methods]
                 z_tests = [tuple(fit.blocks(x[:, split.test])) for fit in fits]

@@ -26,6 +26,7 @@ def pca_fit(cov: SampleCovariance, k: int) -> PcaModel:
     n = cov.n_features
     if not 1 <= k <= n:
         raise InvalidK(f"k must be in [1, {n}], got {k}")
+    cov.top_eigenvalue  # DegenerateCovariance unless positive: no direction leads
     return PcaModel(components=cov.decomposition.eigenvectors[:, :k], mean=cov.mean)
 
 
@@ -40,13 +41,15 @@ def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
 def _ridge_solve(gram, rhs, alphas) -> np.ndarray:
     """The (n_alphas, m) solutions of ``(gram + alpha I) s = rhs``, one alpha at a time.
 
-    Each system's Cholesky factor checks that it is positive definite.
+    Each system's Cholesky factor checks that it is positive definite. A system found singular
+    by the factor, or by the solve where rounding let the factor pass, raises SingularSystem.
     """
     solutions = np.empty((len(alphas), gram.shape[0]))
     for i, alpha in enumerate(alphas):
         system = gram + alpha * np.eye(gram.shape[0])
         try:
             np.linalg.cholesky(system)
+            solutions[i] = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError as exc:
             if alpha > 0:
                 message = (
@@ -56,7 +59,6 @@ def _ridge_solve(gram, rhs, alphas) -> np.ndarray:
             else:
                 message = "normal equations are singular; use a positive alpha_R"
             raise SingularSystem(message) from exc
-        solutions[i] = np.linalg.solve(system, rhs)
     return solutions
 
 

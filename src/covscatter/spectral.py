@@ -120,6 +120,13 @@ class SampleCovariance:
         """
         return eig_sym(self.matrix)
 
+    @property
+    def top_eigenvalue(self) -> float:
+        """The largest eigenvalue; :class:`DegenerateCovariance` unless it is positive."""
+        if self.decomposition.eigenvalues[0] <= 0.0:
+            raise DegenerateCovariance("largest covariance eigenvalue is not positive")
+        return float(self.decomposition.eigenvalues[0])
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -229,10 +236,8 @@ def wavelet_operator(cov: SampleCovariance, kind: str, gamma: float) -> WaveletO
         raise ConfigError(f"unknown operator kind {kind!r}")
     if not gamma > 0.0:
         raise ConfigError("gamma must be positive")
+    w1 = cov.top_eigenvalue
     dec = cov.decomposition
-    w1 = float(dec.eigenvalues[0])
-    if w1 <= 0.0:
-        raise DegenerateCovariance("largest covariance eigenvalue is not positive")
     if kind == NORMALIZED:
         matrix = gamma * cov.matrix / w1
         values = gamma * dec.eigenvalues / w1

@@ -66,7 +66,8 @@ def synth_generate(spec: SynthSpec) -> SynthDataset:
     """Draw a dataset from a random covariance with the requested spectrum.
 
     Draw order is fixed (basis, weights, samples, noise) so identical specs
-    produce bit-identical datasets.
+    produce bit-identical datasets. A noise level whose targets overflow
+    float64 is a :class:`ConfigError`.
     """
     rng = np.random.default_rng(spec.seed)
     n, t = spec.n_features, spec.n_samples
@@ -83,7 +84,10 @@ def synth_generate(spec: SynthSpec) -> SynthDataset:
     jitter = 1e-12 * np.trace(cov) / n
     chol = np.linalg.cholesky(cov + jitter * np.eye(n))
     x = chol @ rng.standard_normal((n, t))
-    y = weights @ x + spec.noise_sigma * rng.standard_normal(t)
+    with np.errstate(over="ignore"):
+        y = weights @ x + spec.noise_sigma * rng.standard_normal(t)
+    if not np.all(np.isfinite(y)):
+        raise ConfigError(f"noise_sigma (--noise) {spec.noise_sigma:g} overflows the targets")
 
     names = [f"f{i}" for i in range(n)]
     return SynthDataset(

@@ -86,6 +86,17 @@ class TestSynth:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_noise_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        capsys.readouterr()
+        code = main(["synth", "--out", str(out), "--seed", "1", "--n", "5", "--t", "40",
+                     "--noise", "1e308"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "--noise" in err
+        assert not out.exists()
+
     def test_seed_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(["synth", "--out", str(tmp_path)])
@@ -214,6 +225,29 @@ class TestPcaCommand:
         lines = (out / "pca.csv").read_text().strip().splitlines()
         assert lines[0] == "pc1,pc2,pc3"
         assert len(lines) == 1 + 120
+
+    # constant data have no positive eigenvalue, so no leading direction;
+    # the raw features need no spectrum
+    CONSTANT = {
+        "pca": (["pca", "--k", "2"], 4),
+        "stability-pca": (["stability", "--families=", "--pca-k", "2"], 4),
+        "stability-raw": (["stability", "--families=", "--raw"], 0),
+    }
+
+    @pytest.mark.parametrize("argv, expected", CONSTANT.values(), ids=CONSTANT.keys())
+    def test_constant_data(self, tmp_path, capsys, argv, expected):
+        data_path, targets_path = tmp_path / "data.csv", tmp_path / "targets.csv"
+        write_data_csv(data_path, DataMatrix(np.full((5, 40), 2.0)))
+        write_targets_csv(targets_path, np.arange(40.0))
+        if argv[0] == "stability":
+            argv = [*argv, "--targets", str(targets_path), "--seed", "0", "--runs", "1"]
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main([*argv, "--data", str(data_path), "--out", str(out)]) == expected
+        if expected:
+            err = capsys.readouterr().err
+            assert err == "error: largest covariance eigenvalue is not positive\n"
+            assert not out.exists()
 
 
 class TestExperimentCommands:
@@ -565,7 +599,7 @@ class TestFlagValues:
         "bounds-q-nan": ["bounds", "--data", "{data}", "--q", "nan"],
         "stability-alpha-nan": [*STABILITY, "--alpha", "nan"],
         "stability-fraction-above-one": [*STABILITY, "--fractions", "2.0"],
-        "stability-split-nan": [*STABILITY, "--unlabeled-frac", "nan"],
+        "stability-split-nan": [*STABILITY, "--train-frac", "nan"],
         "grid-search-empty-j": ["grid-search", *SPLIT, "--grid-j", "", "--grid-l", "2"],
         "grid-search-empty-alpha": ["grid-search", *SPLIT, "--grid-j", "2", "--grid-alpha", ""],
         "transform-hann-gamma-huge": ["transform", "--data", "{data}", "--family", "hann",
@@ -612,13 +646,13 @@ class TestFlagValues:
     BOUNDS = ["bounds", "--data", "{data}"]
     GRID_SEARCH = ["grid-search", *SPLIT, "--grid-j", "2", "--grid-l", "2"]
     # of 300 samples, a test fraction of 0.001 and a valid fraction of 0 round to none
-    NO_TEST = ["--test-frac", "0.001", "--unlabeled-frac", "0.699"]
+    NO_TEST = ["--test-frac", "0.001"]
     EMPTY_EVALUATION = {
         "stability": [*STABILITY, *NO_TEST],
         "prune-sweep": [*PRUNE_SWEEP, *NO_TEST],
         # the unlabeled fraction takes what the swept train fraction leaves
         "labeled-sweep": [*LABELED_SWEEP, "--test-frac", "0.001"],
-        "grid-search": [*GRID_SEARCH, "--valid-frac", "0", "--unlabeled-frac", "0.7"],
+        "grid-search": [*GRID_SEARCH, "--valid-frac", "0"],
     }
 
     @pytest.mark.parametrize("argv", EMPTY_EVALUATION.values(), ids=EMPTY_EVALUATION.keys())
@@ -635,7 +669,7 @@ class TestFlagValues:
 
     # labeled-sweep is left out: its train fraction is the swept quantity, and a
     # train set under 2 samples gives `skipped` rows
-    NO_TRAIN = ["--train-frac", "0", "--unlabeled-frac", "0.6"]
+    NO_TRAIN = ["--train-frac", "0"]
     EMPTY_TRAIN = {
         "stability": [*STABILITY, *NO_TRAIN],
         "prune-sweep": [*PRUNE_SWEEP, *NO_TRAIN],
@@ -659,13 +693,16 @@ class TestFlagValues:
     PCA = ["pca", "--data", "{data}", "--k", "2"]
     # the flags a command's run would ignore or override: stability never prunes
     # and --families names its families, --taus sets prune-sweep's tau,
-    # labeled-sweep runs both aggregations and sweeps the train fraction (the
-    # unlabeled fraction is the rest), no bound reads tau, grid-search's grids set
-    # J, L and the operator, and only the protocols read targets
+    # labeled-sweep runs both aggregations and sweeps the train fraction, the
+    # unlabeled fraction is what the others leave, no bound reads tau,
+    # grid-search's grids set J, L and the operator, and only the protocols
+    # read targets
     DROPPED = {
         "stability-tau": (STABILITY, "tau", "0.1"),
         "stability-family": (STABILITY, "family", "monic"),
+        "stability-unlabeled-frac": (STABILITY, "unlabeled-frac", "0.5"),
         "prune-sweep-tau": (PRUNE_SWEEP, "tau", "0.1"),
+        "prune-sweep-unlabeled-frac": (PRUNE_SWEEP, "unlabeled-frac", "0.5"),
         "labeled-sweep-aggregation": (LABELED_SWEEP, "aggregation", "mean"),
         "labeled-sweep-train-frac": (LABELED_SWEEP, "train-frac", "0.3"),
         "labeled-sweep-unlabeled-frac": (LABELED_SWEEP, "unlabeled-frac", "0.3"),
@@ -673,6 +710,7 @@ class TestFlagValues:
         "grid-search-j": (GRID_SEARCH, "j", "3"),
         "grid-search-l": (GRID_SEARCH, "l", "3"),
         "grid-search-operator": (GRID_SEARCH, "operator", "inverted"),
+        "grid-search-unlabeled-frac": (GRID_SEARCH, "unlabeled-frac", "0.5"),
         "transform-targets": (TRANSFORM, "targets", "targets.csv"),
         "pca-targets": (PCA, "targets", "targets.csv"),
         "bounds-targets": (BOUNDS, "targets", "targets.csv"),
@@ -694,6 +732,32 @@ class TestFlagValues:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert f"unknown config key {key!r}" in err
+        assert not (tmp_path / "o").exists()
+
+    # the unlabeled fraction takes the rest, so no other fraction must change with it
+    TAKES_TRAIN_FRAC = {"stability": STABILITY, "prune-sweep": PRUNE_SWEEP, "grid-search": GRID_SEARCH}
+
+    @pytest.mark.parametrize("argv", TAKES_TRAIN_FRAC.values(), ids=TAKES_TRAIN_FRAC.keys())
+    def test_train_fraction_alone(self, tmp_path, argv):
+        _, data_path, targets_path = make_data_files(tmp_path)
+        argv = [arg.format(data=data_path, targets=targets_path) for arg in argv]
+        assert main([*argv, "--train-frac", "0.2", "--out", str(tmp_path / "o")]) == 0
+
+    # train 0.1 (none for labeled-sweep), valid 0.2 and test 0.95
+    OVER_ONE = {
+        "stability": (STABILITY, "1.25"),
+        "prune-sweep": (PRUNE_SWEEP, "1.25"),
+        "labeled-sweep": (LABELED_SWEEP, "1.15"),
+        "grid-search": (GRID_SEARCH, "1.25"),
+    }
+
+    @pytest.mark.parametrize("argv, total", OVER_ONE.values(), ids=OVER_ONE.keys())
+    def test_fractions_over_one_name_their_sum(self, tmp_path, capsys, argv, total):
+        _, data_path, targets_path = make_data_files(tmp_path)
+        argv = [arg.format(data=data_path, targets=targets_path) for arg in argv]
+        capsys.readouterr()
+        assert main([*argv, "--test-frac", "0.95", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: split fractions sum to {total}, more than 1\n"
         assert not (tmp_path / "o").exists()
 
     COMMANDS_WITH_TARGETS = {
@@ -870,6 +934,14 @@ class TestLargeMagnitudes:
             assert match and 0.0 < float(match[1]) <= 2.0 * np.abs(scaled).max()
         elif scale == 1e-150:
             assert code == 0
+
+    def test_singular_solve_past_a_passing_factor(self, tmp_path, capsys):
+        # at 1e8 the Cholesky factor of one labeled-sweep system passes, and
+        # its LU solve meets a zero pivot: the same error as a failing factor
+        argv = ["labeled-sweep", "--targets", "{targets}", "--seed", "0", "--runs", "1"]
+        code, err, _ = self.run_scaled(tmp_path, capsys, argv, 1e8)
+        assert code == 4 and len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "regularizes nothing" in err
 
     def test_default_families_singular_at_positive_alpha(self, tmp_path, capsys):
         # at 1e150 an alpha_R of 1 is below the rounding of the Gram matrix, so a

@@ -56,6 +56,24 @@ def readme_left_out():
     return full, left_out
 
 
+def readme_split_flags():
+    """Each command of README's "The split flags of" sentence, with the flags it names."""
+    text = " ".join(section("README.md", "## CLI").split())
+    taken = {}
+    for clause in re.search(r"The split flags of (.*?)\. ", text)[1].split("; those of "):
+        commands, _, listed = clause.partition(" are ")
+        for command in names(commands):
+            taken[command] = set(names(listed.split(", as ")[0]))
+    return taken
+
+
+def test_readme_names_each_command_split_flags():
+    split = {command: {f for f in flags(command) if f.endswith("-frac")} for command in COMMANDS}
+    assert readme_split_flags() == {command: taken for command, taken in split.items() if taken}
+    text = " ".join(section("README.md", "## CLI").split())
+    assert "The unlabeled pool is what the train, valid and test fractions leave" in text
+
+
 def test_the_transform_flags_are_the_transform_commands():
     assert config_table()[0] == TRANSFORM
     assert readme_left_out()[0] == TRANSFORM

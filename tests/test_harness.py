@@ -514,20 +514,34 @@ class TestLabeledSweep:
             assert sum(np.array_equal(c, test_x) for c in calls) == len(methods)
         # and every other call follows one row's train set: once for a primal
         # readout (D <= t), twice for a dual one
+        pool_size = make_split(DEFAULT_SPLIT, 300).fit_pool.size
         train_passes = 0
         for row in rows:
             if row.status == "ok":
-                spec = dataclasses.replace(
-                    DEFAULT_SPLIT,
-                    unlabeled_frac=1.0 - DEFAULT_SPLIT.valid_frac - DEFAULT_SPLIT.test_frac
-                    - row.train_frac,
-                    train_frac=row.train_frac,
-                    seed=row.seed,
-                )
-                t = make_split(spec, 300).train.shape[0]
+                t = min(round(row.train_frac * 300), pool_size)
                 train_passes += 1 + (row.feature_width > t)
         assert 0 < sum(r.status == "ok" for r in rows) < train_passes
         assert len(calls) == train_passes + 2 * len(methods)
+
+    def test_pool_is_the_template_unlabeled_and_train_parts(self, dataset, monkeypatch):
+        estimated = []
+        estimate = harness.sample_covariance
+
+        def recording_sample_covariance(x):
+            estimated.append(np.array(x))
+            return estimate(x)
+
+        monkeypatch.setattr(harness, "sample_covariance", recording_sample_covariance)
+        template = SplitSpec(0.3, 0.3, 0.2, 0.2, seed=0)
+        rows = run_labeled_sweep(
+            dataset.data, dataset.targets, [RawMethod("raw", alpha=1.0)], [0.5], template, [1]
+        )
+        split = make_split(dataclasses.replace(template, seed=1), 300)
+        assert split.train.size == 90 and split.fit_pool.size == 180
+        assert len(estimated) == 1
+        npt.assert_array_equal(estimated[0], dataset.data.values[:, split.fit_pool])
+        # half of the 300 samples are labeled, all from the pool
+        assert rows[0].status == "ok"
 
     def test_every_fraction_checked_before_any_fit(self, dataset, eig_calls):
         with pytest.raises(ConfigError, match="train fraction 0.7"):

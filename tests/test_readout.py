@@ -172,6 +172,16 @@ class TestRidge:
         assert "alpha_R 1," in message and f"scale of {2.0**1002:.3g}" in message
         assert "use a positive alpha_R" not in message
 
+    def test_singular_solve_after_a_passing_factor(self, rng, monkeypatch):
+        # rounding can leave a near-singular system a positive Cholesky factor
+        # and an LU solve a zero pivot; both are one SingularSystem
+        def singular(system, rhs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SingularSystem, match="alpha_R 1, which regularizes nothing"):
+            ridge_path([rng.standard_normal((30, 4))], rng.standard_normal(30), [1.0])
+
     def test_dual_solve_matches_primal(self, rng):
         # D > t takes the dual path; check it against the primal normal equations
         x = rng.standard_normal((8, 40))
