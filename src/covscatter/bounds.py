@@ -223,18 +223,24 @@ def bound_table(cov, model, constants: BoundConstants, pca_k: int | None = None)
 
 
 def pca_gap_scale(eigenvalues: np.ndarray, k: int) -> float:
-    """Inverse of the smallest eigengap among the top k eigenvalues.
+    """Inverse of the smallest eigengap that sets the top k eigenvectors.
 
-    This is the scale factor of the PCA instability bound. Duplicate
-    eigenvalues among the top k make the bound vacuous; infinity is returned
-    as the flagged sentinel in that case.
+    Each of the top k eigenvectors is set only up to the gaps on either side
+    of its eigenvalue (Davis-Kahan), so the gaps are those between
+    consecutive eigenvalues among the k + 1 largest (the k largest when k is
+    every eigenvalue). This is the scale factor of the PCA instability
+    bound. A zero gap makes the bound vacuous; infinity is returned as the
+    flagged sentinel in that case. With one eigenvalue there is no gap, and
+    :class:`InvalidK` is raised.
     """
     w = np.sort(np.asarray(eigenvalues, dtype=np.float64))[::-1]
-    if k < 2:
-        raise InvalidK("gap scale needs k >= 2")
+    if k < 1:
+        raise InvalidK(f"gap scale needs k >= 1, got {k}")
     if k > w.shape[0]:
         raise InvalidK(f"k={k} exceeds the {w.shape[0]} available eigenvalues")
-    gaps = np.diff(w[:k])
+    gaps = np.diff(w[: k + 1])
+    if not gaps.size:
+        raise InvalidK("gap scale needs at least two eigenvalues")
     min_gap = float(np.abs(gaps).min())
     if min_gap == 0.0:
         return math.inf

@@ -1,10 +1,12 @@
 """Experiment protocols: covariance-perturbation stability, pruning and
 labeled-size sweeps, and grid search over transform configurations.
 
-All randomness flows from explicit seeds through :func:`derived_rng`, so a
-repeated run emits byte-identical reports. Subsample indices are sorted
-before fitting, which makes the full-pool refit bit-identical to the clean
-fit (embedding MSE exactly zero at fraction 1.0).
+All randomness flows from explicit seeds: a split permutes the samples with
+a generator seeded by its own seed, and every other draw comes from
+:func:`derived_rng`, so a repeated run emits byte-identical reports.
+Subsample indices are sorted before fitting, which makes the full-pool
+refit bit-identical to the clean fit (embedding MSE exactly zero at
+fraction 1.0).
 
 Each fit pool and each subsample is estimated once: one
 :class:`~covscatter.spectral.SampleCovariance`, and so one eigensolve,
@@ -262,16 +264,16 @@ def run_stability(
 ) -> StabilityReport:
     """Covariance-perturbation stability protocol.
 
-    Fits each method and its ridge readout once on the full fit pool, then
-    freezes the regressor and re-embeds the test set with models refitted on
-    random subsamples of the pool, recording the regression MAE under the
-    frozen regressor and the embedding MSE against the clean embeddings.
-    Every method's model is fitted on the pool before any refit, so a method
-    that cannot be fitted fails before the refits start. With
-    ``include_bounds``, each row also records the largest per-sample
-    embedding distance ``||z - z_hat||_2`` over the test set, and each CST
-    row the measured wavelet delta and the bound on that distance at the
-    largest test-sample norm (:func:`bounds.measured_stability_bound`).
+    Fits each method once on the fit pool and its ridge readout once on the
+    train set, then freezes the regressor and re-embeds the test set with
+    models refitted on random subsamples of the pool, recording the
+    regression MAE under the frozen regressor and the embedding MSE against
+    the clean embeddings. Every method's model is fitted on the pool before
+    any refit, so a method that cannot be fitted fails before the refits
+    start. With ``include_bounds``, each row also records the largest
+    per-sample embedding distance ``||z - z_hat||_2`` over the test set, and
+    each CST row the measured wavelet delta and the bound on that distance at
+    the largest test-sample norm (:func:`bounds.measured_stability_bound`).
 
     No test feature matrix is formed. Each method's clean test embedding is
     held as its blocks (one per retained path for CST, one for PCA and the
@@ -376,20 +378,19 @@ def run_pruning_sweep(
     taus = [float(t) for t in taus]
     if not taus:
         raise ConfigError("at least one tau is needed")
+    # the config checks each tau's range, so a nan is named before the order is
+    configs = [dataclasses.replace(method.config, tau=tau) for tau in taus]
     if not all(a <= b for a, b in zip(taus, taus[1:])):
         raise ConfigError("taus must be ascending")
     if not seeds:
         raise ConfigError("at least one seed is needed")
-    # ascending, so the config's range check on the two ends covers every tau
-    dataclasses.replace(method.config, tau=taus[-1])
-    config = dataclasses.replace(method.config, tau=taus[0])
     x, y = _xy(data, targets)
     rows = []
     for seed in seeds:
         split = make_split(dataclasses.replace(split_spec, seed=seed), data.n_samples)
         _require_samples(split.train, "train", split_spec.train_frac, data.n_samples)
         pool_x = x[:, split.fit_pool]
-        model = cst_fit(sample_covariance(pool_x), config)
+        model = cst_fit(sample_covariance(pool_x), configs[0])
         decided = decide_layout(model, pool_x)
         for tau in taus:
             embedding = _Embedding(model, decided.tightened(tau).paths)

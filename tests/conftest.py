@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import math
 import re
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 
 from covscatter import spectral
+from covscatter.cli import main
 from covscatter.scattering import cst_transform_batch, decide_layout, layout_blocks
 from covscatter.spectral import SampleCovariance
 
@@ -23,6 +27,37 @@ def section(path, heading):
 def names(text):
     """The backticked names in ``text``, without leading dashes."""
     return [name.lstrip("-") for name in re.findall(r"`([^`]+)`", text)]
+
+
+def assert_contract(argv, out):
+    """Run ``argv`` with ``--out out`` and check the CLI's exit contract; return ``(code, err)``.
+
+    The exit code is 0, 2, 3 or 4 and stderr holds no traceback or warning.
+    When ``main`` returns non-zero, stderr is one ``error: `` line; argparse's
+    ``SystemExit`` is exempt, as its usage text spans several lines. On exit 0
+    every number in the CSVs under ``out`` is finite.
+    """
+    err, usage = io.StringIO(), False
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:  # argparse rejects a flag
+            code, usage = exc.code, True
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4), (argv, err)
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    if code and not usage:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+    if code == 0:
+        for path in out.glob("*.csv"):
+            for line in path.read_text().splitlines()[1:]:
+                for cell in line.split(","):
+                    try:
+                        number = float(cell)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(number), (argv, path.name, line)
+    return code, err
 
 
 def random_spd(n, seed, scale=1.0):

@@ -188,14 +188,27 @@ class TestSignalStabilityBound:
 
 class TestPcaGapScale:
     def test_simple(self):
-        assert pca_gap_scale(np.array([4.0, 2.0, 1.0]), 2) == pytest.approx(0.5)
+        # gaps 2 and 1: the second eigenvector is set up to the gap below it
+        assert pca_gap_scale(np.array([4.0, 2.0, 1.0]), 2) == pytest.approx(1.0)
+
+    def test_gap_below_the_kth_eigenvalue(self):
+        # v2 is set only up to the 2 vs 1.99 split
+        assert pca_gap_scale(np.array([4.0, 2.0, 1.99]), 2) == pytest.approx(100.0)
+        # every eigenvalue kept: no gap below the last
+        assert pca_gap_scale(np.array([4.0, 2.0, 1.99]), 3) == pytest.approx(100.0)
+        assert pca_gap_scale(np.array([4.0, 3.0, 2.9]), 1) == pytest.approx(1.0)
 
     def test_degenerate_flagged_infinite(self):
         assert math.isinf(pca_gap_scale(np.array([3.0, 3.0, 1.0]), 2))
+        # a first eigenvector whose eigenvalue is repeated is not set at all
+        assert math.isinf(pca_gap_scale(np.array([3.0, 3.0, 1.0]), 1))
 
-    def test_needs_k_at_least_two(self):
+    @pytest.mark.parametrize(
+        "eigenvalues, k", [([3.0, 1.0], 0), ([3.0], 1)], ids=["k-zero", "one-eigenvalue"]
+    )
+    def test_needs_a_gap(self, eigenvalues, k):
         with pytest.raises(InvalidK):
-            pca_gap_scale(np.array([3.0, 1.0]), 1)
+            pca_gap_scale(np.array(eigenvalues), k)
 
     def test_k_beyond_the_eigenvalues(self):
         with pytest.raises(InvalidK, match="exceeds the 2 available"):

@@ -387,7 +387,8 @@ class TestPruningSweep:
     @pytest.mark.parametrize("taus", [[0.0, 1.5], [0.0, float("nan"), 0.5]], ids=["one", "nan"])
     def test_out_of_range_tau_rejected_before_any_fit(self, dataset, eig_calls, taus):
         method = CstMethod("cst", CstConfig(family=Diffusion(), J=3, L=2), alpha=1.0)
-        with pytest.raises(ConfigError):
+        # the range check names the tau, before the order is checked
+        with pytest.raises(ConfigError, match=f"got {taus[1]}"):
             run_pruning_sweep(dataset.data, dataset.targets, method, taus, DEFAULT_SPLIT, [0])
         assert eig_calls == []
 
@@ -544,10 +545,15 @@ class TestLabeledSweep:
         assert rows[0].status == "ok"
 
     def test_every_fraction_checked_before_any_fit(self, dataset, eig_calls):
-        with pytest.raises(ConfigError, match="train fraction 0.7"):
-            run_labeled_sweep(
-                dataset.data, dataset.targets, _four_methods(), [0.1, 0.7], DEFAULT_SPLIT, [0]
-            )
+        for fracs, message in [
+            ([0.1, 0.7], "train fraction 0.7"),
+            ([0.1, -0.1], "must be non-negative"),
+            ([0.1, float("nan")], "must be non-negative"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                run_labeled_sweep(
+                    dataset.data, dataset.targets, _four_methods(), fracs, DEFAULT_SPLIT, [0]
+                )
         assert eig_calls == []
 
 

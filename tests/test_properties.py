@@ -1,6 +1,6 @@
 """The CLI contract as properties: whatever the value of one flag or the magnitude of the
-data, a run exits 0, 2, 3 or 4, writes no traceback or warning to stderr, and on
-success writes only finite numbers to its CSVs."""
+data, a run keeps :func:`conftest.assert_contract`. One table test holds the exit each
+command may give at each of eight fixed data scales."""
 
 import contextlib
 import io
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_contract
 from covscatter.cli import build_parser, main
 from covscatter.io import read_data_csv, write_data_csv, write_matrix_csv
 from covscatter.spectral import DataMatrix
@@ -83,7 +84,8 @@ def text(value):
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """A directory with the tiny data set: ``tiny/`` (N = 6, T = 60) and CI's ``mag/`` (T = 300)."""
+    """A directory with ``tiny/`` (N = 6, T = 60) for the flag test, and ``mag/`` (T = 300),
+    which the data tests scale, with ``mag/n1.csv``, its first feature alone."""
     root = tmp_path_factory.mktemp("properties")
     with contextlib.redirect_stdout(io.StringIO()):
         for name, t in (("tiny", 60), ("mag", 300)):
@@ -92,29 +94,6 @@ def workdir(tmp_path_factory):
     one_feature = read_data_csv(root / "mag" / "data.csv").values[:1]
     write_matrix_csv(root / "mag" / "n1.csv", ["f0"], one_feature.T)
     return root
-
-
-def assert_contract(argv, out):
-    """Run ``argv`` and check the exit code, stderr and, on success, every CSV number."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main([*argv, "--out", str(out)])
-        except SystemExit as exc:  # argparse rejects a flag
-            code = exc.code
-    err = err.getvalue()
-    assert code in (0, 2, 3, 4), (argv, err)
-    assert "Traceback" not in err and "Warning" not in err, (argv, err)
-    if code == 0:
-        for path in out.glob("*.csv"):
-            for line in path.read_text().splitlines()[1:]:
-                for cell in line.split(","):
-                    try:
-                        number = float(cell)
-                    except ValueError:
-                        continue
-                    assert math.isfinite(number), (argv, path.name, line)
-    shutil.rmtree(out, ignore_errors=True)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -136,10 +115,11 @@ def test_one_changed_flag_keeps_the_contract(workdir, change):
     elif value is not False:
         argv.append(f"--{flag}={text(value)}")
     assert_contract(argv, workdir / "out")
+    shutil.rmtree(workdir / "out", ignore_errors=True)
 
 
 PROTOCOL = ["--targets", "{targets}", "--seed", "0"]
-# CI's magnitude step: every command that reads data
+# every command that reads data
 DATA_COMMANDS = [
     ["pca", "--k", "2"],
     ["bounds"],
@@ -153,26 +133,48 @@ DATA_COMMANDS = [
 ]
 
 
-def fixed_examples(test):
-    """``test`` with one example per command on the data's first feature alone (N = 1),
-    and the scales at which a ridge solve meets a zero pivot past a passing Cholesky factor."""
-    for argv in DATA_COMMANDS:
-        test = example(argv=argv, exponent=None)(test)
-    for exponent in (8, 85):
-        test = example(argv=DATA_COMMANDS[7], exponent=exponent)(test)
-    return test
+def run_data_command(workdir, argv, data):
+    """:func:`assert_contract` for one of ``DATA_COMMANDS`` on ``data``, with ``mag/``'s targets."""
+    command, *flags = [arg.format(targets=workdir / "mag" / "targets.csv") for arg in argv]
+    result = assert_contract([command, "--data", str(data), *flags], workdir / "out")
+    shutil.rmtree(workdir / "out", ignore_errors=True)
+    return result
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
-@fixed_examples
 @given(argv=st.sampled_from(DATA_COMMANDS), exponent=st.integers(-300, 300))
 def test_data_magnitude_keeps_the_contract(workdir, argv, exponent):
-    mag = workdir / "mag"
-    if exponent is None:
-        data = mag / "n1.csv"
-    else:
-        data = mag / "scaled.csv"
-        values = read_data_csv(mag / "data.csv").values * 10.0**exponent
-        write_data_csv(data, DataMatrix(values))
-    command, *flags = [arg.format(targets=mag / "targets.csv") for arg in argv]
-    assert_contract([command, "--data", str(data), *flags], workdir / "out")
+    data = workdir / "mag" / "scaled.csv"
+    values = read_data_csv(workdir / "mag" / "data.csv").values * 10.0**exponent
+    write_data_csv(data, DataMatrix(values))
+    run_data_command(workdir, argv, data)
+
+
+@pytest.mark.parametrize("argv", DATA_COMMANDS, ids=" ".join)
+def test_one_feature_keeps_the_contract(workdir, argv):
+    run_data_command(workdir, argv, workdir / "mag" / "n1.csv")
+
+
+# At 1e8 and 1e85 a ridge system can pass its Cholesky factor and meet a zero
+# pivot in the solve; at 1e150 the squares of a symmetry check and k_max's
+# fourth moments overflow; at 1e160 and 1e300 the covariance itself does, a
+# data error (exit 3); at 1e-158 it underflows to subnormal values and at
+# 1e-200 and 1e-300 to zero, also data errors. Where an alpha_R of 1
+# regularizes nothing, a ridge protocol may exit 4, with a message that says so.
+SCALES = ["1e8", "1e85", "1e150", "1e160", "1e300", "1e-158", "1e-200", "1e-300"]
+SUCCEEDS_AT = {"1e8", "1e85", "1e150"}
+RIDGE_PROTOCOLS = {"stability", "prune-sweep", "labeled-sweep", "grid-search"}
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_data_magnitude_exit_table(workdir, scale):
+    # float("1e85"), not 10.0**85, which can differ by an ulp
+    data = workdir / "mag" / f"{scale}.csv"
+    values = read_data_csv(workdir / "mag" / "data.csv").values * float(scale)
+    write_data_csv(data, DataMatrix(values))
+    for argv in DATA_COMMANDS:
+        code, err = run_data_command(workdir, argv, data)
+        assert code != 2, (argv, err)
+        assert code != 0 or scale in SUCCEEDS_AT, argv
+        if code == 4:
+            assert argv[0] in RIDGE_PROTOCOLS and "regularizes nothing" in err, (argv, err)

@@ -4,7 +4,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from covscatter.cli import main
 from covscatter.errors import (
     ConfigError,
     DegenerateCovariance,
@@ -26,7 +25,7 @@ from covscatter.spectral import (
     wavelet_operator,
 )
 
-from conftest import random_spd
+from conftest import assert_contract, random_spd
 
 
 def two_pass_covariance(x):
@@ -228,15 +227,12 @@ class TestEigSym:
         with pytest.raises(NoConvergence, match="did not converge"):
             eig_sym(random_spd(4, 2))
 
-    def test_lapack_failure_exits_4_without_traceback(self, tmp_path, monkeypatch, capsys):
+    def test_lapack_failure_exits_4_without_traceback(self, tmp_path, monkeypatch):
         path = tmp_path / "data.csv"
         write_data_csv(path, DataMatrix(np.random.default_rng(4).standard_normal((4, 20))))
 
         monkeypatch.setattr(np.linalg, "eigh", _eigh_fails)
-        code = main(["pca", "--data", str(path), "--out", str(tmp_path / "o"), "--k", "2"])
-        assert code == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert assert_contract(["pca", "--data", str(path), "--k", "2"], tmp_path / "o")[0] == 4
 
 
 class TestWaveletOperator:
