@@ -30,7 +30,7 @@ from .scattering import (
     decide_layout,
     path_name,
 )
-from .spectral import NORMALIZED, OPERATOR_KINDS, sample_covariance
+from .spectral import NORMALIZED, OPERATOR_KINDS, sample_covariance, sample_slices
 from .synthdata import SynthSpec, synth_generate
 from .wavelets import FAMILY_NAMES, Diffusion, Hann, Monic
 
@@ -150,6 +150,12 @@ def _write_provenance(args, path, derived=None):
     io.write_provenance(path, settings, {**(derived or {}), **environment})
 
 
+def _spectrum_facts(cov):
+    """The fit covariance's largest eigenvalue ``w1`` and its smallest eigengap ``eigengap_min``."""
+    eigenvalues = cov.decomposition.eigenvalues
+    return {"w1": eigenvalues[0], "eigengap_min": np.min(eigenvalues[:-1] - eigenvalues[1:])}
+
+
 def _split_spec(args):
     """The one derivation of the unlabeled fraction: what train, valid and test leave.
 
@@ -217,7 +223,8 @@ def _cmd_synth(args):
 def _cmd_transform(args):
     data = io.read_data_csv(args.data)
     config = _build_config(args)
-    model = cst_fit(sample_covariance(data), config)
+    cov = sample_covariance(data)
+    model = cst_fit(cov, config)
     decision = decide_layout(model, data.values)
     header = io.feature_column_names(decision.paths, model.feature_width)
     # every check has run: the followed pass is written chunk by chunk, so no
@@ -233,6 +240,9 @@ def _cmd_transform(args):
     derived["pruned_paths"] = ";".join(
         f"{path_name(p)}:{ratio!r}" for p, ratio in sorted(decision.pruned.items())
     )
+    for key, paths in (("retained_per_layer", decision.paths), ("pruned_per_layer", decision.pruned)):
+        derived[key] = [sum(len(p) == depth for p in paths) for depth in range(config.L)]
+    derived.update(_spectrum_facts(cov))
     _write_provenance(args, out / "features.provenance.txt", derived)
     print(f"wrote {out / 'features.csv'} ({len(header)} columns)")
     return 0
@@ -242,10 +252,12 @@ def _cmd_pca(args):
     data = io.read_data_csv(args.data)
     cov = sample_covariance(data)
     model = pca_fit(cov, args.k)
-    embedded = pca_transform(model, data.values).T
+    # projected and written one slice at a time, so no (samples x k) matrix is held
+    chunks = (pca_transform(model, data.values[:, part]).T for part in sample_slices(data.n_samples))
     out = _out_dir(args)
-    io.write_matrix_csv(out / "pca.csv", [f"pc{i + 1}" for i in range(args.k)], embedded)
-    derived = {"eigenvalues": cov.decomposition.eigenvalues}
+    header = [f"pc{i + 1}" for i in range(args.k)]
+    io.write_matrix_csv(out / "pca.csv", header, itertools.chain.from_iterable(chunks))
+    derived = {"eigenvalues": cov.decomposition.eigenvalues, **_spectrum_facts(cov)}
     _write_provenance(args, out / "pca.provenance.txt", derived)
     print(f"wrote {out / 'pca.csv'}")
     return 0
@@ -315,7 +327,7 @@ def _cmd_bounds(args):
     rows = bounds_mod.bound_table(cov, model, constants, args.pca_k)
     out = _out_dir(args)
     io.write_rows_csv(out / "bounds.csv", ["quantity", "value"], rows)
-    _write_provenance(args, out / "bounds.provenance.txt")
+    _write_provenance(args, out / "bounds.provenance.txt", _spectrum_facts(cov))
     print(f"wrote {out / 'bounds.csv'}")
     return 0
 
@@ -527,7 +539,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import array
 import csv
+import functools
+import itertools
+import stat
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidData
 from .scattering import path_name
-from .spectral import DataMatrix
+from .spectral import SLICE, DataMatrix
 
 
 def format_value(value) -> str:
@@ -92,22 +95,89 @@ def _loadtxt_lines(handle):
         yield line
 
 
+_CR, _LF = ord("\r"), ord("\n")
+
+
+def _count_lines(path: Path) -> int | None:
+    """The lines of ``path``, counted in its raw bytes; ``None`` unless it is a regular file.
+
+    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, as text mode splits it,
+    and a last line without a break counts too. A file that is not regular,
+    such as a pipe, could be read only once, so it is not counted.
+    """
+    if not stat.S_ISREG(path.stat().st_mode):
+        return None
+    breaks, last = 0, None
+    with path.open("rb") as raw:
+        for block in iter(functools.partial(raw.read, 1 << 16), b""):
+            codes = np.frombuffer(block, dtype=np.uint8)
+            # a line ends at each \n, and at each \r that no \n follows
+            after_cr = codes[np.flatnonzero(codes[:-1] == _CR) + 1]
+            breaks += np.count_nonzero(codes == _LF) + np.count_nonzero(after_cr != _LF)
+            breaks += last == _CR and block[0] != _LF  # the \r that ended the last block
+            last = block[-1]
+    # a last \r ends a line, and so does the end of a last line without a break
+    return int(breaks) + (last is not None and last != _LF)
+
+
+def _loadtxt(lines, max_rows=None) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # "input contained no data"
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=max_rows)
+
+
+def _parse_body(lines, width: int, capacity: int | None) -> np.ndarray | None:
+    """The (T, N) rows of the body ``lines``, or ``None`` where the cell loop must decide.
+
+    With a ``capacity``, the most rows the body can hold, the rows are
+    written into one (N, capacity) C array, :data:`SLICE` lines at a time,
+    and the transposed view of its filled columns is returned, trimmed with
+    one copy where blank lines left fewer rows. Without one the body is
+    parsed by one loadtxt call. ``None`` stands for a ``ValueError``, a row
+    of another width than ``width``, more rows than ``capacity``, or no rows.
+    """
+    try:
+        if capacity is None:
+            body = _loadtxt(lines)
+            return body if body.size and body.shape[1] == width else None
+        values = np.empty((width, capacity))
+        filled = 0
+        # each pass of the loop takes one line, and the slice the rest of its SLICE lines
+        for first in lines:
+            # max_rows cuts nothing here; loadtxt then allocates the slice's rows once
+            block = _loadtxt(itertools.chain([first], itertools.islice(lines, SLICE - 1)), SLICE)
+            if not block.size:  # blank lines only
+                continue
+            if block.shape[1] != width or filled + len(block) > capacity:
+                return None
+            values[:, filled : filled + len(block)] = block.T
+            filled += len(block)
+            del block  # before the next slice is parsed
+    except ValueError:
+        return None
+    if not filled:
+        return None
+    return (values if filled == capacity else values[:, :filled].copy()).T
+
+
 def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
-    """The header names and the (T, N) body of a numeric CSV."""
+    """The header names and the (T, N) body of a numeric CSV.
+
+    A regular file is read twice: its lines are counted first (see
+    :func:`_count_lines`), which bounds the row count, so the body is the
+    transposed view of one (N, T) C array, filled from :data:`SLICE` lines
+    at a time (see :func:`_parse_body`), and the read holds no second copy
+    of it. A file that is not regular, such as a pipe, is read once.
+    csv.reader takes the header record only, and loadtxt parses the body.
+    It rejects quoted cells and ``1_0``, which float() accepts; on any doubt
+    the per-cell loop reads the file again and has the last word.
+    """
+    lines = _count_lines(path)
     with _open_text(path) as handle:
         names = _read_header(path, handle)
-        # csv.reader took the header record only, so loadtxt parses the body.
-        # It rejects quoted cells and ``1_0``, which float() accepts; on any
-        # doubt the per-cell loop reads the file again and has the last word.
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # "input contained no data"
-                body = np.loadtxt(
-                    _loadtxt_lines(handle), delimiter=",", comments=None, ndmin=2
-                )
-        except ValueError:
-            body = None
-    if body is None or body.size == 0 or body.shape[1] != len(names):
+        capacity = None if lines is None else lines - 1  # the header takes a line
+        body = _parse_body(_loadtxt_lines(handle), len(names), capacity)
+    if body is None:
         return names, _read_cells(path)
     return names, body
 
@@ -140,8 +210,15 @@ def _read_cells(path: Path) -> np.ndarray:
 
 
 def read_data_csv(path) -> DataMatrix:
+    """The N x T data of a data CSV, held once.
+
+    The (N, T) array the reader fills is made read-only and handed to the
+    :class:`DataMatrix` without a copy.
+    """
     names, body = _read_table(Path(path))
-    return DataMatrix(body.T, feature_names=names)
+    values = body.T
+    values.flags.writeable = False
+    return DataMatrix(values, feature_names=names)
 
 
 def write_data_csv(path, data: DataMatrix) -> None:

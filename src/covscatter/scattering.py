@@ -29,6 +29,7 @@ from .spectral import (
     NORMALIZED,
     OPERATOR_KINDS,
     SampleCovariance,
+    sample_slices,
     wavelet_operator,
 )
 from .wavelets import (
@@ -227,8 +228,10 @@ def _scatter(model: CstModel, x: np.ndarray, layout: tuple[Path, ...] | None, ra
     one holds, besides ``x``, at most L - 1 formed signal batches of
     (N, n): the chain above the node being formed, and that node. A
     deciding pass, which forms no last-layer child, holds at most L - 2 of
-    them plus one (N, n) array of Fourier coefficients and the (J, n)
-    child norms of each chain parent.
+    them, the (J, n) child norms of each chain parent, and the Fourier
+    coefficients and norms of one ``spectral.SLICE`` slice of samples at a
+    time, so at L = 2 it holds no second (N, n) array; the slices give the
+    bits of one whole-batch ``V^T s``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != model.n_features:
@@ -236,7 +239,11 @@ def _scatter(model: CstModel, x: np.ndarray, layout: tuple[Path, ...] | None, ra
     if not np.all(np.isfinite(x)):
         raise InvalidData("signals contain non-finite entries")
     follow = None if layout is None else frozenset(layout)
-    norms = np.linalg.norm(x, axis=0) if follow is None else None
+    norms = None
+    if follow is None:
+        norms = np.empty(x.shape[1])
+        for part in sample_slices(x.shape[1]):
+            norms[part] = np.linalg.norm(x[:, part], axis=0)
     return _walk(model, (), x, norms, follow, ratios)
 
 
@@ -253,18 +260,23 @@ def _walk(model: CstModel, path: Path, signals, norms, follow, ratios: dict):
         return
     decide = follow is None
     if decide:
-        # squared in place and dropped before any H_j product, so no second
-        # (N, n) array lives beside the children
-        coeffs = model.filterbank.operator.decomposition.eigenvectors.T @ signals
-        np.square(coeffs, out=coeffs)
-        child_norms = np.sqrt(np.square(model.filterbank.responses) @ coeffs)
-        del coeffs
-        safe_parent = np.where(norms > 0.0, norms, 1.0)
-        child_ratios = np.where(norms > 0.0, child_norms / safe_parent, 0.0)
+        # the coefficients of one slice at a time, squared in place, so no
+        # second (N, n) array lives beside the signals
+        eigenvectors = model.filterbank.operator.decomposition.eigenvectors
+        energy_weights = np.square(model.filterbank.responses)
+        child_norms = np.empty((model.config.J, signals.shape[1]))
+        for part in sample_slices(signals.shape[1]):
+            coeffs = eigenvectors.T @ signals[:, part]
+            np.square(coeffs, out=coeffs)
+            child_norms[:, part] = np.sqrt(energy_weights @ coeffs)
+            del coeffs
+        positive = norms > 0.0
+        safe_parent = np.where(positive, norms, 1.0)
     for j in range(model.config.J):
         child_path = path + (j,)
         if decide:
-            ratio = float(child_ratios[j].mean())
+            # one child's (n,) ratios at a time, not a (J, n) array of them
+            ratio = float(np.where(positive, child_norms[j] / safe_parent, 0.0).mean())
             ratios[child_path] = ratio
             if not _kept(ratio, model.config.tau) or len(child_path) == last:
                 continue

@@ -26,9 +26,34 @@ NORMALIZED = "normalized"
 INVERTED = "inverted"
 OPERATOR_KINDS = (NORMALIZED, INVERTED)
 
+# Samples per slice of every pass over a whole (N, T) dataset, so that no stage
+# holds a second (N, T) array beside it, only (N, SLICE) ones. A multiple of 64
+# starts every slice on the GEMM's column blocking, so a product taken slice by
+# slice gives the bits of one whole-batch product.
+SLICE = 2048
+
+
+def sample_slices(t: int):
+    """The column slices that cut ``t`` samples into runs of :data:`SLICE`."""
+    return [slice(start, start + SLICE) for start in range(0, t, SLICE)]
+
 
 def _readonly(arr):
-    # canonical C layout so BLAS paths (and thus output bits) are reproducible
+    """``arr`` as a read-only, C-contiguous float64 array, copied unless it already is one.
+
+    The canonical C layout keeps BLAS paths, and thus output bits,
+    reproducible. An array that is already read-only, C-contiguous float64 is
+    handed over as it is, so a reader or generator that makes its array
+    read-only passes it on without a second copy; a writeable input is copied,
+    so its owner cannot change the result.
+    """
+    if (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == np.float64
+        and arr.flags.c_contiguous
+        and not arr.flags.writeable
+    ):
+        return arr
     out = np.array(arr, dtype=np.float64, copy=True, order="C")
     out.flags.writeable = False
     return out
@@ -51,7 +76,15 @@ def _asymmetric(m: np.ndarray, rtol: float) -> bool:
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """N x T data: rows are features, columns are observations."""
+    """N x T data: rows are features, columns are observations.
+
+    ``values`` is read-only and C-contiguous. A read-only C-contiguous float64
+    array, such as the one :func:`covscatter.io.read_data_csv` fills or
+    :func:`covscatter.synthdata.synth_generate` forms, is held as given; any
+    other input is copied once. Construction checks every entry for
+    finiteness, which takes an (N, T) boolean temporary, an eighth of the
+    data's size.
+    """
 
     values: np.ndarray
     feature_names: list[str] | None = None
@@ -161,6 +194,10 @@ class WaveletOperator:
 def sample_covariance(data: DataMatrix | np.ndarray) -> SampleCovariance:
     """Mean-removed covariance with 1/T normalization.
 
+    The centred products are summed over :data:`SLICE`-sample slices, so
+    beside the data the estimate holds one (N, SLICE) centred slice, not a
+    centred copy; up to :data:`SLICE` samples it is one product, and more
+    move only in the last bits of the sums.
     The accumulated matrix is symmetrized by averaging with its transpose so
     the result is exactly symmetric. Finite data whose covariance overflows
     float64, or non-constant data whose covariance underflows to zeros and
@@ -173,18 +210,25 @@ def sample_covariance(data: DataMatrix | np.ndarray) -> SampleCovariance:
     t = data.n_samples
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=1)
-        centered = x - mean[:, None]
-        cov = (centered @ centered.T) / t
+        cov = None
+        for part in sample_slices(t):
+            centered = x[:, part] - mean[:, None]
+            product = centered @ centered.T
+            cov = product if cov is None else np.add(cov, product, out=cov)
+            del centered, product  # before the next slice is centred
+        cov = cov / t
         cov = (cov + cov.T) / 2.0
     if not np.all(np.isfinite(cov)):
         raise InvalidData(
             f"the covariance of data of magnitude up to {np.abs(x).max():g} overflows float64"
         )
-    if np.abs(cov).max() < np.finfo(np.float64).tiny and centered.any():
-        raise InvalidData(
-            f"the covariance of data that deviate from their mean by at most "
-            f"{np.abs(centered).max():g} underflows float64 to zero or to subnormal values"
-        )
+    if np.abs(cov).max() < np.finfo(np.float64).tiny:
+        deviation = max(float(np.abs(x[:, part] - mean[:, None]).max()) for part in sample_slices(t))
+        if deviation > 0.0:
+            raise InvalidData(
+                f"the covariance of data that deviate from their mean by at most "
+                f"{deviation:g} underflows float64 to zero or to subnormal values"
+            )
     return SampleCovariance(matrix=cov, mean=mean, sample_count=t)
 
 

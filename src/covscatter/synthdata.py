@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import DataMatrix
+from .spectral import DataMatrix, sample_slices
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,11 @@ def synth_generate(spec: SynthSpec) -> SynthDataset:
 
     Draw order is fixed (basis, weights, samples, noise) so identical specs
     produce bit-identical datasets. A noise level whose targets overflow
-    float64 is a :class:`ConfigError`.
+    float64 is a :class:`ConfigError`. The samples ``chol @ Z`` are formed
+    in place of the standard normal draws ``Z``, one ``spectral.SLICE``
+    slice of samples at a time, and handed to the dataset's
+    :class:`DataMatrix` read-only, so the N x T data are held once; the
+    slices give the bits of one whole-batch product.
     """
     rng = np.random.default_rng(spec.seed)
     n, t = spec.n_features, spec.n_samples
@@ -83,7 +87,10 @@ def synth_generate(spec: SynthSpec) -> SynthDataset:
 
     jitter = 1e-12 * np.trace(cov) / n
     chol = np.linalg.cholesky(cov + jitter * np.eye(n))
-    x = chol @ rng.standard_normal((n, t))
+    x = rng.standard_normal((n, t))
+    for part in sample_slices(t):
+        x[:, part] = chol @ x[:, part]
+    x.flags.writeable = False
     with np.errstate(over="ignore"):
         y = weights @ x + spec.noise_sigma * rng.standard_normal(t)
     if not np.all(np.isfinite(y)):

@@ -184,7 +184,14 @@ class TestTransform:
         assert main(["transform", "--data", str(path), "--out", str(tmp_path / "o")]) == 4
 
     def test_missing_file_is_data_error(self, tmp_path):
-        assert main(["transform", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 3
+        missing = tmp_path / "nope.csv"
+        code, err = assert_contract(["transform", "--data", str(missing)], tmp_path / "o")
+        assert code == 3 and err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+    def test_out_under_a_regular_file_is_data_error(self, tmp_path):
+        _, data_path, _ = make_data_files(tmp_path)
+        code, err = assert_contract(["pca", "--data", str(data_path), "--k", "2"], data_path / "o")
+        assert code == 3 and err.startswith("error: [Errno ") and str(data_path) in err
 
 
 class TestUndecodableInput:
@@ -541,6 +548,30 @@ class TestExperimentCommands:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+@pytest.mark.parametrize(
+    "command, stem, flags",
+    [("transform", "features", ["--j", "3", "--l", "3", "--tau", "0.3"]),
+     ("pca", "pca", ["--k", "2"]),
+     ("bounds", "bounds", [])],
+    ids=["transform", "pca", "bounds"],
+)
+def test_derived_facts_are_the_librarys(tmp_path, command, stem, flags):
+    ds, data_path, _ = make_data_files(tmp_path)
+    assert main([command, "--data", str(data_path), "--out", str(tmp_path / "o"), *flags]) == 0
+    derived = read_derived(tmp_path / "o" / f"{stem}.provenance.txt")
+    cov = sample_covariance(ds.data)
+    eigenvalues = cov.decomposition.eigenvalues
+    assert derived["w1"] == repr(cov.top_eigenvalue)
+    assert derived["eigengap_min"] == repr(float(np.min(-np.diff(eigenvalues))))
+    if command == "transform":
+        model = cst_fit(cov, CstConfig(family=Diffusion(), J=3, L=3, tau=0.3))
+        decision = decide_layout(model, ds.data.values)
+        for key, paths in (("retained_per_layer", decision.paths), ("pruned_per_layer", decision.pruned)):
+            counts = [sum(len(path) == depth for path in paths) for depth in range(3)]
+            assert derived[key] == ",".join(map(str, counts)), key
+        assert derived["pruned_per_layer"] != "0,0,0"  # the threshold prunes here
+
+
 def test_module_runs_as_a_script(tmp_path):
     # `python -m covscatter.cli` exits with main's code
     run = subprocess.run(
@@ -863,10 +894,16 @@ class TestLargeMagnitudes:
         code, err = assert_contract([command, "--data", str(data_path), *flags], tmp_path / "o")
         return code, err, scaled
 
-    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e-150, 1e-158, 1e-200])
-    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
-    def test_exit_without_warning(self, tmp_path, argv, scale):
-        code, err, scaled = self.run_scaled(tmp_path, argv, scale)
+    # test_data_magnitude_exit_table holds the exits pca, transform and bounds
+    # may give at 1e150, 1e160, 1e-158 and 1e-200. This test holds the
+    # messages of the last three, the exit at 1e-150, a scale the table does
+    # not take, and a one-family stability run, which the table does not make
+    SCALED = [(name, scale) for name in COMMANDS for scale in (1e160, 1e-150, 1e-158, 1e-200)]
+    SCALED.append(("stability", 1e150))
+
+    @pytest.mark.parametrize("name, scale", SCALED, ids=[f"{n}-{s!r}" for n, s in SCALED])
+    def test_exit_without_warning(self, tmp_path, name, scale):
+        code, err, scaled = self.run_scaled(tmp_path, self.COMMANDS[name], scale)
         assert code in (0, 3)
         if scale == 1e160:
             # the covariance overflows although the data are finite
