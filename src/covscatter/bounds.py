@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InvalidK, ShapeError
-from .spectral import DataMatrix, SpectralDecomposition
+from .spectral import DataMatrix, SpectralDecomposition, sample_slices
 
 # largest accepted epsilon: exp(epsilon / 2) in the Delta formula overflows
 # float64 a little above 1419
@@ -65,13 +65,24 @@ def estimate_kmax(data: DataMatrix | np.ndarray, decomposition: SpectralDecompos
     ``|x|^2 (x . v_j)^2`` minus the squared eigenvalue, clamped at zero
     before the square root; the maximum over j is returned. Data whose
     fourth moments overflow float64 give a non-finite value, and no warning.
+    The moments are summed over ``spectral.SLICE``-sample slices, so beside
+    the data the estimate holds at most two (N, SLICE) arrays, not three
+    (N, T) ones; up to SLICE samples that is one sum, and more move only in
+    the last bits of the sums.
     """
     x = data.values if isinstance(data, DataMatrix) else np.asarray(data, dtype=np.float64)
+    t = x.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = x - x.mean(axis=1)[:, None]
-        proj = decomposition.eigenvectors.T @ centered  # (N, T)
-        sq_norms = np.sum(centered * centered, axis=0)  # (T,)
-        moments = np.mean(sq_norms * proj * proj, axis=1)
+        mean = x.mean(axis=1)
+        moments = np.zeros(x.shape[0])
+        for part in sample_slices(t):
+            centered = x[:, part] - mean[:, None]
+            sq_norms = np.sum(centered * centered, axis=0)  # (slice,)
+            proj = decomposition.eigenvectors.T @ centered  # (N, slice)
+            del centered  # before the products are formed
+            moments += np.sum(sq_norms * proj * proj, axis=1)
+            del proj  # before the next slice is centred
+        moments /= t
         k_sq = np.clip(moments - decomposition.eigenvalues**2, 0.0, None)
         return float(np.sqrt(k_sq.max()))
 

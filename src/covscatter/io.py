@@ -120,26 +120,23 @@ def _count_lines(path: Path) -> int | None:
     return int(breaks) + (last is not None and last != _LF)
 
 
-def _loadtxt(lines, max_rows=None) -> np.ndarray:
+def _loadtxt(lines, max_rows: int) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # "input contained no data"
         return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=max_rows)
 
 
-def _parse_body(lines, width: int, capacity: int | None) -> np.ndarray | None:
+def _parse_body(lines, width: int, capacity: int) -> np.ndarray | None:
     """The (T, N) rows of the body ``lines``, or ``None`` where the cell loop must decide.
 
-    With a ``capacity``, the most rows the body can hold, the rows are
-    written into one (N, capacity) C array, :data:`SLICE` lines at a time,
-    and the transposed view of its filled columns is returned, trimmed with
-    one copy where blank lines left fewer rows. Without one the body is
-    parsed by one loadtxt call. ``None`` stands for a ``ValueError``, a row
-    of another width than ``width``, more rows than ``capacity``, or no rows.
+    ``capacity`` is the most rows the body can hold. The rows are written
+    into one (N, capacity) C array, :data:`SLICE` lines at a time, and the
+    transposed view of its filled columns is returned, trimmed with one copy
+    where blank lines left fewer rows. ``None`` stands for a ``ValueError``,
+    a row of another width than ``width``, more rows than ``capacity``, or
+    no rows.
     """
     try:
-        if capacity is None:
-            body = _loadtxt(lines)
-            return body if body.size and body.shape[1] == width else None
         values = np.empty((width, capacity))
         filled = 0
         # each pass of the loop takes one line, and the slice the rest of its SLICE lines
@@ -167,23 +164,26 @@ def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
     :func:`_count_lines`), which bounds the row count, so the body is the
     transposed view of one (N, T) C array, filled from :data:`SLICE` lines
     at a time (see :func:`_parse_body`), and the read holds no second copy
-    of it. A file that is not regular, such as a pipe, is read once.
-    csv.reader takes the header record only, and loadtxt parses the body.
-    It rejects quoted cells and ``1_0``, which float() accepts; on any doubt
-    the per-cell loop reads the file again and has the last word.
+    of it. csv.reader takes the header record only, and loadtxt parses the
+    body. It rejects quoted cells and ``1_0``, which float() accepts; on any
+    doubt the per-cell loop reads the file again and has the last word. A
+    file that is not regular, such as a pipe, can be read only once, so the
+    cell loop reads it.
     """
     lines = _count_lines(path)
+    if lines is None:
+        return _read_cells(path)
     with _open_text(path) as handle:
         names = _read_header(path, handle)
-        capacity = None if lines is None else lines - 1  # the header takes a line
-        body = _parse_body(_loadtxt_lines(handle), len(names), capacity)
-    if body is None:
-        return names, _read_cells(path)
-    return names, body
+        body = _parse_body(_loadtxt_lines(handle), len(names), lines - 1)  # less the header
+    return _read_cells(path) if body is None else (names, body)
 
 
-def _read_cells(path: Path) -> np.ndarray:
-    """Parse a numeric CSV's body cell by cell; the source of every row/column message."""
+def _read_cells(path: Path) -> tuple[list[str], np.ndarray]:
+    """The header names and the (T, N) body of a numeric CSV, parsed cell by cell in one pass.
+
+    The body is a C array. This is the source of every row and column message.
+    """
     with _open_text(path) as handle:
         names = _read_header(path, handle)
         # one flat buffer of doubles, not a list per row: a tall file would
@@ -206,19 +206,18 @@ def _read_cells(path: Path) -> np.ndarray:
                     ) from None
     if not cells:
         raise InvalidData(f"{path}: no observation rows")
-    return np.frombuffer(cells, dtype=np.float64).reshape(-1, len(names))
+    return names, np.frombuffer(cells, dtype=np.float64).reshape(-1, len(names))
 
 
 def read_data_csv(path) -> DataMatrix:
-    """The N x T data of a data CSV, held once.
+    """The N x T data of a data CSV.
 
-    The (N, T) array the reader fills is made read-only and handed to the
-    :class:`DataMatrix` without a copy.
+    The :class:`DataMatrix` takes a read-only view of the (N, T) array the
+    reader fills from a regular file, so the data are held once; the cell
+    loop's (T, N) rows are copied once into the C layout.
     """
     names, body = _read_table(Path(path))
-    values = body.T
-    values.flags.writeable = False
-    return DataMatrix(values, feature_names=names)
+    return DataMatrix(body.T, feature_names=names)
 
 
 def write_data_csv(path, data: DataMatrix) -> None:

@@ -39,24 +39,16 @@ def sample_slices(t: int):
 
 
 def _readonly(arr):
-    """``arr`` as a read-only, C-contiguous float64 array, copied unless it already is one.
+    """A read-only, C-contiguous float64 view of ``arr``, copied only to reach that layout.
 
     The canonical C layout keeps BLAS paths, and thus output bits,
-    reproducible. An array that is already read-only, C-contiguous float64 is
-    handed over as it is, so a reader or generator that makes its array
-    read-only passes it on without a second copy; a writeable input is copied,
-    so its owner cannot change the result.
+    reproducible. An array already in it is not copied, so a container holds
+    the data its caller made once; the view cannot write it, but a caller
+    that writes its own array afterwards changes the container's values.
     """
-    if (
-        isinstance(arr, np.ndarray)
-        and arr.dtype == np.float64
-        and arr.flags.c_contiguous
-        and not arr.flags.writeable
-    ):
-        return arr
-    out = np.array(arr, dtype=np.float64, copy=True, order="C")
-    out.flags.writeable = False
-    return out
+    view = np.asarray(arr, dtype=np.float64, order="C").view()
+    view.flags.writeable = False
+    return view
 
 
 def _asymmetric(m: np.ndarray, rtol: float) -> bool:
@@ -78,12 +70,14 @@ def _asymmetric(m: np.ndarray, rtol: float) -> bool:
 class DataMatrix:
     """N x T data: rows are features, columns are observations.
 
-    ``values`` is read-only and C-contiguous. A read-only C-contiguous float64
-    array, such as the one :func:`covscatter.io.read_data_csv` fills or
-    :func:`covscatter.synthdata.synth_generate` forms, is held as given; any
-    other input is copied once. Construction checks every entry for
-    finiteness, which takes an (N, T) boolean temporary, an eighth of the
-    data's size.
+    ``values`` is a read-only, C-contiguous float64 view of the given array
+    (see :func:`_readonly`): an array already in that layout, such as the one
+    :func:`covscatter.io.read_data_csv` fills or
+    :func:`covscatter.synthdata.synth_generate` forms, is not copied, and any
+    other is copied once. A caller that writes its array afterwards changes
+    the container; no caller in the package does. Construction checks every
+    entry for finiteness, which takes an (N, T) boolean temporary, an eighth
+    of the data's size.
     """
 
     values: np.ndarray

@@ -69,9 +69,9 @@ def synth_generate(spec: SynthSpec) -> SynthDataset:
     produce bit-identical datasets. A noise level whose targets overflow
     float64 is a :class:`ConfigError`. The samples ``chol @ Z`` are formed
     in place of the standard normal draws ``Z``, one ``spectral.SLICE``
-    slice of samples at a time, and handed to the dataset's
-    :class:`DataMatrix` read-only, so the N x T data are held once; the
-    slices give the bits of one whole-batch product.
+    slice of samples at a time, and the dataset's :class:`DataMatrix` takes
+    a read-only view of them, so the N x T data are held once; the slices
+    give the bits of one whole-batch product.
     """
     rng = np.random.default_rng(spec.seed)
     n, t = spec.n_features, spec.n_samples
@@ -90,7 +90,6 @@ def synth_generate(spec: SynthSpec) -> SynthDataset:
     x = rng.standard_normal((n, t))
     for part in sample_slices(t):
         x[:, part] = chol @ x[:, part]
-    x.flags.writeable = False
     with np.errstate(over="ignore"):
         y = weights @ x + spec.noise_sigma * rng.standard_normal(t)
     if not np.all(np.isfinite(y)):

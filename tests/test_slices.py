@@ -19,6 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import covscatter
+
+from conftest import assert_contract
+from covscatter.bounds import estimate_kmax
 from covscatter.cli import main
 from covscatter.errors import InvalidData
 from covscatter.io import _count_lines, _read_cells, _read_table, read_data_csv, write_data_csv
@@ -110,9 +113,15 @@ class TestReaderPastOneSlice:
         with pytest.raises(InvalidData, match=f"row {T} has 2 cells, expected {N}$"):
             read_data_csv(path)
 
-    def test_data_from_a_pipe(self, tmp_path, tall):
-        # a pipe is not counted, as it can be read only once
-        text = csv_text(tall.data.values, "\r\n")
+    @pytest.mark.parametrize("body", ["quoted cell", "1_0", "short row"])
+    def test_data_from_a_pipe(self, tmp_path, tall, body):
+        # a pipe is not counted, as it can be read only once, so the cell loop reads it;
+        # loadtxt rejects each of these bodies, which the cell loop reads or reports
+        lines = csv_text(tall.data.values, "\r\n").split("\r\n")
+        row = SLICE + 100  # a body row of the second slice; the header is row 1
+        first, _, rest = lines[row - 1].partition(",")
+        lines[row - 1] = {"quoted cell": f'"{first}",{rest}', "1_0": f"1_0,{rest}", "short row": first}[body]
+        text = "\r\n".join(lines)
         out = tmp_path / "pca"
         run = subprocess.run(
             [sys.executable, "-m", "covscatter.cli", "pca", "--data", "/dev/stdin", "--out", str(out),
@@ -122,11 +131,15 @@ class TestReaderPastOneSlice:
             capture_output=True,
             text=True,
         )
-        assert run.returncode == 0, run.stderr
         path = tmp_path / "data.csv"
-        path.write_text(text)
-        assert main(["pca", "--data", str(path), "--out", str(tmp_path / "file"), "--k", "2"]) == 0
-        assert (out / "pca.csv").read_bytes() == (tmp_path / "file" / "pca.csv").read_bytes()
+        path.write_text(text, newline="")
+        code, err = assert_contract(["pca", "--data", str(path), "--k", "2"], tmp_path / "file")
+        assert (run.returncode, run.stderr) == (code, err.replace(str(path), "/dev/stdin"))
+        if body == "short row":
+            assert err == f"error: {path}: row {row} has 1 cells, expected {N}\n"
+        else:
+            assert code == 0
+            assert (out / "pca.csv").read_bytes() == (tmp_path / "file" / "pca.csv").read_bytes()
 
 
 class TestSlicesKeepTheWholeBatchBits:
@@ -157,7 +170,8 @@ class TestSlicesKeepTheWholeBatchBits:
 # T, and what does not grow with T. At N = 8 those fixed costs, such as numpy's
 # 64 KiB ufunc buffers and the CLI's parser, are a third of the 0.4 MB data or
 # more, so the ceilings are taken at N = 64, where they are a few percent. Each
-# stage held a second copy of the data before it took slices, and read 2x to 3x.
+# stage held a second copy of the data before it took slices, and read 2x to 3x;
+# estimate_kmax held three beside its data.
 N_MEMORY = 64
 CEILING = 1.5
 
@@ -181,18 +195,17 @@ def tall_file(tmp_path_factory):
 
 
 def fresh_data():
-    """New (N_MEMORY, T) data in a DataMatrix that takes the array without a copy."""
-    values = np.random.default_rng(0).standard_normal((N_MEMORY, T))
-    values.flags.writeable = False
-    return DataMatrix(values)
+    """New (N_MEMORY, T) data in a DataMatrix, which takes the array without a copy."""
+    return DataMatrix(np.random.default_rng(0).standard_normal((N_MEMORY, T)))
 
 
 @pytest.mark.parametrize(
     "stage",
-    ["read_data_csv", "synth_generate", "sample_covariance", "decide_layout", "pca"],
+    ["read_data_csv", "synth_generate", "sample_covariance", "decide_layout", "estimate_kmax", "pca"],
 )
 def test_peak_holds_the_data_once(tall_file, tmp_path, stage):
-    model = cst_fit(sample_covariance(fresh_data()), CstConfig(Diffusion(), J=2, L=2))
+    data = fresh_data()
+    model = cst_fit(sample_covariance(data), CstConfig(Diffusion(), J=2, L=2))
     argv = ["pca", "--data", str(tall_file), "--out", str(tmp_path), "--k", "3"]
     quiet = contextlib.redirect_stdout(io.StringIO())
     with quiet:
@@ -202,6 +215,8 @@ def test_peak_holds_the_data_once(tall_file, tmp_path, stage):
         "synth_generate": lambda: synth_generate(SynthSpec(N_MEMORY, T, tail=0.5, seed=3)),
         "sample_covariance": lambda: sample_covariance(fresh_data()),
         "decide_layout": lambda: decide_layout(model, fresh_data().values),
+        # two (N, SLICE) arrays, two thirds of the data here, so the data are made untraced
+        "estimate_kmax": lambda: estimate_kmax(data, model.filterbank.operator.decomposition),
         "pca": lambda: main(argv),
     }
     with quiet:
