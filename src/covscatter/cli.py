@@ -28,6 +28,7 @@ from .scattering import (
     cst_fit,
     cst_transform_batch,
     decide_layout,
+    feature_column_names,
     path_name,
 )
 from .spectral import NORMALIZED, OPERATOR_KINDS, sample_covariance, sample_slices
@@ -226,7 +227,7 @@ def _cmd_transform(args):
     cov = sample_covariance(data)
     model = cst_fit(cov, config)
     decision = decide_layout(model, data.values)
-    header = io.feature_column_names(decision.paths, model.feature_width)
+    header = feature_column_names(decision.paths, model.feature_width)
     # every check has run: the followed pass is written chunk by chunk, so no
     # (samples x features) matrix is held
     chunks = (

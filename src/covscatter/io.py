@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidData
-from .scattering import path_name
 from .spectral import SLICE, DataMatrix
 
 
@@ -270,17 +269,6 @@ def read_keyvalue(path) -> dict[str, str]:
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
-
-
-def feature_column_names(layout, width: int) -> list[str]:
-    names = []
-    for path in layout:
-        base = path_name(path)
-        if width == 1:
-            names.append(base)
-        else:
-            names.extend(f"{base}[{i}]" for i in range(width))
-    return names
 
 
 def write_rows_csv(path, header: list[str], rows: list[list]) -> None:

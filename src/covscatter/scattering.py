@@ -37,7 +37,7 @@ from .wavelets import (
     Filterbank,
     KernelFamily,
     build_filterbank,
-    default_gamma,
+    check_family,
     wavelet_matrices,
 )
 
@@ -59,6 +59,7 @@ class CstConfig:
     gamma_override: float | None = None
 
     def __post_init__(self):
+        check_family(self.family)
         if self.J < 2:
             raise InvalidScaleCount(f"need J >= 2, got {self.J}")
         if self.L < 1:
@@ -173,6 +174,18 @@ def path_name(path: Path) -> str:
     return "p_root" if not path else "p_" + ".".join(str(j) for j in path)
 
 
+def feature_column_names(layout, width: int) -> list[str]:
+    """The feature CSV's header: one column per path, or ``width`` indexed columns each."""
+    names = []
+    for path in layout:
+        base = path_name(path)
+        if width == 1:
+            names.append(base)
+        else:
+            names.extend(f"{base}[{i}]" for i in range(width))
+    return names
+
+
 def cst_fit(cov: SampleCovariance, config: CstConfig) -> CstModel:
     """Build the operator, its filterbank and wavelet matrices once for reuse.
 
@@ -184,7 +197,7 @@ def cst_fit(cov: SampleCovariance, config: CstConfig) -> CstModel:
     gamma = (
         config.gamma_override
         if config.gamma_override is not None
-        else default_gamma(config.family, config.J)
+        else config.family.default_gamma(config.J)
     )
     operator = wavelet_operator(cov, config.operator_kind, gamma)
     filterbank = build_filterbank(operator, config.family, config.J)

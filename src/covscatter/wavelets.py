@@ -12,6 +12,14 @@ operator with spectrum in [0, gamma]:
 * monic: the piecewise power/cubic/power kernel evaluated on scaled
   eigenvalues, scales log-spaced from the spectrum quartiles.
 
+Each family builds its own kernels: ``family.kernels(J, gamma, spectrum)``
+checks the spectrum, derives what the family needs from it (Hann's
+translations and warp anchors, monic's quartiles, scales and cubic) and
+returns ``(kernel, lipschitz, facts)``, where ``kernel(j, lams)`` evaluates
+kernel ``j``, ``lipschitz[j]`` bounds its variation over [0, gamma] and
+``facts`` are the derived values a provenance file records. A
+:class:`Filterbank` keeps the kernel and the facts.
+
 Every filterbank exposes exactly ``J`` kernels with scale indices
 ``0 .. J-1`` so the scattering branching factor is ``J`` for all families.
 """
@@ -19,7 +27,7 @@ Every filterbank exposes exactly ``J`` kernels with scale indices
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -46,114 +54,11 @@ _DOMAIN_SLACK = 1e-12
 MAX_SCALE = 1e100
 
 
-@dataclass(frozen=True)
-class Diffusion:
-    """Dyadic diffusion wavelets; no extra parameters."""
-
-
-@dataclass(frozen=True)
-class Hann:
-    R: float = 3.0
-    warp: bool = True
-
-    def __post_init__(self):
-        if not self.R > 0.0:
-            raise ConfigError("Hann overlap R must be positive")
-
-
-@dataclass(frozen=True)
-class Monic:
-    alpha: float = 2.0
-    beta: float = 2.0
-    K: float = 20.0
-
-    def __post_init__(self):
-        if not (self.alpha >= 1.0 and self.beta >= 1.0):
-            raise ConfigError("monic exponents alpha, beta must be >= 1")
-        if not 0.0 < self.K <= MAX_SCALE:
-            raise ConfigError(f"monic resolution K must be in (0, {MAX_SCALE:g}], got {self.K}")
-
-
-KernelFamily = Union[Diffusion, Hann, Monic]
-
-FAMILY_NAMES = {"diffusion": Diffusion, "hann": Hann, "monic": Monic}
-
-
-def family_name(family: KernelFamily) -> str:
-    return type(family).__name__.lower()
-
-
 def diffusion_gamma(J: int) -> float:
     """Spectrum rescaling that puts the largest-scale diffusion peak at the top eigenvalue."""
     if J < 2:
         raise InvalidScaleCount(f"diffusion filterbank needs J >= 2, got {J}")
     return 0.5 ** (1.0 / 2 ** (J - 2))
-
-
-def default_gamma(family: KernelFamily, J: int) -> float:
-    if isinstance(family, Diffusion):
-        return diffusion_gamma(J)
-    if isinstance(family, Hann):
-        return DEFAULT_HANN_GAMMA
-    return DEFAULT_MONIC_GAMMA
-
-
-@dataclass(frozen=True)
-class Filterbank:
-    """J kernels of one family, built on one operator, with their responses on its spectrum.
-
-    ``responses`` is the read-only (J, N) array of ``h_j(lambda_k)`` on the
-    operator's eigenvalues, in the order of its eigenvectors: the one
-    evaluation of the kernels that the frame bounds, the wavelet matrices
-    and a model's pruning energies all read. ``frame_lower``/``frame_upper``
-    bound the total filterbank response on that spectrum; ``lipschitz[j]``
-    bounds the variation of kernel ``j`` over the whole domain [0, gamma].
-    """
-
-    family: KernelFamily
-    J: int
-    operator: WaveletOperator = field(repr=False)
-    scales: dict = field(repr=False)
-    frame_lower: float
-    frame_upper: float
-    lipschitz: np.ndarray
-    responses: np.ndarray = field(repr=False)
-
-    @property
-    def gamma(self) -> float:
-        return self.operator.gamma
-
-    def provenance(self) -> dict:
-        """What building the bank computed, as flat key-value pairs for experiment logs.
-
-        The family and its parameters are the caller's settings and are left out.
-        """
-        out = {
-            "gamma": self.gamma,
-            "frame_lower": self.frame_lower,
-            "frame_upper": self.frame_upper,
-            "lipschitz": self.lipschitz,
-        }
-        if isinstance(self.family, Hann):
-            out["hann.translations"] = self.scales["translations"]
-        elif isinstance(self.family, Monic):
-            out["monic.lambda_bar1"] = self.scales["lambda_bar1"]
-            out["monic.lambda_bar2"] = self.scales["lambda_bar2"]
-            out["monic.scales"] = self.scales["t"]
-        return out
-
-
-@dataclass(frozen=True)
-class LocalizationProfile:
-    """Wavelet column centered on one feature plus its covariance-distance bound."""
-
-    values: np.ndarray
-    bound: np.ndarray | None
-    distances: dict | None
-
-
-# ---------------------------------------------------------------------------
-# kernel evaluation
 
 
 def _pow2k(x, k):
@@ -171,58 +76,219 @@ def _diffusion_values(j, lams):
     return a - a * a
 
 
-def _warp(lams, gamma, scales):
-    # log map anchored to the spectrum the bank was built from, affinely
-    # rescaled onto [0, gamma]; values outside the anchor range are clamped
-    lo, hi = scales["warp_lo"], scales["warp_hi"]
-    u = gamma * (np.log(lams + scales["warp_eps"]) - lo) / (hi - lo)
-    return np.clip(u, 0.0, gamma)
-
-
-def _hann_values(family, J, gamma, scales, j, lams):
-    u = _warp(lams, gamma, scales) if family.warp else lams
-    translations = scales["translations"]
-    if j == 0:
-        t1 = translations[0]
-        vals = 0.5 + 0.5 * np.cos(np.pi * u / t1)
-        return np.where(u <= t1, vals, 0.0)
-    t = translations[j - 1]
-    width = family.R * gamma / (J + 1 - family.R)
-    theta = 2.0 * np.pi * (J + 1 - family.R) / (family.R * gamma) * (u - t) + np.pi
-    vals = 0.5 + 0.5 * np.cos(theta)
-    return np.where((u > t - width) & (u < t), vals, 0.0)
-
-
-def _monic_base(u, l1, l2, alpha, beta, coeffs):
-    u = np.asarray(u, dtype=np.float64)
-    out = np.empty_like(u)
-    rise = u < l1
-    decay = u > l2
-    mid = ~(rise | decay)
-    out[rise] = (u[rise] / l1) ** alpha
-    out[mid] = np.polyval(coeffs, u[mid])
-    out[decay] = (l2 / u[decay]) ** beta
-    return out
-
-
-def _monic_values(scales, family, j, lams):
-    t = scales["t"][j]
-    return _monic_base(
-        t * lams,
-        scales["lambda_bar1"],
-        scales["lambda_bar2"],
-        family.alpha,
-        family.beta,
-        scales["cubic"],
+def _monic_cubic_coeffs(l1, l2, alpha, beta):
+    # s(l1) = s(l2) = 1, s'(l1) = alpha/l1, s'(l2) = -beta/l2
+    system = np.array(
+        [
+            [l1**3, l1**2, l1, 1.0],
+            [l2**3, l2**2, l2, 1.0],
+            [3.0 * l1**2, 2.0 * l1, 1.0, 0.0],
+            [3.0 * l2**2, 2.0 * l2, 1.0, 0.0],
+        ]
     )
+    rhs = np.array([1.0, 1.0, alpha / l1, -beta / l2])
+    return np.linalg.solve(system, rhs)
 
 
-def _evaluate(family, J, gamma, scales, j, lams):
-    if isinstance(family, Diffusion):
-        return _diffusion_values(j, lams)
-    if isinstance(family, Hann):
-        return _hann_values(family, J, gamma, scales, j, lams)
-    return _monic_values(scales, family, j, lams)
+def _quad_abs_max(coeffs, lo, hi):
+    # max |3*c3*u^2 + 2*c2*u + c1| over [lo, hi]
+    c3, c2, c1, _ = coeffs
+    candidates = [lo, hi]
+    if c3 != 0.0:
+        vertex = -c2 / (3.0 * c3)
+        if lo < vertex < hi:
+            candidates.append(vertex)
+    return max(abs(3.0 * c3 * u * u + 2.0 * c2 * u + c1) for u in candidates)
+
+
+@dataclass(frozen=True)
+class Diffusion:
+    """Dyadic diffusion wavelets; no extra parameters."""
+
+    def default_gamma(self, J: int) -> float:
+        return diffusion_gamma(J)
+
+    def kernels(self, J: int, gamma: float, spectrum: np.ndarray):
+        if gamma > 1.0 + _DOMAIN_SLACK:
+            raise ConfigError("diffusion kernels require gamma <= 1")
+        lipschitz = np.array([1.0] + [2.0 ** (j - 1) for j in range(1, J)])
+        return _diffusion_values, lipschitz, {}
+
+
+@dataclass(frozen=True)
+class Hann:
+    R: float = 3.0
+    warp: bool = True
+
+    def __post_init__(self):
+        if not self.R > 0.0:
+            raise ConfigError("Hann overlap R must be positive")
+
+    def default_gamma(self, J: int) -> float:
+        return DEFAULT_HANN_GAMMA
+
+    def kernels(self, J: int, gamma: float, spectrum: np.ndarray):
+        if not self.R < J + 1:
+            raise ConfigError(f"Hann requires R < J + 1, got R={self.R}, J={J}")
+        translations = np.arange(1, J) * gamma / (J + 1 - self.R)
+        width = self.R * gamma / (J + 1 - self.R)
+        slope = 2.0 * np.pi * (J + 1 - self.R) / (self.R * gamma)
+        p_translate = np.pi * (J + 1 - self.R) / (self.R * gamma)
+        p_dc = np.pi / (2.0 * translations[0])
+        lipschitz = np.array([p_dc] + [p_translate] * (J - 1))
+        if self.warp:
+            # log map anchored to the spectrum the bank is built from, affinely
+            # rescaled onto [0, gamma]; a flat spectrum anchors it to [0, gamma]
+            eps = 1e-6 * gamma
+            lo = float(np.log(spectrum.min() + eps))
+            hi = float(np.log(spectrum.max() + eps))
+            if hi - lo < 1e-12:
+                lo = float(np.log(eps))
+                hi = float(np.log(gamma + eps))
+            # kernels act on warped eigenvalues; chain the warp slope, steepest
+            # at the low anchor
+            lipschitz = lipschitz * (gamma / (((np.exp(lo) - eps) + eps) * (hi - lo)))
+
+        def kernel(j, lams):
+            u = lams
+            if self.warp:
+                # values outside the anchor range are clamped
+                u = np.clip(gamma * (np.log(lams + eps) - lo) / (hi - lo), 0.0, gamma)
+            if j == 0:
+                t1 = translations[0]
+                vals = 0.5 + 0.5 * np.cos(np.pi * u / t1)
+                return np.where(u <= t1, vals, 0.0)
+            t = translations[j - 1]
+            vals = 0.5 + 0.5 * np.cos(slope * (u - t) + np.pi)
+            return np.where((u > t - width) & (u < t), vals, 0.0)
+
+        return kernel, lipschitz, {"hann.translations": translations}
+
+
+@dataclass(frozen=True)
+class Monic:
+    alpha: float = 2.0
+    beta: float = 2.0
+    K: float = 20.0
+
+    def __post_init__(self):
+        if not (self.alpha >= 1.0 and self.beta >= 1.0):
+            raise ConfigError("monic exponents alpha, beta must be >= 1")
+        if not 0.0 < self.K <= MAX_SCALE:
+            raise ConfigError(f"monic resolution K must be in (0, {MAX_SCALE:g}], got {self.K}")
+
+    def default_gamma(self, J: int) -> float:
+        return DEFAULT_MONIC_GAMMA
+
+    def kernels(self, J: int, gamma: float, spectrum: np.ndarray):
+        if not np.any(spectrum > 0.0):
+            raise DegenerateSpectrum("operator spectrum is all zeros")
+        n = spectrum.shape[0]
+        ascending = np.sort(spectrum)
+        i1 = max(n // 4, 1)
+        i2 = min(-(-3 * n // 4), n)  # ceil(3N/4), clamped
+        l1 = float(ascending[i1 - 1])
+        l2 = float(ascending[i2 - 1])
+        if l1 <= 0.0:
+            raise DegenerateSpectrum("monic quartile lambda_bar1 is not positive")
+        if l2 - l1 <= _DOMAIN_SLACK * max(1.0, gamma):
+            raise DegenerateSpectrum("monic spectrum quartiles coincide")
+        exponents = (J - np.arange(1, J + 1)) / (J - 1)
+        scales = (l2 / gamma) * self.K**exponents
+        cubic = _monic_cubic_coeffs(l1, l2, self.alpha, self.beta)
+
+        lipschitz = []
+        for t in scales:
+            u_max = t * gamma
+            sup = 0.0
+            u_end = min(l1, u_max)
+            if u_end > 0.0:
+                sup = max(sup, t * self.alpha * u_end ** (self.alpha - 1.0) / l1**self.alpha)
+            if u_max > l1:
+                sup = max(sup, t * _quad_abs_max(cubic, l1, min(l2, u_max)))
+            if u_max > l2:
+                sup = max(sup, t * self.beta / l2)
+            lipschitz.append(sup)
+
+        def kernel(j, lams):
+            u = scales[j] * lams
+            out = np.empty_like(u)
+            rise = u < l1
+            decay = u > l2
+            mid = ~(rise | decay)
+            out[rise] = (u[rise] / l1) ** self.alpha
+            out[mid] = np.polyval(cubic, u[mid])
+            out[decay] = (l2 / u[decay]) ** self.beta
+            return out
+
+        facts = {"monic.lambda_bar1": l1, "monic.lambda_bar2": l2, "monic.scales": scales}
+        return kernel, np.array(lipschitz), facts
+
+
+KernelFamily = Union[Diffusion, Hann, Monic]
+
+FAMILY_NAMES = {"diffusion": Diffusion, "hann": Hann, "monic": Monic}
+
+
+def family_name(family: KernelFamily) -> str:
+    return type(family).__name__.lower()
+
+
+def check_family(family) -> None:
+    """Raise :class:`ConfigError` unless ``family`` is a Diffusion, Hann or Monic instance."""
+    if not isinstance(family, (Diffusion, Hann, Monic)):
+        raise ConfigError(f"unknown kernel family {family!r}")
+
+
+@dataclass(frozen=True)
+class Filterbank:
+    """J kernels of one family, built on one operator, with their responses on its spectrum.
+
+    ``kernel(j, lams)`` evaluates kernel ``j`` and ``facts`` holds what the
+    family derived from the spectrum, both from ``family.kernels``.
+    ``responses`` is the read-only (J, N) array of ``h_j(lambda_k)`` on the
+    operator's eigenvalues, in the order of its eigenvectors: the one
+    evaluation of the kernels that the frame bounds, the wavelet matrices
+    and a model's pruning energies all read. ``frame_lower``/``frame_upper``
+    bound the total filterbank response on that spectrum; ``lipschitz[j]``
+    bounds the variation of kernel ``j`` over the whole domain [0, gamma].
+    """
+
+    family: KernelFamily
+    J: int
+    operator: WaveletOperator = field(repr=False)
+    kernel: Callable[[int, np.ndarray], np.ndarray] = field(repr=False)
+    facts: dict = field(repr=False)
+    frame_lower: float
+    frame_upper: float
+    lipschitz: np.ndarray
+    responses: np.ndarray = field(repr=False)
+
+    @property
+    def gamma(self) -> float:
+        return self.operator.gamma
+
+    def provenance(self) -> dict:
+        """What building the bank computed, as flat key-value pairs for experiment logs.
+
+        The family and its parameters are the caller's settings and are left out.
+        """
+        return {
+            "gamma": self.gamma,
+            "frame_lower": self.frame_lower,
+            "frame_upper": self.frame_upper,
+            "lipschitz": self.lipschitz,
+            **self.facts,
+        }
+
+
+@dataclass(frozen=True)
+class LocalizationProfile:
+    """Wavelet column centered on one feature plus its covariance-distance bound."""
+
+    values: np.ndarray
+    bound: np.ndarray | None
+    distances: dict | None
 
 
 def kernel_eval(filterbank: Filterbank, j: int, lam) -> np.ndarray | float:
@@ -238,106 +304,20 @@ def kernel_eval(filterbank: Filterbank, j: int, lam) -> np.ndarray | float:
     slack = _DOMAIN_SLACK * max(1.0, top)
     if np.any(arr < -slack) or np.any(arr > top + slack):
         raise DomainError(f"eigenvalue outside [0, {top}]")
-    vals = _evaluate(filterbank.family, filterbank.J, filterbank.gamma, filterbank.scales, j, arr)
+    vals = filterbank.kernel(j, arr)
     return float(vals[0]) if np.isscalar(lam) or np.asarray(lam).ndim == 0 else vals
-
-
-# ---------------------------------------------------------------------------
-# filterbank construction
-
-
-def _monic_cubic_coeffs(l1, l2, alpha, beta):
-    # s(l1) = s(l2) = 1, s'(l1) = alpha/l1, s'(l2) = -beta/l2
-    system = np.array(
-        [
-            [l1**3, l1**2, l1, 1.0],
-            [l2**3, l2**2, l2, 1.0],
-            [3.0 * l1**2, 2.0 * l1, 1.0, 0.0],
-            [3.0 * l2**2, 2.0 * l2, 1.0, 0.0],
-        ]
-    )
-    rhs = np.array([1.0, 1.0, alpha / l1, -beta / l2])
-    return np.linalg.solve(system, rhs)
-
-
-def _monic_scales(family, J, gamma, spectrum):
-    n = spectrum.shape[0]
-    ascending = np.sort(spectrum)
-    i1 = max(n // 4, 1)
-    i2 = min(-(-3 * n // 4), n)  # ceil(3N/4), clamped
-    l1 = float(ascending[i1 - 1])
-    l2 = float(ascending[i2 - 1])
-    if l1 <= 0.0:
-        raise DegenerateSpectrum("monic quartile lambda_bar1 is not positive")
-    if l2 - l1 <= _DOMAIN_SLACK * max(1.0, gamma):
-        raise DegenerateSpectrum("monic spectrum quartiles coincide")
-    exponents = (J - np.arange(1, J + 1)) / (J - 1)
-    t = (l2 / gamma) * family.K**exponents
-    return {
-        "t": t,
-        "lambda_bar1": l1,
-        "lambda_bar2": l2,
-        "cubic": _monic_cubic_coeffs(l1, l2, family.alpha, family.beta),
-    }
-
-
-def _quad_abs_max(coeffs, lo, hi):
-    # max |3*c3*u^2 + 2*c2*u + c1| over [lo, hi]
-    c3, c2, c1, _ = coeffs
-    candidates = [lo, hi]
-    if c3 != 0.0:
-        vertex = -c2 / (3.0 * c3)
-        if lo < vertex < hi:
-            candidates.append(vertex)
-    return max(abs(3.0 * c3 * u * u + 2.0 * c2 * u + c1) for u in candidates)
-
-
-def _monic_lipschitz(family, gamma, scales):
-    l1 = scales["lambda_bar1"]
-    l2 = scales["lambda_bar2"]
-    alpha, beta = family.alpha, family.beta
-    out = []
-    for t in scales["t"]:
-        u_max = t * gamma
-        sup = 0.0
-        u_end = min(l1, u_max)
-        if u_end > 0.0:
-            sup = max(sup, t * alpha * u_end ** (alpha - 1.0) / l1**alpha)
-        if u_max > l1:
-            sup = max(sup, t * _quad_abs_max(scales["cubic"], l1, min(l2, u_max)))
-        if u_max > l2:
-            sup = max(sup, t * beta / l2)
-        out.append(sup)
-    return np.array(out)
-
-
-def _hann_warp_scales(gamma, spectrum):
-    """Warp anchors from the spectrum; degenerate spectra fall back to [0, gamma]."""
-    eps = 1e-6 * gamma
-    lo = float(np.log(spectrum.min() + eps))
-    hi = float(np.log(spectrum.max() + eps))
-    if hi - lo < 1e-12:
-        lo = float(np.log(eps))
-        hi = float(np.log(gamma + eps))
-    return {"warp_eps": eps, "warp_lo": lo, "warp_hi": hi}
-
-
-def _hann_warp_derivative_sup(gamma, scales):
-    # the log map is steepest at the low anchor of the warp
-    lam_lo = np.exp(scales["warp_lo"]) - scales["warp_eps"]
-    return gamma / ((lam_lo + scales["warp_eps"]) * (scales["warp_hi"] - scales["warp_lo"]))
 
 
 def build_filterbank(operator: WaveletOperator, family: KernelFamily, J: int) -> Filterbank:
     """Build the J-kernel filterbank for one operator.
 
-    Each kernel is evaluated once on the operator's spectrum, into the
-    bank's ``responses``. Frame bounds follow the family: diffusion uses
-    the analytic pair ``B = 1``, ``A = 1 - gamma``; the other families take
-    the min/max of the summed squared kernel response over the actual
-    operator spectrum. A spectrum with eigenvalues outside every kernel
-    support yields a frame lower bound near zero, which is reported rather
-    than rejected.
+    The family builds its kernels once, and each is evaluated once on the
+    operator's spectrum, into the bank's ``responses``. Frame bounds follow
+    the family: diffusion uses the analytic pair ``B = 1``, ``A = 1 -
+    gamma``; the other families take the min/max of the summed squared
+    kernel response over the actual operator spectrum. A spectrum with
+    eigenvalues outside every kernel support yields a frame lower bound
+    near zero, which is reported rather than rejected.
 
     Parameters that push a kernel, a Lipschitz constant or the frame response
     out of float64 on this spectrum (steep monic exponents: ``lambda_bar1 **
@@ -357,35 +337,12 @@ def build_filterbank(operator: WaveletOperator, family: KernelFamily, J: int) ->
 def _build_filterbank(operator: WaveletOperator, family: KernelFamily, J: int) -> Filterbank:
     if J < 2:
         raise InvalidScaleCount(f"filterbank needs J >= 2, got {J}")
+    check_family(family)
     gamma = operator.gamma
     spectrum = operator.decomposition.eigenvalues
+    kernel, lipschitz, facts = family.kernels(J, gamma, spectrum)
 
-    if isinstance(family, Diffusion):
-        if gamma > 1.0 + _DOMAIN_SLACK:
-            raise ConfigError("diffusion kernels require gamma <= 1")
-        scales: dict = {}
-        lipschitz = np.array([1.0] + [2.0 ** (j - 1) for j in range(1, J)])
-    elif isinstance(family, Hann):
-        if not family.R < J + 1:
-            raise ConfigError(f"Hann requires R < J + 1, got R={family.R}, J={J}")
-        translations = np.arange(1, J) * gamma / (J + 1 - family.R)
-        scales = {"translations": translations}
-        scales.update(_hann_warp_scales(gamma, spectrum))
-        p_translate = np.pi * (J + 1 - family.R) / (family.R * gamma)
-        p_dc = np.pi / (2.0 * translations[0])
-        lipschitz = np.array([p_dc] + [p_translate] * (J - 1))
-        if family.warp:
-            # kernels act on warped eigenvalues; chain the warp slope
-            lipschitz = lipschitz * _hann_warp_derivative_sup(gamma, scales)
-    elif isinstance(family, Monic):
-        if not np.any(spectrum > 0.0):
-            raise DegenerateSpectrum("operator spectrum is all zeros")
-        scales = _monic_scales(family, J, gamma, spectrum)
-        lipschitz = _monic_lipschitz(family, gamma, scales)
-    else:
-        raise ConfigError(f"unknown kernel family {family!r}")
-
-    responses = np.stack([_evaluate(family, J, gamma, scales, j, spectrum) for j in range(J)])
+    responses = np.stack([kernel(j, spectrum) for j in range(J)])
     responses.flags.writeable = False
     if isinstance(family, Diffusion):
         lower, upper = 1.0 - gamma, 1.0
@@ -398,7 +355,8 @@ def _build_filterbank(operator: WaveletOperator, family: KernelFamily, J: int) -
         family=family,
         J=J,
         operator=operator,
-        scales=scales,
+        kernel=kernel,
+        facts=facts,
         frame_lower=float(lower),
         frame_upper=float(upper),
         lipschitz=lipschitz,

@@ -40,7 +40,6 @@ from covscatter.wavelets import (
     Hann,
     Monic,
     build_filterbank,
-    default_gamma,
     diffusion_apply,
     localization_profile,
     wavelet_matrices,
@@ -66,7 +65,7 @@ def test_criterion_01_frame_property():
         J = 4
         for idx, n in enumerate(sizes):
             cov = spd_covariance(n, 100 * idx + n)
-            operator = wavelet_operator(cov, NORMALIZED, default_gamma(family, J))
+            operator = wavelet_operator(cov, NORMALIZED, family.default_gamma(J))
             fb = build_filterbank(operator, family, J)
             mats = wavelet_matrices(fb)
             x = rng.standard_normal((n, 100))
@@ -88,7 +87,7 @@ def test_criterion_02_diffusion_spectral_polynomial_equivalence():
     rng = np.random.default_rng(202)
     for n in (16, 48, 64):
         cov = spd_covariance(n, n)
-        operator = wavelet_operator(cov, NORMALIZED, default_gamma(Diffusion(), J))
+        operator = wavelet_operator(cov, NORMALIZED, Diffusion().default_gamma(J))
         mats = wavelet_matrices(build_filterbank(operator, Diffusion(), J))
         x = rng.standard_normal((n, 50))
         poly = diffusion_apply(operator.matrix, x, J)
@@ -330,7 +329,7 @@ def test_criterion_10_oracle_suite():
 def test_criterion_11_localization_bound():
     J = 4
     cov = spd_covariance(8, 11)
-    operator = wavelet_operator(cov, NORMALIZED, default_gamma(Diffusion(), J))
+    operator = wavelet_operator(cov, NORMALIZED, Diffusion().default_gamma(J))
     filterbank = build_filterbank(operator, Diffusion(), J)
     for center, scale in itertools.product(range(8), (1, 2, 3)):
         profile = localization_profile(filterbank, center, scale)

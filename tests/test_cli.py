@@ -16,6 +16,7 @@ import covscatter
 from conftest import assert_contract, names, section
 from covscatter.cli import main
 from covscatter.io import (
+    format_value,
     read_data_csv,
     read_keyvalue,
     read_targets_csv,
@@ -25,7 +26,7 @@ from covscatter.io import (
 from covscatter.scattering import CstConfig, cst_fit, cst_transform_batch, decide_layout
 from covscatter.spectral import DataMatrix, sample_covariance
 from covscatter.synthdata import SynthSpec, synth_generate
-from covscatter.wavelets import Diffusion
+from covscatter.wavelets import Diffusion, Hann, Monic
 
 
 def read_derived(path):
@@ -548,14 +549,20 @@ class TestExperimentCommands:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+TRANSFORM = ["--j", "3", "--l", "3", "--tau", "0.4"]
+
+
 @pytest.mark.parametrize(
-    "command, stem, flags",
-    [("transform", "features", ["--j", "3", "--l", "3", "--tau", "0.3"]),
-     ("pca", "pca", ["--k", "2"]),
-     ("bounds", "bounds", [])],
-    ids=["transform", "pca", "bounds"],
+    "command, stem, flags, family",
+    [("transform", "features", TRANSFORM, Diffusion()),
+     ("transform", "features", [*TRANSFORM, "--family", "hann"], Hann()),
+     ("transform", "features", [*TRANSFORM, "--family", "hann", "--no-warp"], Hann(warp=False)),
+     ("transform", "features", [*TRANSFORM, "--family", "monic"], Monic()),
+     ("pca", "pca", ["--k", "2"], None),
+     ("bounds", "bounds", [], None)],
+    ids=["transform", "transform-hann", "transform-hann-no-warp", "transform-monic", "pca", "bounds"],
 )
-def test_derived_facts_are_the_librarys(tmp_path, command, stem, flags):
+def test_derived_facts_are_the_librarys(tmp_path, command, stem, flags, family):
     ds, data_path, _ = make_data_files(tmp_path)
     assert main([command, "--data", str(data_path), "--out", str(tmp_path / "o"), *flags]) == 0
     derived = read_derived(tmp_path / "o" / f"{stem}.provenance.txt")
@@ -564,12 +571,17 @@ def test_derived_facts_are_the_librarys(tmp_path, command, stem, flags):
     assert derived["w1"] == repr(cov.top_eigenvalue)
     assert derived["eigengap_min"] == repr(float(np.min(-np.diff(eigenvalues))))
     if command == "transform":
-        model = cst_fit(cov, CstConfig(family=Diffusion(), J=3, L=3, tau=0.3))
+        model = cst_fit(cov, CstConfig(family=family, J=3, L=3, tau=0.4))
         decision = decide_layout(model, ds.data.values)
         for key, paths in (("retained_per_layer", decision.paths), ("pruned_per_layer", decision.pruned)):
             counts = [sum(len(path) == depth for path in paths) for depth in range(3)]
             assert derived[key] == ",".join(map(str, counts)), key
         assert derived["pruned_per_layer"] != "0,0,0"  # the threshold prunes here
+        # the filterbank's facts, the family's own (hann.*, monic.*) last
+        facts = model.filterbank.provenance()
+        assert list(facts)[4:] == [key for key in derived if "." in key]
+        for key, value in facts.items():
+            assert derived[key] == format_value(value), key
 
 
 def test_module_runs_as_a_script(tmp_path):
@@ -959,8 +971,12 @@ class TestEdgeShapedData:
     PROTOCOL = ["--targets", "{targets}", "--seed", "0"]
     COMMANDS = [
         ["transform", "--j", "2", "--l", "2"],
+        ["transform", "--family", "hann", "--hann-r", "2", "--j", "2", "--l", "2"],
+        ["transform", "--family", "hann", "--hann-r", "2", "--no-warp", "--j", "2", "--l", "2"],
+        ["transform", "--family", "monic", "--j", "2", "--l", "2"],
         ["pca", "--k", "2"],
         ["bounds", "--j", "2", "--l", "2", "--pca-k", "2"],
+        ["bounds", "--family", "monic", "--j", "2", "--l", "2", "--pca-k", "2"],
         ["stability", *PROTOCOL, "--runs", "1", "--families", "diffusion", "--j", "2", "--pca-k",
          "2", "--raw", "--bounds"],
         ["prune-sweep", *PROTOCOL, "--runs", "1", "--taus", "0,0.3", "--j", "2"],

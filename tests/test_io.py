@@ -14,7 +14,6 @@ from covscatter.errors import DataError, InvalidData
 from covscatter.io import (
     _read_cells,
     _read_table,
-    feature_column_names,
     read_data_csv,
     read_keyvalue,
     read_targets_csv,
@@ -29,6 +28,7 @@ from covscatter.scattering import (
     cst_fit,
     cst_transform_batch,
     decide_layout,
+    feature_column_names,
 )
 from covscatter.spectral import DataMatrix, sample_covariance
 from covscatter.wavelets import Diffusion

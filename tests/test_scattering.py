@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covscatter import wavelets
 from covscatter.errors import ConfigError, InvalidData, InvalidScaleCount, ShapeError
 from covscatter.scattering import (
     CstConfig,
@@ -56,13 +55,18 @@ class TestCstFit:
     @pytest.mark.parametrize("family", [Diffusion(), Hann(), Monic()], ids=repr)
     def test_each_kernel_evaluated_once(self, family, monkeypatch):
         calls = []
-        evaluate = wavelets._evaluate
+        kernels = type(family).kernels
 
-        def counted(*args):
-            calls.append(args)
-            return evaluate(*args)
+        def counted(self, *args):
+            kernel, lipschitz, facts = kernels(self, *args)
 
-        monkeypatch.setattr(wavelets, "_evaluate", counted)
+            def counted_kernel(j, lams):
+                calls.append(j)
+                return kernel(j, lams)
+
+            return counted_kernel, lipschitz, facts
+
+        monkeypatch.setattr(type(family), "kernels", counted)
         J = 4
         model = cst_fit(spd_covariance(9, 4), CstConfig(family=family, J=J, L=3))
         assert len(calls) == J
@@ -97,6 +101,12 @@ class TestCstFit:
     def test_invalid_config(self, field, value, error):
         with pytest.raises(error):
             CstConfig(**{"family": Diffusion(), "J": 3, "L": 2, field: value})
+
+    @pytest.mark.parametrize("family", ["diffusion", Diffusion, None], ids=["name", "class", "none"])
+    def test_unknown_family_rejected(self, family):
+        # a family's name or class is not a family: the config, not cst_fit, says so
+        with pytest.raises(ConfigError, match="unknown kernel family"):
+            CstConfig(family=family, J=3, L=2)
 
 
 class TestCstTransform:

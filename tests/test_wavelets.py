@@ -23,7 +23,6 @@ from covscatter.wavelets import (
     Hann,
     Monic,
     build_filterbank,
-    default_gamma,
     diffusion_apply,
     diffusion_gamma,
     kernel_eval,
@@ -38,7 +37,7 @@ FAMILIES = [Diffusion(), Hann(), Hann(warp=False), Monic()]
 
 def make_operator(n, seed, family, J, kind=NORMALIZED):
     cov = spd_covariance(n, seed)
-    return wavelet_operator(cov, kind, default_gamma(family, J))
+    return wavelet_operator(cov, kind, family.default_gamma(J))
 
 
 def diag_operator(eigenvalues, gamma):
@@ -84,8 +83,8 @@ class TestKernelEval:
     def test_monic_normalization_point(self):
         op = diag_operator(np.linspace(0.05, 1.0, 16), 1.0)
         fb = build_filterbank(op, Monic(), 4)
-        for j, t in enumerate(fb.scales["t"]):
-            lam = fb.scales["lambda_bar1"] / t
+        for j, t in enumerate(fb.facts["monic.scales"]):
+            lam = fb.facts["monic.lambda_bar1"] / t
             if lam <= 1.0:
                 assert kernel_eval(fb, j, lam) == pytest.approx(1.0, abs=1e-10)
 
@@ -96,7 +95,7 @@ class TestKernelEval:
         gamma = 10.0
         width = R * gamma / (J + 1 - R)
         for j in range(1, J):
-            t = fb.scales["translations"][j - 1]
+            t = fb.facts["hann.translations"][j - 1]
             center = t - width / 2.0
             if 0.0 <= center <= gamma:
                 assert kernel_eval(fb, j, center) == pytest.approx(1.0, abs=1e-12)
@@ -185,12 +184,18 @@ class TestBuildFilterbank:
             make()
 
     def test_hann_warp_falls_back_on_a_flat_spectrum(self):
-        gamma = default_gamma(Hann(), 3)
+        gamma = Hann().default_gamma(3)
         op = wavelet_operator(SampleCovariance(np.eye(5), np.zeros(5), 10), NORMALIZED, gamma)
         fb = build_filterbank(op, Hann(), 3)
+        plain = build_filterbank(op, Hann(warp=False), 3)
+        # the fallback is the log map anchored at 0 and gamma, which it maps onto themselves
         eps = 1e-6 * gamma
-        assert fb.scales["warp_lo"] == np.log(eps)
-        assert fb.scales["warp_hi"] == np.log(gamma + eps)
+        lams = np.linspace(0.0, gamma, 9)
+        warped = gamma * (np.log(lams + eps) - np.log(eps)) / (np.log(gamma + eps) - np.log(eps))
+        ends = np.array([0.0, gamma])
+        for j in range(3):
+            npt.assert_array_equal(kernel_eval(fb, j, ends), kernel_eval(plain, j, ends))
+            npt.assert_allclose(kernel_eval(fb, j, lams), kernel_eval(plain, j, warped), atol=1e-12)
         assert np.all(np.isfinite(fb.responses))
 
     def test_diffusion_gamma_above_one_rejected(self):
@@ -305,8 +310,8 @@ class TestMonicKernel:
         op = diag_operator(np.linspace(0.05, 1.0, 20), 1.0)
         family = Monic()
         fb = build_filterbank(op, family, 4)
-        l1, l2 = fb.scales["lambda_bar1"], fb.scales["lambda_bar2"]
-        c3, c2, c1, c0 = fb.scales["cubic"]
+        l1, l2 = fb.facts["monic.lambda_bar1"], fb.facts["monic.lambda_bar2"]
+        c3, c2, c1, c0 = wavelets._monic_cubic_coeffs(l1, l2, family.alpha, family.beta)
 
         def cubic(u):
             return ((c3 * u + c2) * u + c1) * u + c0
@@ -324,15 +329,15 @@ class TestMonicKernel:
         lam = np.linspace(0.05, 1.0, 20)
         fb = build_filterbank(diag_operator(lam, 1.0), Monic(), 4)
         ascending = np.sort(lam)
-        assert fb.scales["lambda_bar1"] == ascending[5 - 1]  # floor(20/4), 1-based
-        assert fb.scales["lambda_bar2"] == ascending[15 - 1]  # ceil(60/4), 1-based
+        assert fb.facts["monic.lambda_bar1"] == ascending[5 - 1]  # floor(20/4), 1-based
+        assert fb.facts["monic.lambda_bar2"] == ascending[15 - 1]  # ceil(60/4), 1-based
 
     def test_scale_endpoints(self):
         family = Monic(K=20.0)
         fb = build_filterbank(diag_operator(np.linspace(0.05, 1.0, 16), 1.0), family, 5)
-        l2 = fb.scales["lambda_bar2"]
-        npt.assert_allclose(fb.scales["t"][0], l2 * family.K / 1.0, rtol=1e-12)
-        npt.assert_allclose(fb.scales["t"][-1], l2 / 1.0, rtol=1e-12)
+        l2 = fb.facts["monic.lambda_bar2"]
+        npt.assert_allclose(fb.facts["monic.scales"][0], l2 * family.K / 1.0, rtol=1e-12)
+        npt.assert_allclose(fb.facts["monic.scales"][-1], l2 / 1.0, rtol=1e-12)
 
 
 class TestLocalization:
