@@ -48,7 +48,6 @@ from .wavelets import (
     Monic,
     build_filterbank,
     diffusion_apply,
-    diffusion_gamma,
     kernel_eval,
     localization_profile,
     wavelet_matrices,
@@ -78,7 +77,6 @@ __all__ = [
     "cst_transform_batch",
     "decide_layout",
     "diffusion_apply",
-    "diffusion_gamma",
     "eig_sym",
     "estimate_kmax",
     "feature_count",

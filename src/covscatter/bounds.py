@@ -158,7 +158,7 @@ def signal_stability_bound(
     return agg_norm * delta_norm * math.sqrt(total)
 
 
-def _layer_counts(model, layout=None) -> list[int]:
+def layer_counts(model, layout=None) -> list[int]:
     """Path counts for layers 0 .. L-1: of ``layout``, or of the unpruned tree (J**ell)."""
     if layout is None:
         return [model.config.J**ell for ell in range(model.config.L)]
@@ -178,7 +178,7 @@ def measured_stability_bound(clean, perturbed, layout, x_norm: float) -> tuple[f
     """
     delta = measured_wavelet_delta(clean.matrices, perturbed.matrices)
     frame_upper = max(clean.filterbank.frame_upper, perturbed.filterbank.frame_upper)
-    counts = _layer_counts(clean, layout)[1:]
+    counts = layer_counts(clean, layout)[1:]
     bound = cst_stability_bound(delta, frame_upper, clean.aggregation_norm_bound, x_norm, counts)
     return delta, bound
 
@@ -196,7 +196,7 @@ def bound_table(cov, model, constants: BoundConstants, pca_k: int | None = None)
     bank, config = model.filterbank, model.config
     n, t, gamma = cov.n_features, cov.sample_count, bank.gamma
     deltas = [wavelet_delta(float(p), n, t, constants, gamma) for p in bank.lipschitz]
-    counts = _layer_counts(model)
+    counts = layer_counts(model)
     agg = model.aggregation_norm_bound
     rows = [
         ["k_max", constants.k_max],

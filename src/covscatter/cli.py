@@ -241,8 +241,8 @@ def _cmd_transform(args):
     derived["pruned_paths"] = ";".join(
         f"{path_name(p)}:{ratio!r}" for p, ratio in sorted(decision.pruned.items())
     )
-    for key, paths in (("retained_per_layer", decision.paths), ("pruned_per_layer", decision.pruned)):
-        derived[key] = [sum(len(p) == depth for p in paths) for depth in range(config.L)]
+    derived["retained_per_layer"] = bounds_mod.layer_counts(model, decision.paths)
+    derived["pruned_per_layer"] = bounds_mod.layer_counts(model, decision.pruned)
     derived.update(_spectrum_facts(cov))
     _write_provenance(args, out / "features.provenance.txt", derived)
     print(f"wrote {out / 'features.csv'} ({len(header)} columns)")

@@ -32,7 +32,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, InvalidData, ShapeError
+from .errors import ConfigError, CovScatterError, InvalidData, ShapeError
 from .readout import PcaModel, mae, pca_fit, pca_transform, ridge_path
 from .scattering import CstConfig, CstModel, Path, cst_fit, decide_layout, layout_blocks
 from .spectral import DataMatrix, SampleCovariance, sample_covariance
@@ -270,10 +270,12 @@ def run_stability(
     regression MAE under the frozen regressor and the embedding MSE against
     the clean embeddings. Every method's model is fitted on the pool before
     any refit, so a method that cannot be fitted fails before the refits
-    start. With ``include_bounds``, each row also records the largest
-    per-sample embedding distance ``||z - z_hat||_2`` over the test set, and
-    each CST row the measured wavelet delta and the bound on that distance at
-    the largest test-sample norm (:func:`bounds.measured_stability_bound`).
+    start; a refit that cannot be fitted raises its error's class with the
+    method, fraction, seed and subsample size before its message. With
+    ``include_bounds``, each row also records the largest per-sample
+    embedding distance ``||z - z_hat||_2`` over the test set, and each CST
+    row the measured wavelet delta and the bound on that distance at the
+    largest test-sample norm (:func:`bounds.measured_stability_bound`).
 
     No test feature matrix is formed. Each method's clean test embedding is
     held as its blocks (one per retained path for CST, one for PCA and the
@@ -328,7 +330,13 @@ def run_stability(
                 rows.append(StabilityRow(method.name, fraction, seed, "skipped", None, None))
                 continue
             # the frozen regressor needs the clean feature schema
-            perturbed = _fit(method, cov, layout=clean.layout)
+            try:
+                perturbed = _fit(method, cov, layout=clean.layout)
+            except CovScatterError as exc:
+                raise type(exc)(
+                    f"{method.name} refit at fraction {fraction!r}, seed {seed}, "
+                    f"on {cov.sample_count} samples: {exc}"
+                ) from exc
             # one pass predicts and sums each test sample's ||z - z_hat||^2
             squared = np.zeros(test_x.shape[1])
             predicted = ridge.predict(_compared(perturbed.blocks(test_x), clean_test, squared))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import array
 import csv
-import functools
 import itertools
 import stat
 import warnings
@@ -94,29 +93,18 @@ def _loadtxt_lines(handle):
         yield line
 
 
-_CR, _LF = ord("\r"), ord("\n")
-
-
 def _count_lines(path: Path) -> int | None:
-    """The lines of ``path``, counted in its raw bytes; ``None`` unless it is a regular file.
+    """The ``\\n``-ended lines of ``path``, counted in binary; ``None`` unless it is a regular file.
 
-    A line ends at ``\\n``, ``\\r\\n`` or ``\\r``, as text mode splits it,
-    and a last line without a break counts too. A file that is not regular,
-    such as a pipe, could be read only once, so it is not counted.
+    A last line without a break counts too. A ``\\r`` alone ends no line
+    here, though text mode splits at it, so a file with lone ``\\r`` breaks
+    has more rows than its count. A file that is not regular, such as a
+    pipe, could be read only once, so it is not counted.
     """
     if not stat.S_ISREG(path.stat().st_mode):
         return None
-    breaks, last = 0, None
     with path.open("rb") as raw:
-        for block in iter(functools.partial(raw.read, 1 << 16), b""):
-            codes = np.frombuffer(block, dtype=np.uint8)
-            # a line ends at each \n, and at each \r that no \n follows
-            after_cr = codes[np.flatnonzero(codes[:-1] == _CR) + 1]
-            breaks += np.count_nonzero(codes == _LF) + np.count_nonzero(after_cr != _LF)
-            breaks += last == _CR and block[0] != _LF  # the \r that ended the last block
-            last = block[-1]
-    # a last \r ends a line, and so does the end of a last line without a break
-    return int(breaks) + (last is not None and last != _LF)
+        return sum(1 for _ in raw)
 
 
 def _loadtxt(lines, max_rows: int) -> np.ndarray:
@@ -159,15 +147,17 @@ def _parse_body(lines, width: int, capacity: int) -> np.ndarray | None:
 def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
     """The header names and the (T, N) body of a numeric CSV.
 
-    A regular file is read twice: its lines are counted first (see
-    :func:`_count_lines`), which bounds the row count, so the body is the
-    transposed view of one (N, T) C array, filled from :data:`SLICE` lines
-    at a time (see :func:`_parse_body`), and the read holds no second copy
-    of it. csv.reader takes the header record only, and loadtxt parses the
-    body. It rejects quoted cells and ``1_0``, which float() accepts; on any
-    doubt the per-cell loop reads the file again and has the last word. A
-    file that is not regular, such as a pipe, can be read only once, so the
-    cell loop reads it.
+    A regular file is read twice: its ``\\n``-ended lines are counted first
+    (see :func:`_count_lines`), which bounds the row count of a file with
+    ``\\n`` or ``\\r\\n`` breaks, so the body is the transposed view of one
+    (N, T) C array, filled from :data:`SLICE` lines at a time (see
+    :func:`_parse_body`), and the read holds no second copy of it.
+    csv.reader takes the header record only, and loadtxt parses the body.
+    It rejects quoted cells and ``1_0``, which float() accepts; on any
+    doubt, such as more rows than the count (lone ``\\r`` breaks), the
+    per-cell loop reads the file again and has the last word. A file that
+    is not regular, such as a pipe, can be read only once, so the cell loop
+    reads it.
     """
     lines = _count_lines(path)
     if lines is None:

@@ -10,8 +10,9 @@ threshold ``CstConfig.tau``, and a followed pass (:func:`layout_blocks`)
 embeds over a decided layout.
 Since ``H_j = V h_j(Lambda) V^T``, a child's energy (squared norm)
 ``||H_j s||^2 = sum_k h_j(lambda_k)^2 (v_k^T s)^2`` is read from its
-parent's covariance Fourier coefficients, so a decision takes one product
-per parent and a pruned child is never formed. A child's ratio does not
+parent's covariance Fourier coefficients, as is the parent's own,
+``||s||^2 = sum_k (v_k^T s)^2``, so a decision takes one product per
+parent and a pruned child is never formed. A child's ratio does not
 depend on tau, so a layout decided at one tau yields the layout at any
 larger tau by thresholding (:meth:`ScatterLayout.tightened`).
 Coefficients are laid out breadth-first by layer, then lexicographically
@@ -230,10 +231,10 @@ def _scatter(model: CstModel, x: np.ndarray, layout: tuple[Path, ...] | None, ra
     the parent has zero energy) passes :func:`_kept` at
     ``model.config.tau``, and every child decided on is recorded in
     ``ratios``, from which :func:`_threshold` reads the decision. One
-    product ``V^T s`` per parent, squared, times the square of
-    ``model.filterbank.responses`` gives the energies of all J children,
-    whose roots are their norms, so only retained children that are
-    parents of the next layer are formed.
+    product ``V^T s`` per parent, squared, gives the parent's energy as its
+    sum and, times the square of ``model.filterbank.responses``, the
+    energies of all J children, whose roots are their norms, so only
+    retained children that are parents of the next layer are formed.
     With ``layout`` the pass follows: a child is formed iff its path is in
     the layout, and no norm is computed. Only the current root-to-node
     chain is held, and a finished child is dropped before its next sibling
@@ -241,10 +242,10 @@ def _scatter(model: CstModel, x: np.ndarray, layout: tuple[Path, ...] | None, ra
     one holds, besides ``x``, at most L - 1 formed signal batches of
     (N, n): the chain above the node being formed, and that node. A
     deciding pass, which forms no last-layer child, holds at most L - 2 of
-    them, the (J, n) child norms of each chain parent, and the Fourier
-    coefficients and norms of one ``spectral.SLICE`` slice of samples at a
-    time, so at L = 2 it holds no second (N, n) array; the slices give the
-    bits of one whole-batch ``V^T s``.
+    them, the (n,) norms and (J, n) child norms of each chain parent, and
+    the Fourier coefficients of one ``spectral.SLICE`` slice of samples at
+    a time, so at L = 2 it holds no second (N, n) array; the slices give
+    the bits of one whole-batch ``V^T s``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != model.n_features:
@@ -252,16 +253,11 @@ def _scatter(model: CstModel, x: np.ndarray, layout: tuple[Path, ...] | None, ra
     if not np.all(np.isfinite(x)):
         raise InvalidData("signals contain non-finite entries")
     follow = None if layout is None else frozenset(layout)
-    norms = None
-    if follow is None:
-        norms = np.empty(x.shape[1])
-        for part in sample_slices(x.shape[1]):
-            norms[part] = np.linalg.norm(x[:, part], axis=0)
-    return _walk(model, (), x, norms, follow, ratios)
+    return _walk(model, (), x, follow, ratios)
 
 
-def _walk(model: CstModel, path: Path, signals, norms, follow, ratios: dict):
-    """:func:`_scatter` from ``path`` down, whose ``signals`` have ``norms`` when deciding.
+def _walk(model: CstModel, path: Path, signals, follow, ratios: dict):
+    """:func:`_scatter` from ``path`` down.
 
     A module-level function, not a closure: a closure that calls itself is
     a reference cycle, which would keep each pass's model alive until the
@@ -277,10 +273,12 @@ def _walk(model: CstModel, path: Path, signals, norms, follow, ratios: dict):
         # second (N, n) array lives beside the signals
         eigenvectors = model.filterbank.operator.decomposition.eigenvectors
         energy_weights = np.square(model.filterbank.responses)
+        norms = np.empty(signals.shape[1])
         child_norms = np.empty((model.config.J, signals.shape[1]))
         for part in sample_slices(signals.shape[1]):
             coeffs = eigenvectors.T @ signals[:, part]
             np.square(coeffs, out=coeffs)
+            norms[part] = np.sqrt(coeffs.sum(axis=0))
             child_norms[:, part] = np.sqrt(energy_weights @ coeffs)
             del coeffs
         positive = norms > 0.0
@@ -297,8 +295,7 @@ def _walk(model: CstModel, path: Path, signals, norms, follow, ratios: dict):
             continue
         children = model.matrices[j] @ signals
         np.abs(children, out=children)
-        child_norm = child_norms[j] if decide else None
-        yield from _walk(model, child_path, children, child_norm, follow, ratios)
+        yield from _walk(model, child_path, children, follow, ratios)
         del children  # before the next sibling's product allocates
 
 

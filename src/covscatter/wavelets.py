@@ -18,7 +18,8 @@ translations and warp anchors, monic's quartiles, scales and cubic) and
 returns ``(kernel, lipschitz, facts)``, where ``kernel(j, lams)`` evaluates
 kernel ``j``, ``lipschitz[j]`` bounds its variation over [0, gamma] and
 ``facts`` are the derived values a provenance file records. A
-:class:`Filterbank` keeps the kernel and the facts.
+:class:`Filterbank` keeps the kernels' responses on its spectrum and the
+facts, values only, so a fitted model pickles.
 
 Every filterbank exposes exactly ``J`` kernels with scale indices
 ``0 .. J-1`` so the scattering branching factor is ``J`` for all families.
@@ -27,7 +28,7 @@ Every filterbank exposes exactly ``J`` kernels with scale indices
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -52,13 +53,6 @@ _DOMAIN_SLACK = 1e-12
 # scales and Lipschitz constants that grow with them finite (the monic cubic is
 # solved in cubes of gamma-sized quartiles).
 MAX_SCALE = 1e100
-
-
-def diffusion_gamma(J: int) -> float:
-    """Spectrum rescaling that puts the largest-scale diffusion peak at the top eigenvalue."""
-    if J < 2:
-        raise InvalidScaleCount(f"diffusion filterbank needs J >= 2, got {J}")
-    return 0.5 ** (1.0 / 2 ** (J - 2))
 
 
 def _pow2k(x, k):
@@ -106,7 +100,10 @@ class Diffusion:
     """Dyadic diffusion wavelets; no extra parameters."""
 
     def default_gamma(self, J: int) -> float:
-        return diffusion_gamma(J)
+        """Spectrum rescaling that puts the largest-scale diffusion peak at the top eigenvalue."""
+        if J < 2:
+            raise InvalidScaleCount(f"diffusion filterbank needs J >= 2, got {J}")
+        return 0.5 ** (1.0 / 2 ** (J - 2))
 
     def kernels(self, J: int, gamma: float, spectrum: np.ndarray):
         if gamma > 1.0 + _DOMAIN_SLACK:
@@ -236,7 +233,7 @@ def family_name(family: KernelFamily) -> str:
 
 def check_family(family) -> None:
     """Raise :class:`ConfigError` unless ``family`` is a Diffusion, Hann or Monic instance."""
-    if not isinstance(family, (Diffusion, Hann, Monic)):
+    if not isinstance(family, tuple(FAMILY_NAMES.values())):
         raise ConfigError(f"unknown kernel family {family!r}")
 
 
@@ -244,8 +241,7 @@ def check_family(family) -> None:
 class Filterbank:
     """J kernels of one family, built on one operator, with their responses on its spectrum.
 
-    ``kernel(j, lams)`` evaluates kernel ``j`` and ``facts`` holds what the
-    family derived from the spectrum, both from ``family.kernels``.
+    ``facts`` holds what ``family.kernels`` derived from the spectrum.
     ``responses`` is the read-only (J, N) array of ``h_j(lambda_k)`` on the
     operator's eigenvalues, in the order of its eigenvectors: the one
     evaluation of the kernels that the frame bounds, the wavelet matrices
@@ -257,7 +253,6 @@ class Filterbank:
     family: KernelFamily
     J: int
     operator: WaveletOperator = field(repr=False)
-    kernel: Callable[[int, np.ndarray], np.ndarray] = field(repr=False)
     facts: dict = field(repr=False)
     frame_lower: float
     frame_upper: float
@@ -295,7 +290,9 @@ def kernel_eval(filterbank: Filterbank, j: int, lam) -> np.ndarray | float:
     """Evaluate kernel ``j`` of a built filterbank at eigenvalue(s) ``lam``.
 
     ``lam`` must lie in the kernel domain: [0, 1] for diffusion (the
-    rescaling keeps the spectrum inside it), [0, gamma] otherwise.
+    rescaling keeps the spectrum inside it), [0, gamma] otherwise. The
+    kernels are built again by ``family.kernels`` from the bank's spectrum,
+    as the bank keeps only their responses.
     """
     if not 0 <= j < filterbank.J:
         raise IndexError(f"scale index {j} outside 0..{filterbank.J - 1}")
@@ -304,7 +301,8 @@ def kernel_eval(filterbank: Filterbank, j: int, lam) -> np.ndarray | float:
     slack = _DOMAIN_SLACK * max(1.0, top)
     if np.any(arr < -slack) or np.any(arr > top + slack):
         raise DomainError(f"eigenvalue outside [0, {top}]")
-    vals = filterbank.kernel(j, arr)
+    spectrum = filterbank.operator.decomposition.eigenvalues
+    vals = filterbank.family.kernels(filterbank.J, filterbank.gamma, spectrum)[0](j, arr)
     return float(vals[0]) if np.isscalar(lam) or np.asarray(lam).ndim == 0 else vals
 
 
@@ -355,7 +353,6 @@ def _build_filterbank(operator: WaveletOperator, family: KernelFamily, J: int) -
         family=family,
         J=J,
         operator=operator,
-        kernel=kernel,
         facts=facts,
         frame_lower=float(lower),
         frame_upper=float(upper),

@@ -6,7 +6,9 @@ import numpy.testing as npt
 import pytest
 
 from covscatter import bounds, harness
-from covscatter.errors import ConfigError, InvalidData, InvalidK, ShapeError
+from covscatter.cli import main
+from covscatter.errors import ConfigError, DegenerateSpectrum, InvalidData, InvalidK, ShapeError
+from covscatter.io import read_data_csv, read_targets_csv
 from covscatter.readout import mae, pca_fit, pca_transform, ridge_path
 from covscatter.harness import (
     CstMethod,
@@ -29,7 +31,9 @@ from covscatter.scattering import (
 )
 from covscatter.spectral import sample_covariance
 from covscatter.synthdata import SynthSpec, synth_generate
-from covscatter.wavelets import Diffusion, Hann
+from covscatter.wavelets import Diffusion, Hann, Monic
+
+from conftest import assert_contract
 
 DEFAULT_SPLIT = SplitSpec(0.5, 0.1, 0.2, 0.2, seed=0)
 
@@ -161,6 +165,33 @@ def _reference_stability_rows(data, targets, methods, split_spec, subsample_frac
 
 
 class TestStability:
+    def test_a_refit_that_cannot_be_fitted_names_itself(self, tmp_path):
+        # 12 of the fit pool's 600 samples span at most 11 of the 20 dimensions, so
+        # the refit's monic quartile is 0; the pool's own fit passes
+        data = tmp_path / "d"
+        assert main(["synth", "--out", str(data), "--seed", "7", "--n", "20", "--t", "1000",
+                     "--tail", "0.9"]) == 0
+        message = (
+            "monic-cst refit at fraction 0.02, seed 0, on 12 samples: "
+            "monic quartile lambda_bar1 is not positive"
+        )
+        method = CstMethod("monic-cst", CstConfig(family=Monic(), J=4, L=2), alpha=1.0)
+        with pytest.raises(DegenerateSpectrum) as err:
+            run_stability(
+                read_data_csv(data / "data.csv"),
+                read_targets_csv(data / "targets.csv"),
+                [method],
+                DEFAULT_SPLIT,
+                subsample_fracs=[0.02],
+                seeds=[0],
+            )
+        assert str(err.value) == message
+        argv = [
+            "stability", "--data", str(data / "data.csv"), "--targets", str(data / "targets.csv"),
+            "--seed", "0", "--families", "monic", "--fractions", "0.02", "--runs", "1",
+        ]
+        assert assert_contract(argv, tmp_path / "r") == (4, f"error: {message}\n")
+
     def test_full_fraction_mse_exactly_zero(self, dataset):
         report = run_stability(
             dataset.data,

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import pickle
 import tracemalloc
 import weakref
 
@@ -75,6 +76,15 @@ class TestCstFit:
         eigenvalues = bank.operator.decomposition.eigenvalues
         expected = np.stack([kernel_eval(bank, j, eigenvalues) for j in range(J)])
         npt.assert_array_equal(bank.responses, expected)
+
+    @pytest.mark.parametrize("family", [Diffusion(), Hann(), Hann(warp=False), Monic()], ids=repr)
+    def test_a_fitted_model_pickles(self, family):
+        model = cst_fit(spd_covariance(9, 4), CstConfig(family=family, J=3, L=3))
+        x = np.random.default_rng(4).standard_normal((9, 5))
+        layout = full_layout(3, 3)
+        copy = pickle.loads(pickle.dumps(model))
+        expected = cst_transform_batch(model, x, layout).tobytes()
+        assert cst_transform_batch(copy, x, layout).tobytes() == expected
 
     def test_brain_shaped_model_builds(self):
         rng = np.random.default_rng(68)

@@ -24,7 +24,6 @@ from covscatter.wavelets import (
     Monic,
     build_filterbank,
     diffusion_apply,
-    diffusion_gamma,
     kernel_eval,
     localization_profile,
     wavelet_matrices,
@@ -54,28 +53,28 @@ def diag_operator(eigenvalues, gamma):
 
 class TestDiffusionGamma:
     def test_j2(self):
-        assert diffusion_gamma(2) == 0.5
+        assert Diffusion().default_gamma(2) == 0.5
 
     def test_j3(self):
-        npt.assert_allclose(diffusion_gamma(3), 0.5**0.5, atol=1e-12)
+        npt.assert_allclose(Diffusion().default_gamma(3), 0.5**0.5, atol=1e-12)
 
     def test_j4(self):
-        npt.assert_allclose(diffusion_gamma(4), 0.5**0.25, atol=1e-12)
+        npt.assert_allclose(Diffusion().default_gamma(4), 0.5**0.25, atol=1e-12)
 
     def test_invalid(self):
         with pytest.raises(InvalidScaleCount):
-            diffusion_gamma(1)
+            Diffusion().default_gamma(1)
 
 
 class TestKernelEval:
     def test_diffusion_direct(self):
-        op = diag_operator([0.8, 0.4], diffusion_gamma(3))
+        op = diag_operator([0.8, 0.4], Diffusion().default_gamma(3))
         fb = build_filterbank(op, Diffusion(), 3)
         assert kernel_eval(fb, 1, 0.5) == pytest.approx(0.25, abs=1e-15)
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_diffusion_peak_value(self, j):
-        op = diag_operator([0.8, 0.4], diffusion_gamma(5))
+        op = diag_operator([0.8, 0.4], Diffusion().default_gamma(5))
         fb = build_filterbank(op, Diffusion(), 5)
         peak = 0.5 ** (1.0 / 2 ** (j - 1))
         assert kernel_eval(fb, j, peak) == pytest.approx(0.25, abs=1e-12)
@@ -105,13 +104,13 @@ class TestKernelEval:
                 assert kernel_eval(fb, j, t - width) == 0.0
 
     def test_out_of_domain(self):
-        op = diag_operator([0.8, 0.4], diffusion_gamma(3))
+        op = diag_operator([0.8, 0.4], Diffusion().default_gamma(3))
         fb = build_filterbank(op, Diffusion(), 3)
         with pytest.raises(DomainError):
             kernel_eval(fb, 1, 1.5)
 
     def test_bad_scale_index(self):
-        op = diag_operator([0.8, 0.4], diffusion_gamma(3))
+        op = diag_operator([0.8, 0.4], Diffusion().default_gamma(3))
         fb = build_filterbank(op, Diffusion(), 3)
         with pytest.raises(IndexError):
             kernel_eval(fb, 3, 0.5)
@@ -242,7 +241,7 @@ class TestLipschitzProperty:
 
 class TestDiffusionAdmissibility:
     def test_bandpass_endpoints_exact(self):
-        op = diag_operator([0.8, 0.4], diffusion_gamma(6))
+        op = diag_operator([0.8, 0.4], Diffusion().default_gamma(6))
         fb = build_filterbank(op, Diffusion(), 6)
         for j in range(1, 6):
             assert kernel_eval(fb, j, 0.0) == 0.0
@@ -269,7 +268,7 @@ class TestWaveletMatrices:
     def test_spectral_vs_polynomial_12x12(self, rng):
         J = 4
         cov = spd_covariance(12, 11)
-        op = wavelet_operator(cov, NORMALIZED, diffusion_gamma(J))
+        op = wavelet_operator(cov, NORMALIZED, Diffusion().default_gamma(J))
         fb = build_filterbank(op, Diffusion(), J)
         mats = wavelet_matrices(fb)
         x = rng.standard_normal(12)
@@ -281,7 +280,7 @@ class TestWaveletMatrices:
     def test_spectral_vs_polynomial_large(self, n, rng):
         J = 6
         cov = spd_covariance(n, n)
-        op = wavelet_operator(cov, NORMALIZED, diffusion_gamma(J))
+        op = wavelet_operator(cov, NORMALIZED, Diffusion().default_gamma(J))
         fb = build_filterbank(op, Diffusion(), J)
         mats = wavelet_matrices(fb)
         x = rng.standard_normal((n, 5))
