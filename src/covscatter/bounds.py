@@ -127,6 +127,14 @@ def pruning_preserved(
     return bool(node_energy_lhs > rhs)
 
 
+def _layer_sum(terms) -> float:
+    """The sum of ``terms``; inf where a path count or a frame power leaves float64."""
+    try:
+        return sum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def cst_stability_bound(
     delta: float,
     frame_upper: float,
@@ -138,7 +146,7 @@ def cst_stability_bound(
 
     ``layer_counts`` holds the retained path counts for layers 1 .. L-1.
     """
-    total = sum(
+    total = _layer_sum(
         ell**2 * frame_upper ** (2 * ell - 2) * f
         for ell, f in enumerate(layer_counts, start=1)
     )
@@ -152,7 +160,7 @@ def signal_stability_bound(
     layer_counts: Sequence[float],
 ) -> float:
     """Transform-level bound under input perturbation; ``layer_counts`` holds layers 0 .. L-1."""
-    total = sum(
+    total = _layer_sum(
         f * frame_upper ** (2 * ell) for ell, f in enumerate(layer_counts)
     )
     return agg_norm * delta_norm * math.sqrt(total)
@@ -191,7 +199,9 @@ def bound_table(cov, model, constants: BoundConstants, pca_k: int | None = None)
     signal and the signal bound at a unit perturbation, both on the unpruned
     tree; with ``pca_k``, the PCA gap scale comes last. A value that overflows
     float64 raises :class:`ConfigError` naming it, except the gap scale,
-    whose inf is the documented sentinel of a repeated eigenvalue.
+    whose inf is the documented sentinel of a repeated eigenvalue. The error
+    names the constants, or J and the layers where the tree's path counts
+    and frame powers overflow a bound at any constants.
     """
     bank, config = model.filterbank, model.config
     n, t, gamma = cov.n_features, cov.sample_count, bank.gamma
@@ -215,7 +225,14 @@ def bound_table(cov, model, constants: BoundConstants, pca_k: int | None = None)
         ],
     ]
     overflowed = [name for name, value in rows if not np.isfinite(value)]
-    from_constants = [name for name in overflowed if name.startswith(("wavelet_delta_", "cst_"))]
+    # the covariance bound overflows at any constants when its unit-delta value does
+    unit_delta = cst_stability_bound(1.0, bank.frame_upper, agg, 1.0, counts[1:])
+    tree_overflows = not np.isfinite(unit_delta)
+    from_constants = [
+        name
+        for name in overflowed
+        if name.startswith("wavelet_delta_") or (name.startswith("cst_") and not tree_overflows)
+    ]
     if from_constants:
         raise ConfigError(
             f"float64 overflow in {', '.join(from_constants)} with Q={constants.Q:g}, "

@@ -173,7 +173,7 @@ def _split_spec(args):
 
 def _methods_from_flags(args):
     methods = []
-    for name in args.families:
+    for name in dict.fromkeys(args.families):  # a repeated family counts once
         if name not in FAMILY_NAMES:
             raise ConfigError(f"unknown family {name!r}")
         methods.append(harness.CstMethod(f"{name}-cst", _build_config(args, name), args.alpha))
@@ -239,7 +239,7 @@ def _cmd_transform(args):
     derived = model.filterbank.provenance()
     derived["retained_paths"] = ";".join(path_name(p) for p in decision.paths)
     derived["pruned_paths"] = ";".join(
-        f"{path_name(p)}:{ratio!r}" for p, ratio in sorted(decision.pruned.items())
+        f"{path_name(p)}:{ratio!r}" for p, ratio in decision.pruned.items()
     )
     derived["retained_per_layer"] = bounds_mod.layer_counts(model, decision.paths)
     derived["pruned_per_layer"] = bounds_mod.layer_counts(model, decision.pruned)

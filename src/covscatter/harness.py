@@ -96,20 +96,18 @@ def make_split(spec: SplitSpec, n_samples: int) -> Split:
     cuts = np.round(
         np.cumsum([spec.unlabeled_frac, spec.train_frac, spec.valid_frac]) * n_samples
     ).astype(int)
-    if cuts[2] >= n_samples:
-        raise ConfigError(
-            f"test fraction {spec.test_frac} of {n_samples} samples leaves an empty test set"
-        )
+    test = perm[cuts[2] :]
+    _require_samples(test, "test", spec.test_frac, n_samples)
     return Split(
         unlabeled=perm[: cuts[0]],
         train=perm[cuts[0] : cuts[1]],
         valid=perm[cuts[1] : cuts[2]],
-        test=perm[cuts[2] :],
+        test=test,
     )
 
 
 def _require_samples(indices: np.ndarray, role: str, fraction: float, n_samples: int) -> None:
-    """Raise :class:`ConfigError` when the ``role`` set ("train" or "valid") has no samples."""
+    """Raise :class:`ConfigError` when the ``role`` set ("train", "valid" or "test") is empty."""
     if not indices.size:
         name = "validation" if role == "valid" else role
         raise ConfigError(
@@ -209,6 +207,12 @@ def _xy(data: DataMatrix, targets) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(y)):
         raise InvalidData("targets contain non-finite entries")
     return data.values, y
+
+
+def _readout(train_blocks, y_train, test_blocks, y_test, alphas) -> tuple[list[float], int]:
+    """Fit :func:`ridge_path` on train blocks; each alpha's held-out MAE, and the width D."""
+    ridge = ridge_path(train_blocks, y_train, alphas)
+    return [mae(p, y_test) for p in ridge.predict(test_blocks)], ridge.weights.shape[1]
 
 
 DEFAULT_SUBSAMPLE_FRACS = (0.05, 0.1, 0.2, 0.4, 0.7, 1.0)
@@ -379,17 +383,17 @@ def run_pruning_sweep(
 ) -> list[PruningRow]:
     """Regression quality and feature count as tau increases.
 
-    The model is fitted and its layout decided on the fit pool once per seed,
-    at the smallest tau, which replaces the tau of ``method.config``; each
-    tau's layout is that decision tightened (:meth:`ScatterLayout.tightened`).
+    The taus are a set: a repeated tau counts once, and their order does not
+    matter. Each tau's range is checked before any fit. The model is fitted
+    and its layout decided on the fit pool once per seed, at the smallest
+    tau, which replaces the tau of ``method.config``; each tau's layout is
+    that decision tightened (:meth:`ScatterLayout.tightened`).
     """
-    taus = [float(t) for t in taus]
-    if not taus:
+    # the config checks each tau's range
+    configs = {tau: dataclasses.replace(method.config, tau=tau) for tau in map(float, taus)}
+    if not configs:
         raise ConfigError("at least one tau is needed")
-    # the config checks each tau's range, so a nan is named before the order is
-    configs = [dataclasses.replace(method.config, tau=tau) for tau in taus]
-    if not all(a <= b for a, b in zip(taus, taus[1:])):
-        raise ConfigError("taus must be ascending")
+    taus = sorted(configs)
     if not seeds:
         raise ConfigError("at least one seed is needed")
     x, y = _xy(data, targets)
@@ -397,20 +401,16 @@ def run_pruning_sweep(
     for seed in seeds:
         split = make_split(dataclasses.replace(split_spec, seed=seed), data.n_samples)
         _require_samples(split.train, "train", split_spec.train_frac, data.n_samples)
-        pool_x = x[:, split.fit_pool]
-        model = cst_fit(sample_covariance(pool_x), configs[0])
+        pool_x, train_x, test_x = x[:, split.fit_pool], x[:, split.train], x[:, split.test]
+        y_train, y_test = y[split.train], y[split.test]
+        model = cst_fit(sample_covariance(pool_x), configs[taus[0]])
         decided = decide_layout(model, pool_x)
         for tau in taus:
             embedding = _Embedding(model, decided.tightened(tau).paths)
-            ridge = ridge_path(embedding.blocks(x[:, split.train]), y[split.train], [method.alpha])
-            rows.append(
-                PruningRow(
-                    tau=tau,
-                    seed=seed,
-                    mae=mae(ridge.predict(embedding.blocks(x[:, split.test]))[0], y[split.test]),
-                    feature_count=ridge.weights.shape[1],
-                )
+            (row_mae,), width = _readout(
+                embedding.blocks(train_x), y_train, embedding.blocks(test_x), y_test, [method.alpha]
             )
+            rows.append(PruningRow(tau=tau, seed=seed, mae=row_mae, feature_count=width))
     rows.sort(key=lambda r: (r.tau, r.seed))
     return rows
 
@@ -442,9 +442,10 @@ def run_labeled_sweep(
     split: its unlabeled and train parts, in the seed's permuted order, are
     the pool, and valid and test are left out. A fraction labels the pool's
     last ``round(fraction * n_samples)`` samples, so a larger fraction
-    labels a superset. Every fraction and every seed's split is checked
-    before any fit. Each method is fitted on the pool, and embeds the test
-    set, once per seed; only the readout is refitted per fraction.
+    labels a superset. The fractions are a set: a repeated fraction counts
+    once. Every fraction and every seed's split is checked before any fit.
+    Each method is fitted on the pool, and embeds the test set, once per
+    seed; only the readout is refitted per fraction.
     """
     if not seeds:
         raise ConfigError("at least one seed is needed")
@@ -457,13 +458,14 @@ def run_labeled_sweep(
             raise ConfigError("split fractions must be non-negative")
         if train_frac > room + 1e-9:
             raise ConfigError(f"train fraction {train_frac} leaves no room for the split")
+    train_fracs = sorted(set(map(float, train_fracs)))
     specs = [dataclasses.replace(split_template, seed=seed) for seed in seeds]
     splits = [make_split(spec, data.n_samples) for spec in specs]  # each checks its test set
     rows = []
     for seed, split in zip(seeds, splits):
         pool = np.concatenate([split.unlabeled, split.train])
         fits = z_tests = None
-        for train_frac in map(float, train_fracs):
+        for train_frac in train_fracs:
             train = pool[max(pool.size - int(np.round(train_frac * data.n_samples)), 0) :]
             if train.shape[0] < 2:
                 for method in methods:
@@ -475,17 +477,10 @@ def run_labeled_sweep(
                 fits = [_fit(method, cov, pool_x) for method in methods]
                 z_tests = [tuple(fit.blocks(x[:, split.test])) for fit in fits]
             for method, embedding, z_test in zip(methods, fits, z_tests):
-                ridge = ridge_path(embedding.blocks(x[:, train]), y[train], [method.alpha])
-                rows.append(
-                    LabeledRow(
-                        method.name,
-                        train_frac,
-                        seed,
-                        "ok",
-                        mae(ridge.predict(z_test)[0], y[split.test]),
-                        ridge.weights.shape[1],
-                    )
+                (row_mae,), width = _readout(
+                    embedding.blocks(x[:, train]), y[train], z_test, y[split.test], [method.alpha]
                 )
+                rows.append(LabeledRow(method.name, train_frac, seed, "ok", row_mae, width))
     rows.sort(key=lambda r: (r.method, r.train_frac, r.seed))
     return rows
 
@@ -517,6 +512,9 @@ def grid_search(
 ) -> tuple[list[GridRow], GridRow]:
     """Validation-MAE grid search; ties go to the smaller feature count.
 
+    A repeated grid value counts once; the rows follow the grids' first-seen
+    order, J outermost and alpha innermost.
+
     Every configuration is fitted on one covariance of the fit pool and
     decides its layout there. One :func:`ridge_path` call then fits every
     alpha on the path blocks of followed passes over train
@@ -529,8 +527,10 @@ def grid_search(
     order and holds at most L - 1 formed signal batches of N x n, never a
     whole layer; in the dual no feature matrix is formed.
     """
-    if not all(len(grid) for grid in (j_grid, l_grid, operator_grid, alpha_grid)):
+    grids = [list(dict.fromkeys(g)) for g in (j_grid, l_grid, operator_grid, alpha_grid)]
+    if not all(grids):
         raise ConfigError("every grid needs at least one value")
+    j_grid, l_grid, operator_grid, alpha_grid = grids
     x, y = _xy(data, targets)
     split = make_split(split_spec, data.n_samples)
     _require_samples(split.train, "train", split_spec.train_frac, data.n_samples)
@@ -539,6 +539,7 @@ def grid_search(
     cov = sample_covariance(pool_x)
     train_x, valid_x = x[:, split.train], x[:, split.valid]
     y_train, y_valid = y[split.train], y[split.valid]
+    family = family_name(base_config.family)
     rows: list[GridRow] = []
     for j in j_grid:
         for layers in l_grid:
@@ -548,20 +549,12 @@ def grid_search(
                 )
                 model = cst_fit(cov, config)
                 embedding = _Embedding(model, decide_layout(model, pool_x).paths)
-                ridge = ridge_path(embedding.blocks(train_x), y_train, alpha_grid)
-                predictions = ridge.predict(embedding.blocks(valid_x))
-                for alpha, prediction in zip(alpha_grid, predictions):
-                    rows.append(
-                        GridRow(
-                            family=family_name(config.family),
-                            J=int(j),
-                            L=int(layers),
-                            operator=kind,
-                            alpha=float(alpha),
-                            valid_mae=mae(prediction, y_valid),
-                            feature_count=ridge.weights.shape[1],
-                        )
-                    )
+                train_blocks, valid_blocks = embedding.blocks(train_x), embedding.blocks(valid_x)
+                maes, width = _readout(train_blocks, y_train, valid_blocks, y_valid, alpha_grid)
+                rows += [
+                    GridRow(family, int(j), int(layers), kind, float(alpha), valid_mae, width)
+                    for alpha, valid_mae in zip(alpha_grid, maes)
+                ]
     best = min(rows, key=lambda r: (r.valid_mae, r.feature_count, r.J, r.L, r.operator, r.alpha))
     rows = [dataclasses.replace(r, selected=(r is best)) for r in rows]
     best = next(r for r in rows if r.selected)

@@ -103,7 +103,7 @@ class Diffusion:
         """Spectrum rescaling that puts the largest-scale diffusion peak at the top eigenvalue."""
         if J < 2:
             raise InvalidScaleCount(f"diffusion filterbank needs J >= 2, got {J}")
-        return 0.5 ** (1.0 / 2 ** (J - 2))
+        return 0.5 ** 0.5 ** (J - 2)  # in floats: 2 ** (J - 2) leaves float64 past J = 1025
 
     def kernels(self, J: int, gamma: float, spectrum: np.ndarray):
         if gamma > 1.0 + _DOMAIN_SLACK:

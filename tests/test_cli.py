@@ -23,7 +23,13 @@ from covscatter.io import (
     write_data_csv,
     write_targets_csv,
 )
-from covscatter.scattering import CstConfig, cst_fit, cst_transform_batch, decide_layout
+from covscatter.scattering import (
+    CstConfig,
+    cst_fit,
+    cst_transform_batch,
+    decide_layout,
+    path_name,
+)
 from covscatter.spectral import DataMatrix, sample_covariance
 from covscatter.synthdata import SynthSpec, synth_generate
 from covscatter.wavelets import Diffusion, Hann, Monic
@@ -117,6 +123,23 @@ class TestTransform:
         assert read_keyvalue(prov)["family"] == "diffusion"
         derived = read_derived(prov)
         assert "frame_upper" in derived and "retained_paths" in derived
+
+    def test_pruned_paths_follow_the_decision(self, tmp_path):
+        ds, data_path, _ = make_data_files(tmp_path)
+        out = tmp_path / "feat"
+        code = main(
+            ["transform", "--data", str(data_path), "--out", str(out),
+             "--family", "diffusion", "--j", "4", "--l", "3", "--tau", "0.2"]
+        )
+        assert code == 0
+        config = CstConfig(family=Diffusion(), J=4, L=3, tau=0.2)
+        decision = decide_layout(cst_fit(sample_covariance(ds.data), config), ds.data.values)
+        pruned = list(decision.pruned)
+        assert pruned != sorted(pruned)  # breadth-first, not depth-first
+        written = read_derived(out / "features.provenance.txt")["pruned_paths"]
+        assert [item.partition(":")[0] for item in written.split(";")] == [
+            path_name(p) for p in pruned
+        ]
 
     @pytest.mark.parametrize("aggregation", ["identity", "mean"])
     def test_chunked_output_matches_whole_batch(self, tmp_path, aggregation):
@@ -289,6 +312,15 @@ class TestExperimentCommands:
         assert len(raw) == 4 and all(row["status"] == "ok" for row in raw)
         # a refit leaves the raw features as they are
         assert all(float(row["embedding_mse"]) == 0.0 for row in raw)
+
+    def test_stability_repeated_family_counts_once(self, tmp_path):
+        _, data_path, targets_path = make_data_files(tmp_path)
+        args = ["stability", "--data", str(data_path), "--targets", str(targets_path),
+                "--seed", "1", "--fractions", "0.5", "--runs", "1", "--j", "3", "--l", "2"]
+        for name, families in (("once", "diffusion,hann"), ("twice", "diffusion,hann,diffusion")):
+            assert main([*args, "--families", families, "--out", str(tmp_path / name)]) == 0
+        once, twice = (tmp_path / name / "stability.csv" for name in ("once", "twice"))
+        assert twice.read_bytes() == once.read_bytes()
 
     STABILITY_METHODS = {
         "no-methods": ("--families=", "no methods selected"),

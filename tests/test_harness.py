@@ -408,17 +408,22 @@ class TestPruningSweep:
             counts = [r.feature_count for r in per_seed]
             assert all(b <= a for a, b in zip(counts, counts[1:]))
 
-    def test_taus_must_ascend(self, dataset):
-        method = CstMethod("cst", CstConfig(family=Diffusion(), J=3, L=2), alpha=1.0)
-        with pytest.raises(ConfigError):
-            run_pruning_sweep(
-                dataset.data, dataset.targets, method, [0.3, 0.1], DEFAULT_SPLIT, [0]
-            )
+    def test_taus_are_a_set(self, dataset, decisions):
+        method = CstMethod("cst", CstConfig(family=Diffusion(), J=3, L=3), alpha=1.0)
+        kwargs = dict(split_spec=DEFAULT_SPLIT, seeds=[0, 1])
+        taus = [0.0, 0.1, 0.3]
+        expected = run_pruning_sweep(dataset.data, dataset.targets, method, taus, **kwargs)
+        assert len({r.feature_count for r in expected}) > 1  # the taus prune differently
+        for taus in ([0.3, 0.1, 0.0], [0.1, 0.0, 0.1, 0.3, 0.3]):
+            decisions.clear()
+            rows = run_pruning_sweep(dataset.data, dataset.targets, method, taus, **kwargs)
+            assert rows == expected
+            assert decisions == [0.0, 0.0]  # decided at the smallest tau
 
     @pytest.mark.parametrize("taus", [[0.0, 1.5], [0.0, float("nan"), 0.5]], ids=["one", "nan"])
     def test_out_of_range_tau_rejected_before_any_fit(self, dataset, eig_calls, taus):
         method = CstMethod("cst", CstConfig(family=Diffusion(), J=3, L=2), alpha=1.0)
-        # the range check names the tau, before the order is checked
+        # the range check names the tau before any fit
         with pytest.raises(ConfigError, match=f"got {taus[1]}"):
             run_pruning_sweep(dataset.data, dataset.targets, method, taus, DEFAULT_SPLIT, [0])
         assert eig_calls == []
@@ -575,6 +580,14 @@ class TestLabeledSweep:
         # half of the 300 samples are labeled, all from the pool
         assert rows[0].status == "ok"
 
+    def test_repeated_fractions_count_once(self, dataset):
+        kwargs = dict(methods=_four_methods(), split_template=DEFAULT_SPLIT, seeds=[0, 1])
+        once = run_labeled_sweep(dataset.data, dataset.targets, train_fracs=[0.1, 0.2], **kwargs)
+        twice = run_labeled_sweep(
+            dataset.data, dataset.targets, train_fracs=[0.2, 0.1, 0.2, 0.1], **kwargs
+        )
+        assert twice == once
+
     def test_every_fraction_checked_before_any_fit(self, dataset, eig_calls):
         for fracs, message in [
             ([0.1, 0.7], "train fraction 0.7"),
@@ -589,6 +602,20 @@ class TestLabeledSweep:
 
 
 class TestGridSearch:
+    def test_repeated_grid_values_count_once(self, dataset):
+        base = CstConfig(family=Diffusion(), J=3, L=2)
+        once = grid_search(
+            dataset.data, dataset.targets, base, [3, 2], [2], ["normalized"], [10.0, 1.0],
+            DEFAULT_SPLIT,
+        )
+        # the rows follow the grids' first-seen order
+        assert [(r.J, r.alpha) for r in once[0]] == [(3, 10.0), (3, 1.0), (2, 10.0), (2, 1.0)]
+        twice = grid_search(
+            dataset.data, dataset.targets, base, [3, 2, 3], [2, 2], ["normalized"] * 2,
+            [10.0, 1.0, 10.0], DEFAULT_SPLIT,
+        )
+        assert twice == once
+
     def test_selects_minimum_validation_mae(self, dataset):
         rows, best = grid_search(
             dataset.data,

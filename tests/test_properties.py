@@ -178,3 +178,32 @@ def test_data_magnitude_exit_table(workdir, scale):
         assert code != 0 or scale in SUCCEEDS_AT, argv
         if code == 4:
             assert argv[0] in RIDGE_PROTOCOLS and "regularizes nothing" in err, (argv, err)
+
+
+# Sizes past float64 that no property run reaches. Diffusion's Lipschitz constants
+# leave it at J = 1100 (each run forms one path); the path counts of a deep unpruned
+# tree leave it in the bounds, and `bounds` forms no path
+ONE_PATH = ["--j", "1100", "--l", "1"]
+SIZE_EDGES = [
+    ["transform", *ONE_PATH],
+    ["bounds", *ONE_PATH],
+    ["stability", *PROTOCOL, "--runs", "1", "--families", "diffusion", *ONE_PATH],
+    ["prune-sweep", *PROTOCOL, "--runs", "1", *ONE_PATH],
+    ["labeled-sweep", *PROTOCOL, "--runs", "1", *ONE_PATH],
+    ["grid-search", *PROTOCOL, "--grid-j", "1100", "--grid-l", "1"],
+]
+DEEP_BOUNDS = [
+    ["bounds", "--j", "4", "--l", "512"],
+    ["bounds", "--j", "4", "--l", "513"],
+    ["bounds", "--family", "monic", "--j", "4", "--l", "513"],
+    ["bounds", "--j", "2", "--l", "1030"],
+]
+
+
+@pytest.mark.parametrize("argv", SIZE_EDGES + DEEP_BOUNDS, ids=" ".join)
+def test_size_edges_are_usage_errors(workdir, argv):
+    code, err = run_data_command(workdir, argv, workdir / "mag" / "data.csv")
+    assert code == 2, (argv, err)
+    if argv in DEEP_BOUNDS:  # the tree overflows, not the constants
+        j, layers = argv[argv.index("--j") + 1], argv[argv.index("--l") + 1]
+        assert f"J={j} and {layers} layers" in err and "constants" not in err, err
