@@ -281,7 +281,9 @@ def measured_wavelet_delta(mats_a: np.ndarray, mats_b: np.ndarray) -> float:
     Exact for any matrices, not only symmetric ones: the 2-norm of a
     difference ``D`` is ``s * sqrt(max eigvalsh(Ds^T Ds))`` with ``s = max|D|``
     and ``Ds = D / s``, which is cheaper than the SVD. The scaling keeps the
-    product from overflowing or underflowing, and a zero difference gives 0.0.
+    product from overflowing or underflowing. Only the scales whose
+    difference is not exactly zero are eigensolved, so identical sets give
+    0.0 with no eigensolve.
     """
     a = np.asarray(mats_a, dtype=np.float64)
     b = np.asarray(mats_b, dtype=np.float64)
@@ -289,6 +291,10 @@ def measured_wavelet_delta(mats_a: np.ndarray, mats_b: np.ndarray) -> float:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
     diffs = a - b
     scales = np.abs(diffs).max(axis=(1, 2))
-    diffs /= np.where(scales > 0.0, scales, 1.0)[:, None, None]
+    moved = scales != 0.0
+    if not moved.any():
+        return 0.0
+    scales = scales[moved]
+    diffs = diffs[moved] / scales[:, None, None]
     top = np.linalg.eigvalsh(np.swapaxes(diffs, 1, 2) @ diffs)[:, -1]
     return float((scales * np.sqrt(np.maximum(top, 0.0))).max())

@@ -186,15 +186,16 @@ def _methods_from_flags(args):
     return methods
 
 
-def _write_report(args, stem, rows, columns):
-    """Write ``<stem>.csv``, one line of ``columns`` per row, and ``<stem>.provenance.txt``.
+def _write_report(args, stem, rows, columns, derived=None):
+    """Write ``<stem>.csv``, one line of ``columns`` per row, and ``<stem>.provenance.txt``
+    with ``derived`` first under ``[derived]``.
 
     Called once the run has succeeded; prints the CSV's row count, returns the output directory.
     """
     out = _out_dir(args)
     report = out / f"{stem}.csv"
     io.write_rows_csv(report, columns, [[getattr(row, c) for c in columns] for row in rows])
-    _write_provenance(args, out / f"{stem}.provenance.txt")
+    _write_provenance(args, out / f"{stem}.provenance.txt", derived)
     print(f"wrote {report} ({len(rows)} rows)")
     return out
 
@@ -275,7 +276,8 @@ def _cmd_stability(args):
         seeds=list(range(args.runs)),
         include_bounds=args.bounds,
     )
-    out = _write_report(args, "stability", report.rows, report.header())
+    failed = {"failed_rows": sum(row.status == "failed" for row in report.rows)}
+    out = _write_report(args, "stability", report.rows, report.header(), failed)
     if args.plotdata:
         for metric in ("mae", "embedding_mse"):
             header = ["x", "series", "y", "y_lo", "y_hi"]

@@ -274,8 +274,8 @@ def run_stability(
     regression MAE under the frozen regressor and the embedding MSE against
     the clean embeddings. Every method's model is fitted on the pool before
     any refit, so a method that cannot be fitted fails before the refits
-    start; a refit that cannot be fitted raises its error's class with the
-    method, fraction, seed and subsample size before its message. With
+    start; a refit that cannot be fitted gives a ``failed`` row with blank
+    values, as a subsample under 2 samples gives a ``skipped`` one. With
     ``include_bounds``, each row also records the largest per-sample
     embedding distance ``||z - z_hat||_2`` over the test set, and each CST
     row the measured wavelet delta and the bound on that distance at the
@@ -305,8 +305,9 @@ def run_stability(
         else m
         for m in methods
     ]
-    pool_cov = sample_covariance(x[:, pool])
-    clean_fits = [_fit(method, pool_cov, x[:, pool]) for method in methods]
+    pool_x = x[:, pool]
+    pool_cov = sample_covariance(pool_x)
+    clean_fits = [_fit(method, pool_cov, pool_x) for method in methods]
     # one estimate per subsample serves every method; the full-pool refit
     # gets its own, so its bit-identity with the clean fit stays a check
     subsample_covs = {}
@@ -321,13 +322,16 @@ def run_stability(
                     pool, size=size, replace=False
                 )
             )
-            subsample_covs[fraction, seed] = sample_covariance(x[:, subsample])
+            # np.take gathers in C order, which DataMatrix would copy x[:, subsample] into
+            subsample_covs[fraction, seed] = sample_covariance(np.take(x, subsample, axis=1))
+    train_x, y_train = x[:, split.train], y[split.train]
     test_x, y_test = x[:, split.test], y[split.test]
-    test_norm_max = float(np.linalg.norm(test_x, axis=0).max())
+    if include_bounds:
+        test_norm_max = float(np.linalg.norm(test_x, axis=0).max())
 
     rows = []
     for method, clean in zip(methods, clean_fits):
-        ridge = ridge_path(clean.blocks(x[:, split.train]), y[split.train], [method.alpha])
+        ridge = ridge_path(clean.blocks(train_x), y_train, [method.alpha])
         clean_test = tuple(clean.blocks(test_x))
         for (fraction, seed), cov in subsample_covs.items():
             if cov is None:
@@ -336,11 +340,9 @@ def run_stability(
             # the frozen regressor needs the clean feature schema
             try:
                 perturbed = _fit(method, cov, layout=clean.layout)
-            except CovScatterError as exc:
-                raise type(exc)(
-                    f"{method.name} refit at fraction {fraction!r}, seed {seed}, "
-                    f"on {cov.sample_count} samples: {exc}"
-                ) from exc
+            except CovScatterError:
+                rows.append(StabilityRow(method.name, fraction, seed, "failed", None, None))
+                continue
             # one pass predicts and sums each test sample's ||z - z_hat||^2
             squared = np.zeros(test_x.shape[1])
             predicted = ridge.predict(_compared(perturbed.blocks(test_x), clean_test, squared))
@@ -475,10 +477,12 @@ def run_labeled_sweep(
                 pool_x = x[:, split.fit_pool]
                 cov = sample_covariance(pool_x)
                 fits = [_fit(method, cov, pool_x) for method in methods]
-                z_tests = [tuple(fit.blocks(x[:, split.test])) for fit in fits]
+                test_x, y_test = x[:, split.test], y[split.test]
+                z_tests = [tuple(fit.blocks(test_x)) for fit in fits]
+            train_x, y_train = x[:, train], y[train]
             for method, embedding, z_test in zip(methods, fits, z_tests):
                 (row_mae,), width = _readout(
-                    embedding.blocks(x[:, train]), y[train], z_test, y[split.test], [method.alpha]
+                    embedding.blocks(train_x), y_train, z_test, y_test, [method.alpha]
                 )
                 rows.append(LabeledRow(method.name, train_frac, seed, "ok", row_mae, width))
     rows.sort(key=lambda r: (r.method, r.train_frac, r.seed))

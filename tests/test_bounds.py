@@ -234,6 +234,38 @@ class TestMeasuredWaveletDelta:
         a = np.stack([random_spd(4, s) for s in range(3)])
         assert measured_wavelet_delta(a, a.copy()) == 0.0
 
+    @pytest.fixture
+    def eigensolves(self, monkeypatch):
+        """The batch size of each ``np.linalg.eigvalsh`` call made while the test runs."""
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(matrices):
+            calls.append(len(matrices))
+            return eigvalsh(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        return calls
+
+    def test_identical_sets_run_no_eigensolve(self, eigensolves):
+        a = np.stack([random_spd(4, s) for s in range(3)])
+        assert measured_wavelet_delta(a, a.copy()) == 0.0
+        assert eigensolves == []
+
+    def test_one_changed_scale_gives_the_whole_batch_value(self, eigensolves):
+        # only the changed scale is eigensolved; its value has the bits of the
+        # eigensolve of every scale at once
+        a = np.stack([random_spd(6, s) for s in range(4)])
+        b = a.copy()
+        b[2] += 1e-3 * random_spd(6, 9)
+        diffs = a - b
+        scales = np.abs(diffs).max(axis=(1, 2))
+        diffs /= np.where(scales > 0.0, scales, 1.0)[:, None, None]
+        top = np.linalg.eigvalsh(np.swapaxes(diffs, 1, 2) @ diffs)[:, -1]
+        whole_batch = float((scales * np.sqrt(np.maximum(top, 0.0))).max())
+        assert measured_wavelet_delta(a, b) == whole_batch
+        assert eigensolves == [4, 1]
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             measured_wavelet_delta(np.zeros((3, 4, 4)), np.zeros((2, 4, 4)))

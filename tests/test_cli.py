@@ -642,6 +642,19 @@ def test_import_loads_no_scipy():
     assert [name for name in loaded if name == "scipy" or name.startswith("scipy.")] == []
 
 
+def test_package_import_loads_no_submodule():
+    # each public name is imported from the submodule that defines it
+    src = Path(covscatter.__file__).parents[1]
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, covscatter; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert [name for name in loaded if name.startswith("covscatter")] == ["covscatter"]
+
+
 class TestFlagValues:
     SPLIT = ["--data", "{data}", "--targets", "{targets}", "--seed", "0"]
     STABILITY = ["stability", *SPLIT, "--families", "diffusion", "--runs", "1", "--j", "3"]

@@ -7,7 +7,7 @@ import pytest
 
 from covscatter import bounds, harness
 from covscatter.cli import main
-from covscatter.errors import ConfigError, DegenerateSpectrum, InvalidData, InvalidK, ShapeError
+from covscatter.errors import ConfigError, InvalidData, InvalidK, ShapeError
 from covscatter.io import read_data_csv, read_targets_csv
 from covscatter.readout import mae, pca_fit, pca_transform, ridge_path
 from covscatter.harness import (
@@ -167,30 +167,41 @@ def _reference_stability_rows(data, targets, methods, split_spec, subsample_frac
 class TestStability:
     def test_a_refit_that_cannot_be_fitted_names_itself(self, tmp_path):
         # 12 of the fit pool's 600 samples span at most 11 of the 20 dimensions, so
-        # the refit's monic quartile is 0; the pool's own fit passes
+        # seed 0's refit has a monic quartile of 0; its row is `failed`, with blank
+        # values, and every other row is kept. The pool's own fit passes
         data = tmp_path / "d"
         assert main(["synth", "--out", str(data), "--seed", "7", "--n", "20", "--t", "1000",
                      "--tail", "0.9"]) == 0
-        message = (
-            "monic-cst refit at fraction 0.02, seed 0, on 12 samples: "
-            "monic quartile lambda_bar1 is not positive"
+        families = {"diffusion": Diffusion(), "hann": Hann(), "monic": Monic()}
+        methods = [
+            CstMethod(f"{name}-cst", CstConfig(family=family, J=4, L=2), alpha=1.0)
+            for name, family in families.items()
+        ]
+        report = run_stability(
+            read_data_csv(data / "data.csv"),
+            read_targets_csv(data / "targets.csv"),
+            methods,
+            DEFAULT_SPLIT,
+            subsample_fracs=[0.02, 0.5],
+            seeds=[0, 1],
         )
-        method = CstMethod("monic-cst", CstConfig(family=Monic(), J=4, L=2), alpha=1.0)
-        with pytest.raises(DegenerateSpectrum) as err:
-            run_stability(
-                read_data_csv(data / "data.csv"),
-                read_targets_csv(data / "targets.csv"),
-                [method],
-                DEFAULT_SPLIT,
-                subsample_fracs=[0.02],
-                seeds=[0],
-            )
-        assert str(err.value) == message
+        statuses = [(r.method, r.fraction, r.seed, r.status) for r in report.rows]
+        cells = [(f"{name}-cst", f, seed) for name in families for f in (0.02, 0.5, 1.0) for seed in (0, 1)]
+        assert statuses == [
+            (*cell, "failed" if cell == ("monic-cst", 0.02, 0) else "ok") for cell in cells
+        ]
+        (failed,) = [r for r in report.rows if r.status == "failed"]
+        assert (failed.mae, failed.embedding_mse) == (None, None)
         argv = [
             "stability", "--data", str(data / "data.csv"), "--targets", str(data / "targets.csv"),
-            "--seed", "0", "--families", "monic", "--fractions", "0.02", "--runs", "1",
+            "--seed", "0", "--families", ",".join(families), "--fractions", "0.02,0.5", "--runs", "2",
         ]
-        assert assert_contract(argv, tmp_path / "r") == (4, f"error: {message}\n")
+        assert assert_contract(argv, tmp_path / "r") == (0, "")
+        csv_rows = (tmp_path / "r" / "stability.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in csv_rows] == [status[-1] for status in statuses]
+        assert "monic-cst,0.02,0,failed,," in csv_rows
+        provenance = (tmp_path / "r" / "stability.provenance.txt").read_text()
+        assert "\n[derived]\nfailed_rows = 1\n" in provenance
 
     def test_full_fraction_mse_exactly_zero(self, dataset):
         report = run_stability(
