@@ -171,19 +171,22 @@ def _split_spec(args):
     return harness.SplitSpec(max(unlabeled, 0.0), train, args.valid_frac, args.test_frac, args.seed)
 
 
+def _baselines(args):
+    """The baselines ``stability`` and ``labeled-sweep`` run after their CST methods:
+    PCA when ``--pca-k`` is given, then the raw features."""
+    methods = []
+    if args.pca_k is not None:
+        methods.append(harness.PcaMethod(name="pca", k=args.pca_k, alpha=args.alpha))
+    return [*methods, harness.RawMethod(name="raw", alpha=args.alpha)]
+
+
 def _methods_from_flags(args):
     methods = []
     for name in dict.fromkeys(args.families):  # a repeated family counts once
         if name not in FAMILY_NAMES:
             raise ConfigError(f"unknown family {name!r}")
         methods.append(harness.CstMethod(f"{name}-cst", _build_config(args, name), args.alpha))
-    if args.pca_k is not None:
-        methods.append(harness.PcaMethod(name="pca", k=args.pca_k, alpha=args.alpha))
-    if args.raw:
-        methods.append(harness.RawMethod(name="raw", alpha=args.alpha))
-    if not methods:
-        raise ConfigError("no methods selected")
-    return methods
+    return [*methods, *_baselines(args)]
 
 
 def _write_report(args, stem, rows, columns, derived=None):
@@ -277,11 +280,11 @@ def _cmd_stability(args):
         include_bounds=args.bounds,
     )
     failed = {"failed_rows": sum(row.status == "failed" for row in report.rows)}
-    out = _write_report(args, "stability", report.rows, report.header(), failed)
-    if args.plotdata:
-        for metric in ("mae", "embedding_mse"):
-            header = ["x", "series", "y", "y_lo", "y_hi"]
-            io.write_rows_csv(out / f"stability_{metric}.plotdata", header, report.plotdata(metric))
+    columns = harness.columns(harness.StabilityRow)
+    out = _write_report(args, "stability", report.rows, columns, failed)
+    for metric in ("mae", "embedding_mse"):
+        header = ["x", "series", "y", "y_lo", "y_hi"]
+        io.write_rows_csv(out / f"stability_{metric}.plotdata", header, report.plotdata(metric))
     return 0
 
 
@@ -302,10 +305,7 @@ def _cmd_labeled_sweep(args):
             f"cst-{aggregation}", dataclasses.replace(config, aggregation=aggregation), args.alpha
         )
         for aggregation in AGGREGATIONS
-    ]
-    if args.pca_k is not None:
-        methods.append(harness.PcaMethod(name="pca", k=args.pca_k, alpha=args.alpha))
-    methods.append(harness.RawMethod(name="raw", alpha=args.alpha))
+    ] + _baselines(args)
     seeds = list(range(args.seed, args.seed + args.runs))
     rows = harness.run_labeled_sweep(
         data, targets, methods, args.train_fracs, _split_spec(args), seeds
@@ -422,14 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_split_flags(p)
     p.add_argument("--families", type=_comma_strings, default=["diffusion", "hann", "monic"])
     p.add_argument("--pca-k", type=int, default=None)
-    p.add_argument("--raw", action="store_true", help="include the raw-feature baseline")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument(
         "--fractions", type=_comma_floats, default=list(harness.DEFAULT_SUBSAMPLE_FRACS)
     )
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--bounds", action="store_true", help="add measured-bound columns")
-    p.add_argument("--plotdata", action="store_true")
+    p.add_argument("--bounds", action="store_true", help="fill the measured-bound columns")
     p.set_defaults(func=_cmd_stability)
 
     p = command("prune-sweep", "pruning-threshold sweep")

@@ -234,12 +234,6 @@ class StabilityRow:
 @dataclass(frozen=True)
 class StabilityReport:
     rows: tuple[StabilityRow, ...]
-    include_bounds: bool
-
-    def header(self) -> list[str]:
-        """The row fields, without the three bound columns unless they were computed."""
-        names = columns(StabilityRow)
-        return names if self.include_bounds else names[:-3]
 
     def plotdata(self, metric: str) -> list[list]:
         """``[fraction, method, median, lower quartile, upper quartile]`` of ``metric``.
@@ -275,11 +269,12 @@ def run_stability(
     the clean embeddings. Every method's model is fitted on the pool before
     any refit, so a method that cannot be fitted fails before the refits
     start; a refit that cannot be fitted gives a ``failed`` row with blank
-    values, as a subsample under 2 samples gives a ``skipped`` one. With
-    ``include_bounds``, each row also records the largest per-sample
-    embedding distance ``||z - z_hat||_2`` over the test set, and each CST
-    row the measured wavelet delta and the bound on that distance at the
-    largest test-sample norm (:func:`bounds.measured_stability_bound`).
+    values, as a subsample under 2 samples gives a ``skipped`` one. Each
+    ``ok`` row also records the largest per-sample embedding distance
+    ``||z - z_hat||_2`` over the test set. With ``include_bounds``, each
+    CST row records the measured wavelet delta and the bound on that
+    distance at the largest test-sample norm
+    (:func:`bounds.measured_stability_bound`); otherwise both are blank.
 
     No test feature matrix is formed. Each method's clean test embedding is
     held as its blocks (one per retained path for CST, one for PCA and the
@@ -348,20 +343,19 @@ def run_stability(
             predicted = ridge.predict(_compared(perturbed.blocks(test_x), clean_test, squared))
             row_mae = mae(predicted[0], y_test)
             row_mse = float(squared.sum() / (squared.size * ridge.weights.shape[1]))
-            delta = dist = bound = None
-            if include_bounds:
-                dist = float(np.sqrt(squared.max()))
-                if isinstance(method, CstMethod):
-                    delta, bound = bounds_mod.measured_stability_bound(
-                        clean.model, perturbed.model, clean.layout, test_norm_max
-                    )
+            dist = float(np.sqrt(squared.max()))
+            delta = bound = None
+            if include_bounds and isinstance(method, CstMethod):
+                delta, bound = bounds_mod.measured_stability_bound(
+                    clean.model, perturbed.model, clean.layout, test_norm_max
+                )
             rows.append(
                 StabilityRow(
                     method.name, fraction, seed, "ok", row_mae, row_mse, delta, dist, bound
                 )
             )
     rows.sort(key=lambda r: (r.method, r.fraction, r.seed))
-    return StabilityReport(rows=tuple(rows), include_bounds=include_bounds)
+    return StabilityReport(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -186,8 +186,9 @@ class Monic:
         i2 = min(-(-3 * n // 4), n)  # ceil(3N/4), clamped
         l1 = float(ascending[i1 - 1])
         l2 = float(ascending[i2 - 1])
-        if l1 <= 0.0:
-            raise DegenerateSpectrum("monic quartile lambda_bar1 is not positive")
+        # a rank-deficient estimate leaves round-off of the top eigenvalue there
+        if l1 <= _DOMAIN_SLACK * float(ascending[-1]):
+            raise DegenerateSpectrum("monic quartile lambda_bar1 is not positive beyond round-off")
         if l2 - l1 <= _DOMAIN_SLACK * max(1.0, gamma):
             raise DegenerateSpectrum("monic spectrum quartiles coincide")
         exponents = (J - np.arange(1, J + 1)) / (J - 1)

@@ -4,17 +4,21 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import covscatter
 
 from conftest import assert_contract, names, section
 from covscatter.cli import main
+from covscatter.harness import StabilityRow, columns
 from covscatter.io import (
     format_value,
     read_data_csv,
@@ -248,7 +252,7 @@ class TestPcaCommand:
     CONSTANT = {
         "pca": (["pca", "--k", "2"], 4),
         "stability-pca": (["stability", "--families=", "--pca-k", "2"], 4),
-        "stability-raw": (["stability", "--families=", "--raw"], 0),
+        "stability-raw": (["stability", "--families="], 0),
     }
 
     @pytest.mark.parametrize("argv, expected", CONSTANT.values(), ids=CONSTANT.keys())
@@ -289,12 +293,32 @@ class TestExperimentCommands:
         code = main(
             ["stability", "--data", str(data_path), "--targets", str(targets_path),
              "--seed", "1", "--families", "diffusion", "--fractions", "0.5",
-             "--runs", "2", "--j", "3", "--l", "2", "--out", str(out), "--plotdata"]
+             "--runs", "2", "--j", "3", "--l", "2", "--out", str(out)]
         )
         assert code == 0
         assert (out / "stability_mae.plotdata").exists()
         header = (out / "stability_mae.plotdata").read_text().splitlines()[0]
         assert header == "x,series,y,y_lo,y_hi"
+
+    def test_stability_without_bounds_keeps_every_column(self, tmp_path):
+        _, data_path, targets_path = make_data_files(tmp_path)
+        out = tmp_path / "s"
+        code = main(
+            ["stability", "--data", str(data_path), "--targets", str(targets_path),
+             "--seed", "1", "--families", "diffusion", "--pca-k", "4", "--fractions", "0.5",
+             "--runs", "1", "--j", "3", "--l", "2", "--out", str(out)]
+        )
+        assert code == 0
+        header, *lines = (out / "stability.csv").read_text().splitlines()
+        assert header.split(",") == columns(StabilityRow)
+        rows = [dict(zip(columns(StabilityRow), line.split(","))) for line in lines]
+        assert {row["method"] for row in rows} == {"diffusion-cst", "pca", "raw"}
+        for row in rows:
+            assert row["status"] == "ok"
+            # the bound cells are blank, as the run did not compute them
+            assert row["delta_measured"] == row["stability_bound"] == ""
+            assert float(row["embedding_dist_max"]) >= 0.0
+        assert any(float(row["embedding_dist_max"]) > 0.0 for row in rows)
 
     def test_stability_raw_rows(self, tmp_path):
         _, data_path, targets_path = make_data_files(tmp_path)
@@ -302,7 +326,7 @@ class TestExperimentCommands:
         code = main(
             ["stability", "--data", str(data_path), "--targets", str(targets_path),
              "--seed", "1", "--families", "diffusion", "--fractions", "0.5", "--runs", "2",
-             "--j", "3", "--l", "2", "--out", str(out), "--raw"]
+             "--j", "3", "--l", "2", "--out", str(out)]
         )
         assert code == 0
         header, *lines = (out / "stability.csv").read_text().splitlines()
@@ -323,7 +347,6 @@ class TestExperimentCommands:
         assert twice.read_bytes() == once.read_bytes()
 
     STABILITY_METHODS = {
-        "no-methods": ("--families=", "no methods selected"),
         "unknown-family": ("--families=bogus", "unknown family 'bogus'"),
     }
 
@@ -524,8 +547,8 @@ class TestExperimentCommands:
         ("pca", "pca.provenance.txt", ["--k", "3"], {"k": "3"}),
         ("stability", "stability.provenance.txt",
          ["--seed", "1", "--families", "diffusion", "--pca-k", "4", "--fractions", "0.3,1.0",
-          "--runs", "2", "--j", "3", "--l", "2", "--plotdata"],
-         {"fractions": "0.3,1.0", "pca-k": "4", "no-warp": "false", "plotdata": "true"}),
+          "--runs", "2", "--j", "3", "--l", "2"],
+         {"fractions": "0.3,1.0", "pca-k": "4", "no-warp": "false"}),
         ("prune-sweep", "pruning.provenance.txt",
          ["--seed", "1", "--taus", "0.0,0.2", "--runs", "2", "--j", "3", "--l", "2"],
          {"taus": "0.0,0.2"}),
@@ -746,8 +769,9 @@ class TestFlagValues:
         assert not (tmp_path / "o").exists()
     TRANSFORM = ["transform", "--data", "{data}"]
     PCA = ["pca", "--data", "{data}", "--k", "2"]
-    # the flags a command's run would ignore or override: stability never prunes
-    # and --families names its families, --taus sets prune-sweep's tau,
+    # the flags a command's run would ignore or override: stability never prunes,
+    # --families names its families and it always writes the raw baseline and
+    # the plot files, --taus sets prune-sweep's tau,
     # labeled-sweep runs both aggregations and sweeps the train fraction, the
     # unlabeled fraction is what the others leave, no bound reads tau,
     # grid-search's grids set J, L and the operator, and only the protocols
@@ -756,6 +780,8 @@ class TestFlagValues:
         "stability-tau": (STABILITY, "tau", "0.1"),
         "stability-family": (STABILITY, "family", "monic"),
         "stability-unlabeled-frac": (STABILITY, "unlabeled-frac", "0.5"),
+        "stability-raw": (STABILITY, "raw", "false"),
+        "stability-plotdata": (STABILITY, "plotdata", "true"),
         "prune-sweep-tau": (PRUNE_SWEEP, "tau", "0.1"),
         "prune-sweep-unlabeled-frac": (PRUNE_SWEEP, "unlabeled-frac", "0.5"),
         "labeled-sweep-aggregation": (LABELED_SWEEP, "aggregation", "mean"),
@@ -1023,7 +1049,7 @@ class TestEdgeShapedData:
         ["bounds", "--j", "2", "--l", "2", "--pca-k", "2"],
         ["bounds", "--family", "monic", "--j", "2", "--l", "2", "--pca-k", "2"],
         ["stability", *PROTOCOL, "--runs", "1", "--families", "diffusion", "--j", "2", "--pca-k",
-         "2", "--raw", "--bounds"],
+         "2", "--bounds"],
         ["prune-sweep", *PROTOCOL, "--runs", "1", "--taus", "0,0.3", "--j", "2"],
         ["labeled-sweep", *PROTOCOL, "--runs", "1", "--train-fracs", "0.3", "--j", "2"],
         ["grid-search", *PROTOCOL, "--grid-j", "2", "--grid-l", "2"],
@@ -1038,3 +1064,25 @@ class TestEdgeShapedData:
         for command, *flags in self.COMMANDS:
             flags = [flag.format(targets=targets_path) for flag in flags]
             assert_contract([command, "--data", str(data_path), *flags], tmp_path / command)
+
+    # each drawn data set runs every command (about 60 ms on a 2-core VM), so a
+    # dozen examples keep the test under a second
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        t=st.integers(2, 4),
+        shape=st.sampled_from(["rank-one", "duplicated-column", "constant-column"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_edge_shapes_exit_cleanly(self, n, t, shape, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n, t))
+        if shape == "rank-one":
+            values = np.outer(rng.standard_normal(n), rng.standard_normal(t))
+        elif shape == "duplicated-column":
+            values[-1] = values[0]
+        else:
+            values[-1] = 1.5
+        with tempfile.TemporaryDirectory() as tmp:
+            self.test_every_data_command_exits_cleanly(Path(tmp), values)

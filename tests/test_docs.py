@@ -9,7 +9,7 @@ import test_cli
 from conftest import ROOT, names, section
 from covscatter import errors
 from covscatter.cli import build_parser, main
-from covscatter.harness import PruningRow, StabilityReport, columns
+from covscatter.harness import PruningRow, StabilityRow, columns
 from covscatter.io import read_keyvalue
 
 COMMANDS = build_parser().commands
@@ -127,9 +127,9 @@ def test_readme_exit_codes_match_the_error_classes(tmp_path):
 def test_readme_report_columns_match_the_row_classes():
     text = " ".join(section("README.md", "## Data format").split())
     assert re.search(r"\(`pruning.csv`: `([^`]+)`\)", text)[1] == ",".join(columns(PruningRow))
-    dropped = re.search(r"`stability.csv` drops the last three, (.*?), unless `--bounds`", text)[1]
-    without = StabilityReport(rows=(), include_bounds=False).header()
-    assert without + names(dropped) == StabilityReport(rows=(), include_bounds=True).header()
+    stability = re.search(r"\(`stability.csv`: `([^`]+)`\)", text)[1]
+    assert stability == ",".join(columns(StabilityRow))
+    assert "`stability.csv` has nine columns" in text and len(columns(StabilityRow)) == 9
 
 
 def test_provenance_table_names_each_command_file():

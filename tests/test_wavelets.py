@@ -159,12 +159,18 @@ class TestBuildFilterbank:
         with pytest.raises(DegenerateSpectrum, match="lambda_bar1"):
             build_filterbank(op, Monic(), 3)
 
-    def test_monic_infinite_cubic_coefficient_rejected(self):
+    def test_monic_infinite_cubic_coefficient_rejected(self, monkeypatch):
         # the cubic's solve overflows inside LAPACK, which raises no floating-point flag
-        spectrum = [1e-305, 1e-305, *[0.01] * 6]
-        assert np.isinf(wavelets._monic_cubic_coeffs(1e-305, 0.01, 1.0, 1.0)).any()
+        family, tiny = Monic(alpha=1.0, beta=1.0), [1e-305, 1e-305, *[0.01] * 6]
+        overflowed = wavelets._monic_cubic_coeffs(1e-305, 0.01, 1.0, 1.0)
+        assert np.isinf(overflowed).any()
+        # a quartile that small is round-off, rejected before the solve
+        with pytest.raises(DegenerateSpectrum, match="lambda_bar1"):
+            build_filterbank(diag_operator(tiny, 1.0), family, 3)
+        # so the overflowed solve is handed to a spectrum that passes the checks
+        monkeypatch.setattr(wavelets, "_monic_cubic_coeffs", lambda *args: overflowed)
         with pytest.raises(ConfigError, match="leaves the float64 range"):
-            build_filterbank(diag_operator(spectrum, 1.0), Monic(alpha=1.0, beta=1.0), 3)
+            build_filterbank(diag_operator([0.001, 0.001, *[0.01] * 6], 1.0), family, 3)
 
     def test_needs_two_scales(self):
         with pytest.raises(InvalidScaleCount):
