@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvalidK, ShapeError
+from .errors import ConfigError, InvalidK, NotSymmetric, ShapeError
 from .spectral import DataMatrix, SpectralDecomposition, sample_slices
 
 # largest accepted epsilon: exp(epsilon / 2) in the Delta formula overflows
@@ -276,25 +276,23 @@ def pca_gap_scale(eigenvalues: np.ndarray, k: int) -> float:
 
 
 def measured_wavelet_delta(mats_a: np.ndarray, mats_b: np.ndarray) -> float:
-    """Largest per-scale operator-norm difference between two wavelet matrix sets.
+    """Largest per-scale operator-norm difference between two symmetric wavelet matrix sets.
 
-    Exact for any matrices, not only symmetric ones: the 2-norm of a
-    difference ``D`` is ``s * sqrt(max eigvalsh(Ds^T Ds))`` with ``s = max|D|``
-    and ``Ds = D / s``, which is cheaper than the SVD. The scaling keeps the
-    product from overflowing or underflowing. Only the scales whose
-    difference is not exactly zero are eigensolved, so identical sets give
-    0.0 with no eigensolve.
+    The 2-norm of a symmetric difference is its largest absolute
+    eigenvalue, so the scales whose difference is not exactly zero are
+    eigensolved in one ``eigvalsh``, and identical sets give 0.0 with no
+    eigensolve. A difference that is not exactly symmetric raises
+    :class:`NotSymmetric`; ``wavelets.wavelet_matrices`` makes every matrix
+    exactly symmetric, and so the difference of two of its sets.
     """
     a = np.asarray(mats_a, dtype=np.float64)
     b = np.asarray(mats_b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
     diffs = a - b
-    scales = np.abs(diffs).max(axis=(1, 2))
-    moved = scales != 0.0
-    if not moved.any():
+    diffs = diffs[diffs.any(axis=(1, 2))]
+    if not diffs.size:
         return 0.0
-    scales = scales[moved]
-    diffs = diffs[moved] / scales[:, None, None]
-    top = np.linalg.eigvalsh(np.swapaxes(diffs, 1, 2) @ diffs)[:, -1]
-    return float((scales * np.sqrt(np.maximum(top, 0.0))).max())
+    if not np.array_equal(diffs, np.swapaxes(diffs, 1, 2)):
+        raise NotSymmetric("wavelet matrix differences are not symmetric")
+    return float(np.abs(np.linalg.eigvalsh(diffs)).max())

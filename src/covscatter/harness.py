@@ -262,7 +262,9 @@ def run_stability(
 ) -> StabilityReport:
     """Covariance-perturbation stability protocol.
 
-    Fits each method once on the fit pool and its ridge readout once on the
+    Runs each method as given: a CST method decides at its config's tau, so
+    the ``stability`` command, which takes no ``--tau``, never prunes. Fits
+    each method once on the fit pool and its ridge readout once on the
     train set, then freezes the regressor and re-embeds the test set with
     models refitted on random subsamples of the pool, recording the
     regression MAE under the frozen regressor and the embedding MSE against
@@ -293,13 +295,6 @@ def run_stability(
     _require_samples(split.train, "train", split_spec.train_frac, data.n_samples)
     pool = split.fit_pool
     fractions = sorted(set(float(f) for f in subsample_fracs) | {1.0})
-    # protocol: no thresholding during the stability runs
-    methods = [
-        dataclasses.replace(m, config=dataclasses.replace(m.config, tau=0.0))
-        if isinstance(m, CstMethod)
-        else m
-        for m in methods
-    ]
     pool_x = x[:, pool]
     pool_cov = sample_covariance(pool_x)
     clean_fits = [_fit(method, pool_cov, pool_x) for method in methods]

@@ -2,12 +2,12 @@
 
 A model holds one filterbank, which holds its wavelet operator and kernel
 responses, and the dense wavelet matrices computed from it. One
-depth-first recursion (:func:`_scatter`) applies every kernel followed by
-an absolute-value nonlinearity to a batch of signals. A pass decides or
-follows, never both: a deciding pass (:func:`decide_layout`) discards
-branches whose norm ratio to their parent does not exceed the pruning
-threshold ``CstConfig.tau``, and a followed pass (:func:`layout_blocks`)
-embeds over a decided layout.
+depth-first pass (:func:`_scatter`), with no depth limit beyond L, applies
+every kernel followed by an absolute-value nonlinearity to a batch of
+signals. A pass decides or follows, never both: a deciding pass
+(:func:`decide_layout`) discards branches whose norm ratio to their
+parent does not exceed the pruning threshold ``CstConfig.tau``, and a
+followed pass (:func:`layout_blocks`) embeds over a decided layout.
 Since ``H_j = V h_j(Lambda) V^T``, a child's energy (squared norm)
 ``||H_j s||^2 = sum_k h_j(lambda_k)^2 (v_k^T s)^2`` is read from its
 parent's covariance Fourier coefficients, as is the parent's own,
@@ -236,16 +236,17 @@ def _scatter(model: CstModel, x: np.ndarray, layout: tuple[Path, ...] | None, ra
     energies of all J children, whose roots are their norms, so only
     retained children that are parents of the next layer are formed.
     With ``layout`` the pass follows: a child is formed iff its path is in
-    the layout, and no norm is computed. Only the current root-to-node
-    chain is held, and a finished child is dropped before its next sibling
-    is formed, so a caller that keeps no yielded signals across the next
-    one holds, besides ``x``, at most L - 1 formed signal batches of
+    the layout, and no norm is computed. The pass keeps a stack of the
+    children still to form, each with its parent's signals, so a chain of
+    any depth up to L needs no recursion. A node is dropped once its last
+    child is formed, so a caller that keeps no yielded signals across the
+    next one holds, besides ``x``, at most L - 1 formed signal batches of
     (N, n): the chain above the node being formed, and that node. A
     deciding pass, which forms no last-layer child, holds at most L - 2 of
-    them, the (n,) norms and (J, n) child norms of each chain parent, and
-    the Fourier coefficients of one ``spectral.SLICE`` slice of samples at
-    a time, so at L = 2 it holds no second (N, n) array; the slices give
-    the bits of one whole-batch ``V^T s``.
+    them, the (n,) norms and (J, n) child norms of one node, and the
+    Fourier coefficients of one ``spectral.SLICE`` slice of samples at a
+    time, so at L = 2 it holds no second (N, n) array; the slices give the
+    bits of one whole-batch ``V^T s``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != model.n_features:
@@ -253,50 +254,55 @@ def _scatter(model: CstModel, x: np.ndarray, layout: tuple[Path, ...] | None, ra
     if not np.all(np.isfinite(x)):
         raise InvalidData("signals contain non-finite entries")
     follow = None if layout is None else frozenset(layout)
-    return _walk(model, (), x, follow, ratios)
+    return _walk(model, x, follow, ratios)
 
 
-def _walk(model: CstModel, path: Path, signals, follow, ratios: dict):
-    """:func:`_scatter` from ``path`` down.
+def _walk(model: CstModel, x: np.ndarray, follow, ratios: dict):
+    """:func:`_scatter`'s pass: a node's children are pushed in reverse, so pops are pre-order."""
+    pending = []  # (path, parent signals) of the children still to form
+    path, signals = (), x
+    while True:
+        yield path, signals
+        children = _children(model, path, signals, follow, ratios)
+        pending += [(child, signals) for child in reversed(children)]
+        del signals  # before the next product allocates
+        if not pending:
+            return
+        path, parent = pending.pop()
+        signals = model.matrices[path[-1]] @ parent
+        del parent  # a parent whose last child this is goes before the next product
+        np.abs(signals, out=signals)
 
-    A module-level function, not a closure: a closure that calls itself is
-    a reference cycle, which would keep each pass's model alive until the
-    cyclic garbage collector runs.
+
+def _children(model: CstModel, path: Path, signals, follow, ratios: dict) -> list[Path]:
+    """The children of ``path`` that the pass forms, in scale order; a deciding pass
+    (``follow`` is None) records every child's ratio in ``ratios``.
     """
-    yield path, signals
     last = model.config.L - 1
     if len(path) == last:
-        return
-    decide = follow is None
-    if decide:
-        # the coefficients of one slice at a time, squared in place, so no
-        # second (N, n) array lives beside the signals
-        eigenvectors = model.filterbank.operator.decomposition.eigenvectors
-        energy_weights = np.square(model.filterbank.responses)
-        norms = np.empty(signals.shape[1])
-        child_norms = np.empty((model.config.J, signals.shape[1]))
-        for part in sample_slices(signals.shape[1]):
-            coeffs = eigenvectors.T @ signals[:, part]
-            np.square(coeffs, out=coeffs)
-            norms[part] = np.sqrt(coeffs.sum(axis=0))
-            child_norms[:, part] = np.sqrt(energy_weights @ coeffs)
-            del coeffs
-        positive = norms > 0.0
-        safe_parent = np.where(positive, norms, 1.0)
-    for j in range(model.config.J):
-        child_path = path + (j,)
-        if decide:
-            # one child's (n,) ratios at a time, not a (J, n) array of them
-            ratio = float(np.where(positive, child_norms[j] / safe_parent, 0.0).mean())
-            ratios[child_path] = ratio
-            if not _kept(ratio, model.config.tau) or len(child_path) == last:
-                continue
-        elif child_path not in follow:
-            continue
-        children = model.matrices[j] @ signals
-        np.abs(children, out=children)
-        yield from _walk(model, child_path, children, follow, ratios)
-        del children  # before the next sibling's product allocates
+        return []
+    children = [path + (j,) for j in range(model.config.J)]
+    if follow is not None:
+        return [child for child in children if child in follow]
+    # the coefficients of one slice at a time, squared in place, so no
+    # second (N, n) array lives beside the signals
+    eigenvectors = model.filterbank.operator.decomposition.eigenvectors
+    energy_weights = np.square(model.filterbank.responses)
+    norms = np.empty(signals.shape[1])
+    child_norms = np.empty((model.config.J, signals.shape[1]))
+    for part in sample_slices(signals.shape[1]):
+        coeffs = eigenvectors.T @ signals[:, part]
+        np.square(coeffs, out=coeffs)
+        norms[part] = np.sqrt(coeffs.sum(axis=0))
+        child_norms[:, part] = np.sqrt(energy_weights @ coeffs)
+        del coeffs
+    positive = norms > 0.0
+    safe_parent = np.where(positive, norms, 1.0)
+    for j, child in enumerate(children):
+        # one child's (n,) ratios at a time, not a (J, n) array of them
+        ratios[child] = float(np.where(positive, child_norms[j] / safe_parent, 0.0).mean())
+    kept = [child for child in children if _kept(ratios[child], model.config.tau)]
+    return kept if len(path) + 1 < last else []
 
 
 def decide_layout(model: CstModel, x: np.ndarray) -> ScatterLayout:

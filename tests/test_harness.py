@@ -103,9 +103,9 @@ def _methods():
 
 
 def _reference_fit(method, cov):
-    """``method``'s model on ``cov``, as the stability protocol fits it (CST at tau 0)."""
+    """``method``'s model on ``cov``, as the stability protocol fits it."""
     if isinstance(method, CstMethod):
-        return cst_fit(cov, dataclasses.replace(method.config, tau=0.0))
+        return cst_fit(cov, method.config)
     if isinstance(method, PcaMethod):
         return pca_fit(cov, method.k)
     return None
@@ -327,6 +327,15 @@ class TestStability:
         )
         # the pool, then each (fraction, seed) subsample once
         assert len(eig_calls) == 1 + 2 * 2
+
+    def test_methods_run_as_given(self, dataset, decisions):
+        # the protocol replaces no config: a CST method is decided at its own tau
+        method = CstMethod("hann-cst", CstConfig(family=Hann(), J=3, L=2, tau=0.2), alpha=1.0)
+        report = run_stability(
+            dataset.data, dataset.targets, [method], DEFAULT_SPLIT, subsample_fracs=[0.5], seeds=[0]
+        )
+        assert decisions == [0.2]
+        assert [row.status for row in report.rows] == ["ok", "ok"]
 
     def test_bad_method_rejected_before_any_refit(self, dataset, eig_calls):
         with pytest.raises(InvalidK):

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import pickle
+import sys
 import tracemalloc
 import weakref
 
@@ -546,6 +547,23 @@ class TestTraversal:
         # the chain above the deepest node plus that node: L - 1 batches of
         # N x n; a finished sibling still held would make it L
         assert peak - matrix.nbytes < (L - 0.5) * N * n * 8
+
+    def test_a_chain_deeper_than_the_recursion_limit(self):
+        # on this data the chain (0,), (0, 0), ... keeps ratios above 0.8 and
+        # every other child's stays below 0.2, so one path is retained per layer
+        x = synth_generate(SynthSpec(n_features=8, n_samples=60, tail=0.9, seed=7)).data.values
+        L = sys.getrecursionlimit() + 10
+        config = CstConfig(
+            family=Diffusion(), J=2, L=L, tau=0.5, aggregation="mean", operator_kind=INVERTED
+        )
+        model = cst_fit(sample_covariance(x), config)
+        layout = decide_layout(model, x).paths
+        assert layout == tuple((0,) * depth for depth in range(L))
+        matrix = cst_transform_batch(model, x, layout)
+        signals = x
+        for _ in range(L - 1):
+            signals = np.abs(model.matrices[0] @ signals)
+        npt.assert_array_equal(matrix[:, -1], signals.mean(axis=0))
 
     def test_pass_leaves_no_reference_cycle(self, rng):
         # a cycle would keep every pass's model and signals until the collector runs

@@ -15,8 +15,10 @@ from covscatter.spectral import (
     SampleCovariance,
     SpectralDecomposition,
     WaveletOperator,
+    sample_covariance,
     wavelet_operator,
 )
+from covscatter.synthdata import SynthSpec, synth_generate
 from covscatter import wavelets
 from covscatter.wavelets import (
     Diffusion,
@@ -207,6 +209,25 @@ class TestBuildFilterbank:
         op = diag_operator([0.5, 1.0], 1.2)
         with pytest.raises(ConfigError):
             build_filterbank(op, Diffusion(), 3)
+
+    @pytest.mark.parametrize("operator", [NORMALIZED, INVERTED])
+    def test_gamma_rescales_units_except_for_diffusion(self, operator):
+        # Hann's translations and monic's scales are set in units of gamma, so
+        # their responses do not move; diffusion's kernels are fixed on [0, 1],
+        # where gamma places the spectrum
+        x = synth_generate(SynthSpec(n_features=20, n_samples=300, tail=0.9, seed=3)).data
+        cov = sample_covariance(x)
+
+        def responses(family, gamma):
+            return build_filterbank(wavelet_operator(cov, operator, gamma), family, 4).responses
+
+        for family in (Hann(), Hann(warp=False), Monic()):
+            default = responses(family, family.default_gamma(4))
+            for gamma in (0.37, 0.5, 2.0, 1e50):
+                npt.assert_allclose(responses(family, gamma), default, rtol=0.0, atol=1e-12)
+        default = responses(Diffusion(), Diffusion().default_gamma(4))
+        for gamma in (0.37, 0.5, 1.0):
+            assert np.abs(responses(Diffusion(), gamma) - default).max() > 0.05
 
     def test_provenance_keys(self):
         op = make_operator(12, 5, Monic(), 4)
